@@ -185,6 +185,7 @@ def cmd_smooth(cfg: RunConfig) -> tuple[int, str]:
             + "\n",
         )
     lines = [f"# verdicts for n={cfg.ctx.n} k={cfg.ctx.k}"]
+    counts = {}
     for lbl in labels:
         v = tangent.verdict(cfg.ctx, lbl)
         rule = v.rule if v.rule is not None else "-"
@@ -192,10 +193,7 @@ def cmd_smooth(cfg: RunConfig) -> tuple[int, str]:
             f"  {_label_str(lbl)}  dim={atlas.dimension(cfg.ctx, lbl)}  "
             f"verdict={v.status:<8} rule={rule:<2} witness={v.witness}"
         )
-    counts = {}
-    for lbl in labels:
-        status = tangent.verdict(cfg.ctx, lbl).status
-        counts[status] = counts.get(status, 0) + 1
+        counts[v.status] = counts.get(v.status, 0) + 1
     lines.append(
         "# totals: "
         + " ".join(f"{status}={counts.get(status, 0)}" for status in ("smooth", "singular", "unknown"))
@@ -350,12 +348,11 @@ def _verify_suites(cfg: RunConfig) -> tuple[int, str]:
             ok = False
     report("hasse", ok, f"{len(g.covers)} covers, {len(g.weak)} weak edges")
 
-    singular_orbital = [
-        lbl for lbl in orbital if tangent.verdict(ctx, lbl).status == "singular"
-    ]
+    statuses = {lbl: tangent.verdict(ctx, lbl).status for lbl in labels}
+    singular_orbital = [lbl for lbl in orbital if statuses[lbl] == "singular"]
     report(
         "verdicts",
-        all(tangent.verdict(ctx, lbl).status in ("smooth", "singular", "unknown") for lbl in labels),
+        all(status in ("smooth", "singular", "unknown") for status in statuses.values()),
         f"{len(singular_orbital)} singular orbital varieties",
     )
     for lbl in singular_orbital:

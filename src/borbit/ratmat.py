@@ -68,6 +68,18 @@ class RationalMatrix:
         )
 
     @classmethod
+    def from_entries(
+        cls, n: int, entries: dict[tuple[int, int], Scalar]
+    ) -> "RationalMatrix":
+        """n x n matrix with the given 1-indexed entries, zero elsewhere."""
+        if not all(1 <= r <= n and 1 <= s <= n for r, s in entries):
+            raise ValueError(f"entry index out of range for size {n}")
+        return cls(
+            [[entries.get((r, s), 0) for s in range(1, n + 1)]
+             for r in range(1, n + 1)]
+        )
+
+    @classmethod
     def permutation(cls, p: Sequence[int]) -> "RationalMatrix":
         """Permutation matrix sending the basis vector e_i to e_{p(i)}."""
         n = len(p)

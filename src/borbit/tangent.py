@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Literal
 
 from .atlas import (
@@ -55,6 +56,11 @@ SINGULAR_PATTERNS: tuple[Perm, ...] = ((4, 2, 3, 1), (3, 4, 1, 2))
 
 #: Pattern controlling rank-one singularity.
 RANK_ONE_PATTERN: Perm = (3, 1, 4, 2)
+
+#: A sparse exact integer n x n matrix: 1-indexed ``(row, column)`` to a
+#: nonzero entry.  The tangent algebra lives here: its generators (matrix
+#: units, curve tangents, the stabiliser basis) have entries 0 and +-1.
+SparseMatrix = dict[tuple[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -143,30 +149,35 @@ def base_point(ctx: Context) -> RationalMatrix:
     return out
 
 
-def curve(ctx: Context, rt: Root) -> CurveSpec:
-    """The explicit curve attached to a stabiliser root.
+def root_tangent(ctx: Context, rt: Root) -> SparseMatrix:
+    """Tangent vector at the base point of the curve of a stabiliser root.
 
     Conjugating the base point by the one-parameter subgroup of the
-    negative root gives, per family, the linear and quadratic coefficients
-    below; the linear one is the curve's tangent vector at the base point.
+    negative root gives, per family, this linear coefficient.  It is the
+    one definition of the curve tangents: ``curve`` builds its linear
+    coefficient from it and ``bk_span`` brackets it directly.
     """
     n, k = ctx.n, ctx.k
     if classify_root(ctx, rt.i, rt.j) != rt.family:
         raise ValueError(f"root does not belong to {ctx}: {rt}")
     i, j = rt.i, rt.j
-    E = RationalMatrix.elementary
-    zero = RationalMatrix.zero(n)
-    if rt.family == INSIDE_GLK:
-        linear, quadratic = E(n, j, i + n - k), zero
-    elif rt.family == DELTA:
-        linear = E(n, i + n - k, i + n - k) - E(n, i, i)
-        quadratic = -E(n, i + n - k, i)
-    elif rt.family == CROSS_FAR:
-        linear, quadratic = E(n, j, i + n - k) - E(n, j - n + k, i), zero
-    elif rt.family == TOP_MIDDLE:
-        linear, quadratic = E(n, j, i + n - k), zero
-    else:  # MIDDLE_BOTTOM
-        linear, quadratic = -E(n, j - n + k, i), zero
+    if rt.family == DELTA:
+        return {(i + n - k, i + n - k): 1, (i, i): -1}
+    if rt.family == CROSS_FAR:
+        return {(j, i + n - k): 1, (j - n + k, i): -1}
+    if rt.family == MIDDLE_BOTTOM:
+        return {(j - n + k, i): -1}
+    return {(j, i + n - k): 1}  # INSIDE_GLK and TOP_MIDDLE
+
+
+def curve(ctx: Context, rt: Root) -> CurveSpec:
+    """The explicit curve attached to a stabiliser root: linear coefficient
+    from ``root_tangent``, plus a quadratic term for the DELTA family."""
+    n, k = ctx.n, ctx.k
+    linear = RationalMatrix.from_entries(n, root_tangent(ctx, rt))
+    quadratic = RationalMatrix.zero(n)
+    if rt.family == DELTA:
+        quadratic = -RationalMatrix.elementary(n, rt.i + n - k, rt.i)
     return CurveSpec(rt, base_point(ctx), linear, quadratic)
 
 
@@ -236,74 +247,81 @@ def full_corner_positions(ctx: Context) -> tuple[tuple[int, int], ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def borel_stabiliser_basis(ctx: Context) -> tuple[RationalMatrix, ...]:
+def borel_stabiliser_basis(ctx: Context) -> tuple[SparseMatrix, ...]:
     """Basis of the upper-triangular part of the base point's stabiliser
     algebra: paired corner blocks plus every block strictly above the
     diagonal of the (k, n-2k, k) block structure."""
     n, k = ctx.n, ctx.k
-    E = RationalMatrix.elementary
-    out = []
-    for a in range(1, k + 1):
-        for b in range(a, k + 1):
-            out.append(E(n, a, b) + E(n, a + n - k, b + n - k))
-    for a in range(k + 1, n - k + 1):
-        for b in range(a, n - k + 1):
-            out.append(E(n, a, b))
-    for a in range(1, k + 1):
-        for b in range(k + 1, n - k + 1):
-            out.append(E(n, a, b))
-    for a in range(1, k + 1):
-        for b in range(n - k + 1, n + 1):
-            out.append(E(n, a, b))
-    for a in range(k + 1, n - k + 1):
-        for b in range(n - k + 1, n + 1):
-            out.append(E(n, a, b))
+    m = n - k
+    out = [
+        {(a, b): 1, (a + m, b + m): 1}
+        for a in range(1, k + 1)
+        for b in range(a, k + 1)
+    ]
+    out += [{(a, b): 1} for a in range(k + 1, m + 1) for b in range(a, m + 1)]
+    out += [{(a, b): 1} for a in range(1, k + 1) for b in range(k + 1, n + 1)]
+    out += [{(a, b): 1} for a in range(k + 1, m + 1) for b in range(m + 1, n + 1)]
     return tuple(out)
 
 
-class _Span:
-    """Incremental exact row space: add vectors, track the rank."""
+def bracket(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
+    """The commutator ``xy - yx``, expanded bilinearly over matrix units by
+    ``[E_ab, E_cd] = delta_bc E_ad - delta_da E_cb``."""
+    out: SparseMatrix = {}
+    for (a, b), u in x.items():
+        for (c, d), v in y.items():
+            if b == c:
+                out[(a, d)] = out.get((a, d), 0) + u * v
+            if d == a:
+                out[(c, b)] = out.get((c, b), 0) - u * v
+    return {pos: val for pos, val in out.items() if val}
 
-    def __init__(self):
-        self.pivots: list[tuple[int, list[Fraction]]] = []
 
-    def add(self, vec: tuple[Fraction, ...]) -> bool:
-        v = list(vec)
-        for piv, row in self.pivots:
-            if v[piv] != 0:
-                c = v[piv] / row[piv]
-                for idx in range(len(v)):
-                    v[idx] -= c * row[idx]
-        for idx, val in enumerate(v):
-            if val != 0:
-                self.pivots.append((idx, v))
-                return True
-        return False
+def _insert(pivots: dict[tuple[int, int], SparseMatrix], vec: SparseMatrix) -> bool:
+    """Add ``vec`` to the row echelon ``pivots``, whose rows are keyed by
+    their leading (smallest) position; True if it was independent.
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    Each step cancels the leading entry of ``vec`` against the row with the
+    same leading position, using integer multipliers; entries after it may
+    change but none before it appear, so the leading position strictly
+    increases.  A remainder that survives is stored divided by its content,
+    which keeps the integers small.
+    """
+    while vec:
+        lead = min(vec)
+        row = pivots.get(lead)
+        if row is None:
+            content = gcd(*vec.values())
+            pivots[lead] = {pos: val // content for pos, val in vec.items()}
+            return True
+        g = gcd(vec[lead], row[lead])
+        a, b = vec[lead] // g, row[lead] // g
+        out = {pos: b * val for pos, val in vec.items()}
+        for pos, val in row.items():
+            out[pos] = out.get(pos, 0) - a * val
+        vec = {pos: val for pos, val in out.items() if val}
+    return False
 
 
 def bk_span(ctx: Context, lbl: OrbitLabel) -> int:
     """Dimension of the bracket closure, under the Borel stabiliser
     algebra, of the base-orbit tangent space plus the label's curve
-    tangents.  Always a lower bound for the tangent dimension."""
-    n = ctx.n
-    E = RationalMatrix.elementary
-    seeds = [E(n, r, s) for (r, s) in base_orbit_tangent_positions(ctx)]
-    seeds += [curve(ctx, rt).tangent_vector for rt in t_k_set(ctx, lbl)]
-    span = _Span()
-    queue = [m for m in seeds if span.add(m.flatten())]
+    tangents.  Always a lower bound for the tangent dimension.
+
+    Exact over the integers, which gives the rank over the rationals; a
+    rank modulo a prime could fall short of it."""
+    seeds = [{pos: 1} for pos in base_orbit_tangent_positions(ctx)]
+    seeds += [root_tangent(ctx, rt) for rt in t_k_set(ctx, lbl)]
+    pivots: dict[tuple[int, int], SparseMatrix] = {}
+    queue = [m for m in seeds if _insert(pivots, m)]
     borel = borel_stabiliser_basis(ctx)
     while queue:
         v = queue.pop()
         for b in borel:
-            w = b * v - v * b
-            if span.add(w.flatten()):
+            w = bracket(b, v)
+            if _insert(pivots, w):
                 queue.append(w)
-    return span.rank
+    return len(pivots)
 
 
 def _character_index(ctx: Context, m: int) -> int:
@@ -314,16 +332,14 @@ def _character_index(ctx: Context, m: int) -> int:
     return m - 1 if m <= n - k else m - (n - k) - 1
 
 
-def _matrix_character(ctx: Context, m: RationalMatrix) -> tuple[int, ...]:
+def _character(ctx: Context, vec: SparseMatrix) -> tuple[int, ...]:
     n, k = ctx.n, ctx.k
     chars = set()
-    for r in range(1, n + 1):
-        for s in range(1, n + 1):
-            if m.entry(r, s) != 0:
-                vec = [0] * (n - k)
-                vec[_character_index(ctx, r)] += 1
-                vec[_character_index(ctx, s)] -= 1
-                chars.add(tuple(vec))
+    for r, s in vec:
+        char = [0] * (n - k)
+        char[_character_index(ctx, r)] += 1
+        char[_character_index(ctx, s)] -= 1
+        chars.add(tuple(char))
     if len(chars) != 1:
         raise ValueError("matrix is not a torus eigenvector")
     return chars.pop()
@@ -342,14 +358,11 @@ def weight_decomposition(
     collects exactly 2k vectors; each character pairing two distinct
     corner coordinates collects exactly 2.
     """
-    n = ctx.n
-    E = RationalMatrix.elementary
     out: dict[tuple[int, ...], list[TangentTag]] = {}
-    for (r, s) in base_orbit_tangent_positions(ctx):
-        char = _matrix_character(ctx, E(n, r, s))
-        out.setdefault(char, []).append(("base", (r, s)))
+    for pos in base_orbit_tangent_positions(ctx):
+        out.setdefault(_character(ctx, {pos: 1}), []).append(("base", pos))
     for rt in phi_plus(ctx):
-        char = _matrix_character(ctx, curve(ctx, rt).tangent_vector)
+        char = _character(ctx, root_tangent(ctx, rt))
         out.setdefault(char, []).append(("curve", (rt.i, rt.j)))
     return {char: tuple(tags) for char, tags in out.items()}
 

@@ -51,6 +51,10 @@ def test_constructors_and_entry_indexing():
     z = RationalMatrix.zero(2, 3)
     assert (z.nrows, z.ncols) == (2, 3)
     assert z.is_zero()
+    assert RationalMatrix.from_entries(3, {(2, 3): 1}) == e
+    assert RationalMatrix.from_entries(2, {}) == RationalMatrix.zero(2)
+    with pytest.raises(ValueError):
+        RationalMatrix.from_entries(3, {(4, 1): 1})
 
 
 def test_elementary_product_rule():

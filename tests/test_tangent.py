@@ -25,6 +25,8 @@ from borbit.tangent import (
     base_orbit_tangent_positions,
     base_point,
     bk_span,
+    borel_stabiliser_basis,
+    bracket,
     classify_root,
     curve,
     full_corner_positions,
@@ -237,6 +239,71 @@ def test_tangent_positions():
     assert len(full_corner_positions(Context(6, 3))) == 9
 
 
+def test_sparse_bracket_matches_dense_commutators():
+    E = RationalMatrix.elementary
+    units = [(a, b) for a in range(1, 5) for b in range(1, 5)]
+    for a, b in units:
+        for c, d in units:
+            dense = E(4, a, b) * E(4, c, d) - E(4, c, d) * E(4, a, b)
+            sparse = bracket({(a, b): 1}, {(c, d): 1})
+            assert RationalMatrix.from_entries(4, sparse) == dense
+            assert 0 not in sparse.values()
+
+
+def test_borel_stabiliser_basis_spans_the_upper_centraliser():
+    # The centraliser of x among upper-triangular matrices is the kernel of
+    # X -> Xx - xX on the upper matrix units; its dimension comes from an
+    # independent dense rank.
+    for n, k in [(4, 1), (4, 2), (5, 2), (6, 3)]:
+        ctx = Context(n, k)
+        x = base_point(ctx)
+        basis = [RationalMatrix.from_entries(n, b) for b in borel_stabiliser_basis(ctx)]
+        for b in basis:
+            assert b.is_upper_triangular()
+            assert b * x == x * b
+        assert RationalMatrix([b.flatten() for b in basis]).rank() == len(basis)
+        units = [RationalMatrix.elementary(n, a, c) for a in range(1, n + 1) for c in range(a, n + 1)]
+        images = RationalMatrix([(e * x - x * e).flatten() for e in units])
+        assert len(basis) == len(units) - images.rank()
+
+
+def dense_bracket_span(ctx, lbl):
+    """Reference for ``bk_span``: the same closure with dense commutators,
+    a candidate kept when it raises the Bareiss rank of the kept ones."""
+    n = ctx.n
+    borel = [RationalMatrix.from_entries(n, b) for b in borel_stabiliser_basis(ctx)]
+    seeds = [RationalMatrix.elementary(n, r, s) for r, s in base_orbit_tangent_positions(ctx)]
+    seeds += [curve(ctx, rt).tangent_vector for rt in t_k_set(ctx, lbl)]
+    kept = []
+
+    def keep(m):
+        if RationalMatrix([v.flatten() for v in kept + [m]]).rank() > len(kept):
+            kept.append(m)
+            return True
+        return False
+
+    queue = [m for m in seeds if keep(m)]
+    while queue:
+        v = queue.pop()
+        for b in borel:
+            w = b * v - v * b
+            if keep(w):
+                queue.append(w)
+    return len(kept)
+
+
+def test_bk_span_matches_the_dense_reference():
+    for lbl in enumerate_labels(CTX42):
+        assert bk_span(CTX42, lbl) == dense_bracket_span(CTX42, lbl)
+    ctx = Context(5, 2)
+    checked = 0
+    for lbl in enumerate_labels(ctx):
+        if verdict(ctx, lbl).rule in ("R6", None):
+            assert bk_span(ctx, lbl) == dense_bracket_span(ctx, lbl)
+            checked += 1
+    assert checked == 8
+
+
 def test_bk_span_frozen_values():
     assert bk_span(CTX42, label(CTX42, ID4, ID4)) == 3
     assert bk_span(CTX42, label(CTX42, (2, 4, 1, 3), ID4)) == 7
@@ -244,7 +311,7 @@ def test_bk_span_frozen_values():
 
 
 def test_bk_span_dominates_the_counting_bound():
-    for n, k in [(4, 2), (5, 2)]:
+    for n, k in [(4, 2), (5, 2), (6, 2), (6, 3)]:
         ctx = Context(n, k)
         for lbl in enumerate_labels(ctx):
             span = bk_span(ctx, lbl)
