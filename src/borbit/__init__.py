@@ -13,6 +13,7 @@ from .atlas import (
     OrientedLinkPattern,
     TwoColumnTableau,
     coset_of,
+    coset_reps,
     dim_orbit,
     dim_y0,
     dimension,
@@ -21,7 +22,7 @@ from .atlas import (
     is_orbital_variety,
     is_upper_label,
     label,
-    label_of_coset,
+    label_of,
     label_perm,
     link_pattern,
     min_length_reps,
@@ -39,7 +40,6 @@ from .geometry import (
     tangent_independence,
     verify_curve,
     witness_flag,
-    x_matrix,
 )
 from .perms import (
     CapExceeded,
@@ -64,7 +64,6 @@ from .tangent import (
     phi_plus_restricted,
     s_set,
     t_k_set,
-    tangent_dimension_upper,
     tangent_lower_bound,
     verdict,
     weight_decomposition,

@@ -31,7 +31,6 @@ from .perms import (
     compose,
     format_perm,
     identity,
-    inverse,
     length,
     parse_perm,
 )
@@ -66,14 +65,10 @@ class OrbitLabel:
 
 @dataclass(frozen=True)
 class OrbitCoset:
-    """A coset of the paired-action subgroup, with its canonical member.
-
-    ``members`` is sorted lexicographically; ``canonical`` minimises
-    (length, one-line lexicographic).
-    """
+    """A coset of the paired-action subgroup; ``members`` is sorted
+    lexicographically."""
 
     members: tuple[Perm, ...]
-    canonical: Perm
 
 
 @dataclass(frozen=True)
@@ -161,11 +156,11 @@ def paired_subgroup(ctx: Context) -> tuple[Perm, ...]:
 
 
 def coset_of(ctx: Context, w: Perm) -> OrbitCoset:
+    """All k!(n-2k)! members of ``w H``: the independent oracle for
+    ``label_of`` and ``coset_reps``."""
     if len(w) != ctx.n:
         raise ValueError(f"size mismatch: got {len(w)}, context has n={ctx.n}")
-    members = tuple(sorted(compose(w, h) for h in paired_subgroup(ctx)))
-    canonical = min(members, key=lambda m: (length(m), m))
-    return OrbitCoset(members, canonical)
+    return OrbitCoset(tuple(sorted(compose(w, h) for h in paired_subgroup(ctx))))
 
 
 def min_length_reps(coset: OrbitCoset) -> tuple[Perm, ...]:
@@ -173,20 +168,45 @@ def min_length_reps(coset: OrbitCoset) -> tuple[Perm, ...]:
     return tuple(m for m in coset.members if length(m) == shortest)
 
 
-def label_of_coset(ctx: Context, coset: OrbitCoset) -> OrbitLabel:
-    """The unique label whose product lies in the coset."""
-    m0 = coset.members[0]
-    sigma = tuple(
-        v
-        for block in blocks(ctx)
-        for v in sorted(m0[i - 1] for i in block)
+def _pairs_and_middle(ctx: Context, w: Perm) -> tuple[list[tuple[int, int]], list[int]]:
+    """The k value pairs ``(w(j), w(n-k+j))`` and the sorted middle values.
+
+    Right multiplication by ``H`` permutes the pairs among the outer
+    positions and the middle values among the middle positions, so these
+    two sets determine the coset ``w H``.
+    """
+    if len(w) != ctx.n:
+        raise ValueError(f"size mismatch: got {len(w)}, context has n={ctx.n}")
+    n, k = ctx.n, ctx.k
+    pairs = [(w[j], w[n - k + j]) for j in range(k)]
+    return pairs, sorted(w[k : n - k])
+
+
+def label_of(ctx: Context, w: Perm) -> OrbitLabel:
+    """The unique label whose product lies in the coset ``w H``.
+
+    The member with the pairs ordered by last-block value and the middle
+    sorted is increasing on the last two blocks, so it is ``sigma alpha``
+    for the ``sigma`` that sorts its first block as well.
+    """
+    pairs, middle = _pairs_and_middle(ctx, w)
+    pairs.sort(key=lambda pair: pair[1])
+    first = [a for a, _ in pairs]
+    low = sorted(first)
+    sigma = tuple(low) + tuple(middle) + tuple(b for _, b in pairs)
+    alpha = tuple(low.index(a) + 1 for a in first) + tuple(range(ctx.k + 1, ctx.n + 1))
+    return OrbitLabel(sigma, alpha)
+
+
+def coset_reps(ctx: Context, w: Perm) -> tuple[Perm, ...]:
+    """The k! members of ``w H`` whose middle block increases, in
+    lexicographic order (the first-block values are distinct, so ordering
+    the sorted pairs orders the members)."""
+    pairs, middle = _pairs_and_middle(ctx, w)
+    return tuple(
+        tuple(a for a, _ in order) + tuple(middle) + tuple(b for _, b in order)
+        for order in itertools.permutations(sorted(pairs))
     )
-    sigma_inv = inverse(sigma)
-    for m in coset.members:
-        alpha = compose(sigma_inv, m)
-        if in_Wk(ctx, alpha):
-            return OrbitLabel(sigma, alpha)
-    raise ValueError(f"not a coset of the paired subgroup: {coset.members}")
 
 
 @lru_cache(maxsize=None)

@@ -26,17 +26,15 @@ from . import atlas, geometry, poset, tangent
 from .atlas import Context, OrbitLabel
 from .perms import (
     CapExceeded,
-    bruhat_leq,
-    compose,
+    all_perms,
+    evaluate_word,
     format_perm,
     format_word,
     identity,
     length,
     parse_perm,
     parse_word,
-    reduced_word,
 )
-from .ratmat import format_matrix
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -58,8 +56,6 @@ def _parse_perm_or_word(text: str, n: int):
     if text == "id":
         return identity(n)
     if text and (text[0] == "s" or "." in text):
-        from .perms import evaluate_word
-
         return evaluate_word(n, parse_word(text))
     return parse_perm(text, n)
 
@@ -158,18 +154,14 @@ def _tangent_report(ctx: Context, lbl: OrbitLabel) -> str:
             f"  ({rt.i},{rt.j})  {rt.family:<13} phi_n={phi_n} t_k={status}  witness={wit}"
         )
     count = sum(1 for _, in_tk, _, _ in table if in_tk)
-    dim = atlas.dimension(ctx, lbl)
+    bound = atlas.dim_y0(ctx) + count
     lines.append(f"  |t_k| = {count} of {len(table)} roots")
-    lines.append(f"  tangent lower bound = {atlas.dim_y0(ctx) + count}")
-    lines.append(f"  dimension = {dim}")
+    lines.append(f"  tangent lower bound = {bound}")
+    lines.append(f"  dimension = {atlas.dimension(ctx, lbl)}")
     if atlas.is_upper_label(ctx, lbl):
-        lines.append(f"  tangent dimension (upper label) = {tangent.tangent_dimension_upper(ctx, lbl)}")
+        lines.append(f"  tangent dimension (upper label) = {bound}")
     lines.append(f"  bracket-closure span = {tangent.bk_span(ctx, lbl)}")
     return "\n".join(lines) + "\n"
-
-
-def cmd_tangent(cfg: RunConfig, lbl: OrbitLabel) -> tuple[int, str]:
-    return EXIT_OK, _tangent_report(cfg.ctx, lbl)
 
 
 def cmd_smooth(cfg: RunConfig) -> tuple[int, str]:
@@ -257,8 +249,6 @@ def _verify_suites(cfg: RunConfig) -> tuple[int, str]:
     )
     seen = set()
     coset_count = 0
-    from .perms import all_perms
-
     for p in all_perms(ctx.n):
         if p in seen:
             continue
@@ -273,12 +263,11 @@ def _verify_suites(cfg: RunConfig) -> tuple[int, str]:
     ok = True
     for lbl in labels:
         coset = atlas.coset_of(ctx, atlas.label_perm(lbl))
-        reps = atlas.min_length_reps(coset)
-        if atlas.label_perm(lbl) not in reps:
+        if atlas.label_perm(lbl) not in atlas.min_length_reps(coset):
             ok = False
         if length(atlas.label_perm(lbl)) != length(lbl.sigma) + length(lbl.alpha):
             ok = False
-        if atlas.label_of_coset(ctx, coset) != lbl:
+        if any(atlas.label_of(ctx, m) != lbl for m in coset.members):
             ok = False
     report("minimal-representatives", ok, f"{len(labels)} labels checked")
 
@@ -361,8 +350,31 @@ def _verify_suites(cfg: RunConfig) -> tuple[int, str]:
     return status, "\n".join(lines) + "\n"
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
-    return _verify_suites(cfg)
+#: Subcommand name -> (positional arguments, handler of the run
+#: configuration and the parsed arguments).
+COMMANDS = {
+    "enumerate": ((), lambda cfg, args: cmd_enumerate(cfg)),
+    "order": (
+        ("a", "b"),
+        lambda cfg, args: cmd_order(
+            cfg, parse_label_arg(cfg.ctx, args.a), parse_label_arg(cfg.ctx, args.b)
+        ),
+    ),
+    "hasse": ((), lambda cfg, args: cmd_hasse(cfg)),
+    "tangent": (
+        ("label",),
+        lambda cfg, args: (EXIT_OK, _tangent_report(cfg.ctx, parse_label_arg(cfg.ctx, args.label))),
+    ),
+    "smooth": ((), lambda cfg, args: cmd_smooth(cfg)),
+    "verify": ((), lambda cfg, args: _verify_suites(cfg)),
+    "springer": ((), lambda cfg, args: cmd_springer(cfg)),
+    "blueprint": (
+        ("label", "word"),
+        lambda cfg, args: cmd_blueprint(
+            cfg, parse_label_arg(cfg.ctx, args.label), parse_word(args.word)
+        ),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,19 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rational curve samples",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("enumerate")
-    p_order = sub.add_parser("order")
-    p_order.add_argument("a")
-    p_order.add_argument("b")
-    sub.add_parser("hasse")
-    p_tangent = sub.add_parser("tangent")
-    p_tangent.add_argument("label")
-    sub.add_parser("smooth")
-    sub.add_parser("verify")
-    sub.add_parser("springer")
-    p_blueprint = sub.add_parser("blueprint")
-    p_blueprint.add_argument("label")
-    p_blueprint.add_argument("word")
+    for name, (positionals, _) in COMMANDS.items():
+        command = sub.add_parser(name)
+        for arg in positionals:
+            command.add_argument(arg)
     return parser
 
 
@@ -417,30 +420,8 @@ def main(argv: list[str] | None = None) -> int:
             cap=args.cap,
             samples=samples,
         )
-        if args.command == "enumerate":
-            code, text = cmd_enumerate(cfg)
-        elif args.command == "order":
-            code, text = cmd_order(
-                cfg, parse_label_arg(ctx, args.a), parse_label_arg(ctx, args.b)
-            )
-        elif args.command == "hasse":
-            code, text = cmd_hasse(cfg)
-        elif args.command == "tangent":
-            code, text = cmd_tangent(cfg, parse_label_arg(ctx, args.label))
-        elif args.command == "smooth":
-            code, text = cmd_smooth(cfg)
-        elif args.command == "verify":
-            code, text = cmd_verify(cfg)
-        elif args.command == "springer":
-            code, text = cmd_springer(cfg)
-        elif args.command == "blueprint":
-            code, text = cmd_blueprint(
-                cfg,
-                parse_label_arg(ctx, args.label),
-                parse_word(args.word),
-            )
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
+        _, handler = COMMANDS[args.command]
+        code, text = handler(cfg, args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -20,15 +20,6 @@ from .ratmat import RationalMatrix
 from .tangent import CurveSpec, Root, base_point, curve, full_corner_positions, phi_plus
 
 
-def x_matrix(ctx: Context) -> RationalMatrix:
-    """The base matrix E_{1,n-k+1} + ... + E_{k,n}."""
-    return base_point(ctx)
-
-
-def rank(m: RationalMatrix) -> int:
-    return m.rank()
-
-
 def is_two_nilpotent_of_rank(m: RationalMatrix, k: int) -> bool:
     return (m * m).is_zero() and m.rank() == k
 
@@ -62,7 +53,7 @@ def in_Ck(ctx: Context, g: RationalMatrix) -> bool:
             for c in range(k)
         )
     )
-    x = x_matrix(ctx)
+    x = base_point(ctx)
     by_commutation = (g * x) == (x * g)
     if by_blocks != by_commutation:
         raise AssertionError(

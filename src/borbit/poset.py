@@ -20,17 +20,17 @@ from functools import lru_cache
 from .atlas import (
     Context,
     ENUMERATION_CAP,
-    OrbitCoset,
     OrbitLabel,
     coset_of,
+    coset_reps,
     dimension,
     enumerate_labels,
     label,
-    label_of_coset,
+    label_of,
     label_perm,
-    min_length_reps,
 )
 from .perms import (
+    WORD_LENGTH_CAP,
     Perm,
     bruhat_leq,
     compose,
@@ -48,15 +48,31 @@ def leq(ctx: Context, a: OrbitLabel, b: OrbitLabel) -> bool:
 
 
 def leq_witness(ctx: Context, a: OrbitLabel, b: OrbitLabel) -> Perm | None:
-    """A member of ``a``'s coset lying below ``label_perm(b)``, or None."""
+    """The lexicographically first member of ``a``'s coset lying below
+    ``label_perm(b)``, or None; only the k! middle-sorted members are tried.
+
+    Proof that they suffice.  Permuting the middle positions
+    ``k+1..n-k`` is the standard parabolic subgroup ``W_J`` with
+    ``J = {s_(k+1), ..., s_(n-k-1)}``, which lies in ``H``, so every coset
+    member ``m`` has ``m W_J`` inside the coset.  Sorting the middle of
+    ``m`` gives the minimal element of ``m W_J``, which is below ``m`` in
+    Bruhat order and also lexicographically (it agrees with ``m`` before
+    the middle and is the least arrangement of the middle values).  Hence
+    some member lies below the target iff a middle-sorted one does, and
+    the lexicographically first such member is itself middle-sorted:
+    scanning ``coset_reps`` in order finds the witness the full coset
+    would.
+    """
     target = label_perm(b)
-    for member in coset_of(ctx, label_perm(a)).members:
+    for member in coset_reps(ctx, label_perm(a)):
         if bruhat_leq(member, target):
             return member
     return None
 
 
-def leq_oracle(ctx: Context, a: OrbitLabel, b: OrbitLabel, word_cap: int = 20) -> bool:
+def leq_oracle(
+    ctx: Context, a: OrbitLabel, b: OrbitLabel, word_cap: int = WORD_LENGTH_CAP
+) -> bool:
     """Independent closure-order test via subword enumeration.
 
     Enumerates the full lower Bruhat interval of ``label_perm(b)`` and
@@ -70,7 +86,6 @@ def leq_oracle(ctx: Context, a: OrbitLabel, b: OrbitLabel, word_cap: int = 20) -
 class BruhatGraph:
     ctx: Context
     labels: tuple[OrbitLabel, ...]
-    cosets: tuple[OrbitCoset, ...]
     dims: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
     alpha_descents: frozenset[tuple[int, int]]
@@ -85,25 +100,30 @@ def weak_edges(
     ctx: Context, cap: int = ENUMERATION_CAP
 ) -> tuple[tuple[OrbitLabel, OrbitLabel, int], ...]:
     """One-step edges: left-multiply a minimal coset member by a simple
-    transposition and land in a coset of minimal length one higher."""
-    labels = enumerate_labels(ctx, cap)
-    by_canonical = {
-        coset_of(ctx, label_perm(lbl)).canonical: lbl for lbl in labels
-    }
+    transposition and land in a coset of minimal length one higher.
+
+    Every minimal member is middle-sorted (sorting the middle removes
+    inversions), so the shortest ``coset_reps`` are all of them.  The label
+    product is one of them, so its length is the coset's minimum: the
+    inversions between blocks depend only on the coset, and two pairs add
+    one inversion to the outer blocks if their first- and last-block values
+    are ordered oppositely, else none or two; ordering the pairs by
+    last-block value, as the label product does, attains one and none.
+    """
     edges = set()
-    for lbl in labels:
-        coset = coset_of(ctx, label_perm(lbl))
-        base_len = length(min_length_reps(coset)[0])
-        for member in min_length_reps(coset):
+    for lbl in enumerate_labels(ctx, cap):
+        product = label_perm(lbl)
+        base_len = length(product)
+        for member in coset_reps(ctx, product):
+            if length(member) != base_len:
+                continue
             for i in range(1, ctx.n):
                 lifted = compose(simple(ctx.n, i), member)
                 if length(lifted) != base_len + 1:
                     continue
-                target = coset_of(ctx, lifted)
-                if target.canonical == coset.canonical:
-                    continue
-                if length(min_length_reps(target)[0]) == base_len + 1:
-                    edges.add((lbl, by_canonical[target.canonical], i))
+                target = label_of(ctx, lifted)
+                if target != lbl and length(label_perm(target)) == base_len + 1:
+                    edges.add((lbl, target, i))
     return tuple(sorted(edges, key=lambda e: (e[0].sigma, e[0].alpha, e[1].sigma, e[1].alpha, e[2])))
 
 
@@ -111,7 +131,6 @@ def weak_edges(
 def hasse(ctx: Context, cap: int = ENUMERATION_CAP) -> BruhatGraph:
     """Hasse diagram of the closure order on all labels of the context."""
     labels = enumerate_labels(ctx, cap)
-    cosets = tuple(coset_of(ctx, label_perm(lbl)) for lbl in labels)
     dims = tuple(dimension(ctx, lbl) for lbl in labels)
     count = len(labels)
 
@@ -138,7 +157,7 @@ def hasse(ctx: Context, cap: int = ENUMERATION_CAP) -> BruhatGraph:
     weak = tuple(
         (index[a], index[b], s) for (a, b, s) in weak_edges(ctx, cap)
     )
-    return BruhatGraph(ctx, labels, cosets, dims, tuple(covers), descents, weak)
+    return BruhatGraph(ctx, labels, dims, tuple(covers), descents, weak)
 
 
 def minimum(g: BruhatGraph) -> int:
@@ -210,7 +229,6 @@ def graph_from_json(text: str) -> tuple[BruhatGraph, frozenset[int]]:
         label(ctx, parse_perm(node["sigma"], ctx.n), parse_perm(node["alpha"], ctx.n))
         for node in sorted(data["nodes"], key=lambda d: d["id"])
     )
-    cosets = tuple(coset_of(ctx, label_perm(lbl)) for lbl in labels)
     dims = tuple(int(node["dim"]) for node in sorted(data["nodes"], key=lambda d: d["id"]))
     covers = tuple((int(i), int(j)) for i, j, _ in data["covers"])
     descents = frozenset(
@@ -220,4 +238,4 @@ def graph_from_json(text: str) -> tuple[BruhatGraph, frozenset[int]]:
     singular = frozenset(
         int(node["id"]) for node in data["nodes"] if node["singular"]
     )
-    return BruhatGraph(ctx, labels, cosets, dims, covers, descents, weak), singular
+    return BruhatGraph(ctx, labels, dims, covers, descents, weak), singular

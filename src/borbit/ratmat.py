@@ -206,11 +206,6 @@ class RationalMatrix:
         return rank
 
 
-def stack_rows(vectors: Sequence[Sequence[Scalar]]) -> RationalMatrix:
-    """Matrix whose rows are the given vectors (e.g. flattened matrices)."""
-    return RationalMatrix(vectors)
-
-
 def format_matrix(m: RationalMatrix) -> str:
     """Row-major rational serialisation: ``"0,1/2;1,0"``."""
     return ";".join(",".join(str(a) for a in row) for row in m.rows)

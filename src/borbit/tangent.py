@@ -26,16 +26,13 @@ from typing import Literal
 from .atlas import (
     Context,
     OrbitLabel,
-    coset_of,
     dim_y0,
     dimension,
     is_upper_label,
-    label_of_coset,
-    label_perm,
+    label_of,
 )
 from .perms import (
     Perm,
-    bruhat_leq,
     compose,
     identity,
     length,
@@ -183,7 +180,7 @@ def curve(ctx: Context, rt: Root) -> CurveSpec:
 
 def root_coset_label(ctx: Context, rt: Root) -> OrbitLabel:
     """Label of the coset of the reflection ``r_(i,j)``."""
-    return label_of_coset(ctx, coset_of(ctx, transposition(ctx.n, rt.i, rt.j)))
+    return label_of(ctx, transposition(ctx.n, rt.i, rt.j))
 
 
 def t_k_set(ctx: Context, lbl: OrbitLabel) -> tuple[Root, ...]:
@@ -216,15 +213,6 @@ def tangent_lower_bound(ctx: Context, lbl: OrbitLabel) -> int:
     """k(k+1)/2 + |t_k|: a lower bound for the tangent dimension at the
     base point of the labelled closure."""
     return dim_y0(ctx) + len(t_k_set(ctx, lbl))
-
-
-def tangent_dimension_upper(ctx: Context, lbl: OrbitLabel) -> int:
-    """Exact tangent dimension at the base point, for upper labels only."""
-    if not is_upper_label(ctx, lbl):
-        raise ValueError(
-            f"tangent dimension formula requires an upper label: {lbl}"
-        )
-    return tangent_lower_bound(ctx, lbl)
 
 
 def base_orbit_tangent_positions(ctx: Context) -> tuple[tuple[int, int], ...]:

@@ -8,6 +8,7 @@ from borbit.atlas import (
     Context,
     TwoColumnTableau,
     coset_of,
+    coset_reps,
     count_involutions,
     count_standard_tableaux,
     count_standard_tableaux_bruteforce,
@@ -23,7 +24,7 @@ from borbit.atlas import (
     is_upper_label,
     label,
     label_from_json,
-    label_of_coset,
+    label_of,
     label_perm,
     label_to_json,
     link_pattern,
@@ -106,19 +107,20 @@ def test_cosets_partition_the_symmetric_group():
         order = len(paired_subgroup(ctx))
         assert all(len(v) == order for v in seen.values())
         assert len(seen) * order == len(list(all_perms(n)))
-        # canonical member is in the coset and has minimal length
+        # the label product is in the coset and has minimal length
         for members in seen:
-            coset = coset_of(ctx, members[0])
-            assert coset.canonical in members
-            assert length(coset.canonical) == min(length(m) for m in members)
-            assert coset.canonical in min_length_reps(coset)
+            product = label_perm(label_of(ctx, members[0]))
+            assert product in members
+            assert length(product) == min(length(m) for m in members)
+            assert product in min_length_reps(coset_of(ctx, members[0]))
 
 
 def test_coset_example():
     ctx = Context(4, 2)
     coset = coset_of(ctx, (2, 1, 3, 4))
     assert coset.members == ((1, 2, 4, 3), (2, 1, 3, 4))
-    assert coset.canonical == (1, 2, 4, 3)
+    assert label_of(ctx, (1, 2, 4, 3)) == label(ctx, identity(4), (2, 1, 3, 4))
+    assert label_perm(label_of(ctx, (1, 2, 4, 3))) in min_length_reps(coset)
 
 
 def test_label_counts_against_coset_oracle():
@@ -130,19 +132,23 @@ def test_label_counts_against_coset_oracle():
         assert len(labels) == count
         cosets = {coset_of(ctx, w).members for w in all_perms(n)}
         assert len(cosets) == count
-        recovered = {
-            label_of_coset(ctx, coset_of(ctx, members[0])) for members in cosets
-        }
+        recovered = {label_of(ctx, members[0]) for members in cosets}
         assert recovered == set(labels)
     assert len(enumerate_labels(Context(6, 3))) == 120
 
 
 def test_labels_and_cosets_are_inverse_bijections():
-    for n, k in [(4, 1), (4, 2), (5, 2)]:
+    for n, k in [(4, 1), (4, 2), (5, 2), (6, 1), (6, 3)]:
         ctx = Context(n, k)
         for lbl in enumerate_labels(ctx):
             coset = coset_of(ctx, label_perm(lbl))
-            assert label_of_coset(ctx, coset) == lbl
+            assert all(label_of(ctx, m) == lbl for m in coset.members)
+            # coset_reps: the middle-sorted members, in lexicographic order
+            reps = tuple(
+                m for m in coset.members if list(m[k : n - k]) == sorted(m[k : n - k])
+            )
+            assert len(reps) == math.factorial(k)
+            assert all(coset_reps(ctx, m) == reps for m in coset.members)
             # the product sigma.alpha is a member of minimal length
             assert label_perm(lbl) in min_length_reps(coset)
             assert length(label_perm(lbl)) == length(lbl.sigma) + length(lbl.alpha)

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -81,6 +82,19 @@ def test_order_command(capsys):
     )
     assert code == EXIT_OK
     assert out == "false\n"
+
+
+def test_order_command_at_n16_scans_k_factorial_members(capsys):
+    # the full coset has 2! * 12! members; only the 2! middle-sorted ones
+    # are scanned, so both queries answer at once
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "--n", "16", "--k", "2", "order", "sigma=id", "sigma=s2")
+    assert code == EXIT_OK
+    assert out == "true  witness=" + ",".join(map(str, range(1, 17))) + "\n"
+    code, out, _ = run(capsys, "--n", "16", "--k", "2", "order", "sigma=s2", "sigma=id")
+    assert code == EXIT_OK
+    assert out == "false\n"
+    assert time.perf_counter() - start < 2.0
 
 
 def test_hasse_dot_output(capsys):

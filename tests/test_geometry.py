@@ -28,19 +28,18 @@ from borbit.geometry import (
     tangent_stack_rank,
     verify_curve,
     witness_flag,
-    x_matrix,
 )
 from borbit.perms import all_perms, bruhat_leq, identity, reduced_word
 from borbit.ratmat import RationalMatrix, parse_matrix
-from borbit.tangent import Root, DELTA, phi_plus, root
+from borbit.tangent import Root, DELTA, base_point, phi_plus, root
 
 CTX42 = Context(4, 2)
 ID4 = identity(4)
 
 
 def test_base_matrix():
-    assert x_matrix(CTX42) == parse_matrix("0,0,1,0;0,0,0,1;0,0,0,0;0,0,0,0")
-    x62 = x_matrix(Context(6, 2))
+    assert base_point(CTX42) == parse_matrix("0,0,1,0;0,0,0,1;0,0,0,0;0,0,0,0")
+    x62 = base_point(Context(6, 2))
     assert (x62 * x62).is_zero()
     assert x62.rank() == 2
 
@@ -87,11 +86,11 @@ def test_flag_validation():
 
 
 def test_compatibility_with_the_standard_flag():
-    assert compatible(CTX42, x_matrix(CTX42), standard_flag(4))
+    assert compatible(CTX42, base_point(CTX42), standard_flag(4))
     low = rep_matrix(CTX42, label(CTX42, (3, 4, 1, 2), ID4))
     assert not compatible(CTX42, low, standard_flag(4))
     with pytest.raises(ValueError):
-        compatible(CTX42, x_matrix(CTX42), standard_flag(5))
+        compatible(CTX42, base_point(CTX42), standard_flag(5))
 
 
 def test_witness_flags_give_incidence_members():

@@ -12,7 +12,6 @@ from borbit.ratmat import (
     RationalMatrix,
     format_matrix,
     parse_matrix,
-    stack_rows,
 )
 
 
@@ -120,8 +119,8 @@ def test_column_selection_and_augmentation():
         a.take_columns(4)
     left = parse_matrix("1;4")
     assert left.augment(a.take_columns(2)) == parse_matrix("1,1,2;4,4,5")
-    assert stack_rows([(1, 2), (3, 4)]) == parse_matrix("1,2;3,4")
-    assert stack_rows([a.flatten()]).rank() == 1
+    assert RationalMatrix([(1, 2), (3, 4)]) == parse_matrix("1,2;3,4")
+    assert RationalMatrix([a.flatten()]).rank() == 1
 
 
 def test_rank_known_values():
@@ -148,7 +147,7 @@ def test_rank_matches_gaussian_elimination_on_random_matrices():
         assert mat.rank() == gauss_rank(rows)
         # rank is invariant under transpose and row duplication
         assert mat.transpose().rank() == mat.rank()
-        assert stack_rows(mat.rows + mat.rows).rank() == mat.rank()
+        assert RationalMatrix(mat.rows + mat.rows).rank() == mat.rank()
 
 
 def test_rank_of_products_never_exceeds_factors():

@@ -39,7 +39,6 @@ from borbit.tangent import (
     s_set,
     t_k_set,
     t_k_table,
-    tangent_dimension_upper,
     tangent_lower_bound,
     verdict,
     verdict_json,
@@ -227,9 +226,8 @@ def test_tangent_bounds():
     assert tangent_lower_bound(CTX41, l41) == 5
     assert dimension(CTX41, l41) == 4
     lbl62 = label(CTX62, (2, 4, 1, 6, 3, 5), ID6)
-    assert tangent_dimension_upper(CTX62, lbl62) == 12
-    with pytest.raises(ValueError):
-        tangent_dimension_upper(CTX42, label(CTX42, (3, 4, 1, 2), ID4))
+    assert is_upper_label(CTX62, lbl62)
+    assert tangent_lower_bound(CTX62, lbl62) == 12
 
 
 def test_tangent_positions():
@@ -401,7 +399,7 @@ def applicable_statuses(ctx, lbl):
     if lbl.sigma == identity(ctx.n):
         statuses.append(pattern_status(lbl.alpha[: ctx.k], SINGULAR_PATTERNS))
     if is_upper_label(ctx, lbl):
-        exact = tangent_dimension_upper(ctx, lbl)
+        exact = tangent_lower_bound(ctx, lbl)
         statuses.append(
             "smooth" if exact == dimension(ctx, lbl) else "singular"
         )
