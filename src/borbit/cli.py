@@ -298,11 +298,15 @@ def _verify_suites(cfg: RunConfig) -> tuple[int, str]:
         f"{len(orbital)} components, hook {hook}, direct {brute}",
     )
 
-    ok = True
-    for a in labels:
-        for b in labels:
-            if poset.leq(ctx, a, b) != poset.leq_oracle(ctx, a, b):
-                ok = False
+    g = poset.hasse(ctx, cfg.cap)
+    generated = [{j} for j in range(len(labels))]  # the order the covers generate
+    for i, j in sorted(g.covers, key=lambda cover: g.dims[cover[1]]):
+        generated[j] |= generated[i]
+    ok = all(
+        poset.leq_oracle(ctx, a, b) == poset.leq(ctx, a, b) == (i in generated[j])
+        for i, a in enumerate(labels)
+        for j, b in enumerate(labels)
+    )
     report("closure-order-oracle", ok, f"{len(labels)}^2 ordered pairs")
 
     bad = 0
@@ -322,19 +326,12 @@ def _verify_suites(cfg: RunConfig) -> tuple[int, str]:
         f"rank {stack_rank}, orbit dimension {atlas.dim_orbit(ctx)}",
     )
 
-    g = poset.hasse(ctx, cfg.cap)
-    ok = True
     try:
         poset.minimum(g), poset.maximum(g)
+        ok = all(g.dims[i] < g.dims[j] for i, j in g.covers)
     except ValueError:
         ok = False
-    for (i, j) in g.covers:
-        if g.dims[i] >= g.dims[j]:
-            ok = False
-    cover_set = set(g.covers)
-    for (i, j, _) in g.weak:
-        if (i, j) not in cover_set:
-            ok = False
+    ok = ok and {(i, j) for i, j, _ in g.weak} <= set(g.covers)
     report("hasse", ok, f"{len(g.covers)} covers, {len(g.weak)} weak edges")
 
     statuses = {lbl: tangent.verdict(ctx, lbl).status for lbl in labels}

@@ -5,17 +5,15 @@ label's coset lies below the bigger label's product permutation in Bruhat
 order.  ``leq`` implements that test with the prefix-dominance comparison;
 ``leq_oracle`` recomputes it independently from subword enumeration.
 
-The Hasse graph carries the covers of the closure order, a flag marking
-covers along which the ``alpha`` part fails to be Bruhat-monotone, and the
-one-step edges generated by multiplying minimal coset representatives by a
-single simple transposition.
+The Hasse graph takes all of its edges from the left action of the simple
+transpositions on cosets: the covers of the closure order, each flagged if
+the ``alpha`` part fails to be Bruhat-monotone along it, and the weak edges.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .atlas import (
     Context,
@@ -35,7 +33,7 @@ from .perms import (
     bruhat_leq,
     compose,
     format_perm,
-    length,
+    left_descents,
     lower_interval,
     parse_perm,
     simple,
@@ -92,72 +90,73 @@ class BruhatGraph:
     weak: tuple[tuple[int, int, int], ...]
 
 
-def _alpha_prefix(ctx: Context, lbl: OrbitLabel) -> Perm:
-    return lbl.alpha[: ctx.k]
+def hasse(ctx: Context, cap: int = ENUMERATION_CAP) -> BruhatGraph:
+    """Hasse diagram of the closure order, read off the left action of the
+    simple transpositions: ``act[i][a]`` is the label of ``s_i w_a``,
+    ``w_a = label_perm(a)``.  Left multiplication commutes with the right
+    action of ``H``, so ``s_i`` permutes the cosets; any member names one.
+
+    Closure, by increasing dimension: ``a <= b`` iff the coset of ``a``
+    meets ``[e, w_b]``, and only the base has ``w_b = e``.  Else let
+    ``s = s_i`` be the first left descent of ``w = w_b``: ``below[b]`` is
+    ``below[b']`` and its ``act[s]``-image, ``b' = act[s][b]``.  For the
+    subword property on a reduced word starting with ``s`` (as in
+    ``perms.lower_interval``) gives ``[e, w] = [e, sw] u s[e, sw]``, the
+    coset of ``a`` meets ``s[e, sw]`` iff that of ``act[s][a]`` meets
+    ``[e, sw]``, and ``sw`` is the label product of ``b'``, one dimension
+    lower: the values ``i+1, i`` appear in that order in ``w``, so not both
+    in its increasing middle or last block, and they compare alike with
+    every other value.
+
+    Covers: scanning ``below[b]`` by decreasing dimension, ``a`` is a cover
+    iff it is below no cover found so far (any ``a < c < b`` comes first).
+
+    Weak edges are the ``(a, act[i][a], i)`` raising the dimension by one;
+    the label product has the coset's minimal length: the inversions
+    between blocks depend only on the coset, and two pairs add one
+    inversion to the outer blocks if their first- and last-block values
+    are ordered oppositely, else none or two; ordering the pairs by
+    last-block value, as the label product does, attains one and none.
+    No member of the target coset is shorter than its minimum, so ``s_i``
+    lifts every minimal member of ``a`` by exactly one step.
+    """
+    labels = enumerate_labels(ctx, cap)
+    dims = tuple(dimension(ctx, lbl) for lbl in labels)
+    index = {lbl: pos for pos, lbl in enumerate(labels)}
+    perms = [label_perm(lbl) for lbl in labels]
+    act = {
+        i: [index[label_of(ctx, compose(simple(ctx.n, i), w))] for w in perms]
+        for i in range(1, ctx.n)
+    }
+
+    below = [{b} for b in range(len(labels))]
+    for b in sorted(range(len(labels)), key=dims.__getitem__)[1:]:  # all but the base
+        step = act[left_descents(perms[b])[0]]
+        lower = below[step[b]]
+        below[b] |= lower | {step[a] for a in lower}
+
+    covers = []
+    for b, closed in enumerate(below):
+        reach: set[int] = set()
+        for a in sorted(closed - {b}, key=dims.__getitem__, reverse=True):
+            if a not in reach:
+                covers.append((a, b))
+                reach |= below[a]
+
+    prefix = [lbl.alpha[: ctx.k] for lbl in labels]
+    descents = frozenset((i, j) for i, j in covers if not bruhat_leq(prefix[i], prefix[j]))
+    weak = sorted(
+        (a, c, i) for i, step in act.items() for a, c in enumerate(step) if dims[c] == dims[a] + 1
+    )
+    return BruhatGraph(ctx, labels, dims, tuple(sorted(covers)), descents, tuple(weak))
 
 
 def weak_edges(
     ctx: Context, cap: int = ENUMERATION_CAP
 ) -> tuple[tuple[OrbitLabel, OrbitLabel, int], ...]:
-    """One-step edges: left-multiply a minimal coset member by a simple
-    transposition and land in a coset of minimal length one higher.
-
-    Every minimal member is middle-sorted (sorting the middle removes
-    inversions), so the shortest ``coset_reps`` are all of them.  The label
-    product is one of them, so its length is the coset's minimum: the
-    inversions between blocks depend only on the coset, and two pairs add
-    one inversion to the outer blocks if their first- and last-block values
-    are ordered oppositely, else none or two; ordering the pairs by
-    last-block value, as the label product does, attains one and none.
-    """
-    edges = set()
-    for lbl in enumerate_labels(ctx, cap):
-        product = label_perm(lbl)
-        base_len = length(product)
-        for member in coset_reps(ctx, product):
-            if length(member) != base_len:
-                continue
-            for i in range(1, ctx.n):
-                lifted = compose(simple(ctx.n, i), member)
-                if length(lifted) != base_len + 1:
-                    continue
-                target = label_of(ctx, lifted)
-                if target != lbl and length(label_perm(target)) == base_len + 1:
-                    edges.add((lbl, target, i))
-    return tuple(sorted(edges, key=lambda e: (e[0].sigma, e[0].alpha, e[1].sigma, e[1].alpha, e[2])))
-
-
-@lru_cache(maxsize=None)
-def hasse(ctx: Context, cap: int = ENUMERATION_CAP) -> BruhatGraph:
-    """Hasse diagram of the closure order on all labels of the context."""
-    labels = enumerate_labels(ctx, cap)
-    dims = tuple(dimension(ctx, lbl) for lbl in labels)
-    count = len(labels)
-
-    below = [set() for _ in range(count)]  # strictly-below index sets
-    for i in range(count):
-        for j in range(count):
-            if i != j and leq(ctx, labels[i], labels[j]):
-                below[j].add(i)
-
-    covers = []
-    for j in range(count):
-        for i in below[j]:
-            if not any(i in below[c] for c in below[j]):
-                covers.append((i, j))
-    covers.sort()
-
-    descents = frozenset(
-        (i, j)
-        for (i, j) in covers
-        if not bruhat_leq(_alpha_prefix(ctx, labels[i]), _alpha_prefix(ctx, labels[j]))
-    )
-
-    index = {lbl: pos for pos, lbl in enumerate(labels)}
-    weak = tuple(
-        (index[a], index[b], s) for (a, b, s) in weak_edges(ctx, cap)
-    )
-    return BruhatGraph(ctx, labels, dims, tuple(covers), descents, weak)
+    """The weak edges of ``hasse`` as label triples."""
+    g = hasse(ctx, cap)
+    return tuple((g.labels[a], g.labels[b], s) for a, b, s in g.weak)
 
 
 def minimum(g: BruhatGraph) -> int:

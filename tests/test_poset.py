@@ -1,5 +1,7 @@
 """Closure order on labels, Hasse diagram, weak edges, graph exports."""
 
+import time
+
 import pytest
 
 from borbit.atlas import (
@@ -9,8 +11,9 @@ from borbit.atlas import (
     enumerate_labels,
     label,
     label_perm,
+    min_length_reps,
 )
-from borbit.perms import bruhat_leq, identity
+from borbit.perms import bruhat_leq, compose, identity, length, simple
 from borbit.poset import (
     export_dot,
     export_json,
@@ -134,22 +137,64 @@ def test_alpha_descent_flags():
     assert g.alpha_descents
 
 
+def test_covers_generate_the_subword_oracle_order():
+    for n, k in [(4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (6, 3), (7, 1)]:
+        ctx = Context(n, k)
+        g = hasse(ctx)
+        generated = [{j} for j in range(len(g.labels))]
+        for i, j in sorted(g.covers, key=lambda cover: g.dims[cover[1]]):
+            generated[j] |= generated[i]
+        for i, a in enumerate(g.labels):
+            for j, b in enumerate(g.labels):
+                assert (i in generated[j]) == leq_oracle(ctx, a, b), (n, k, a, b)
+
+
 def test_weak_edges_step_by_one_and_refine_covers():
-    for n, k in [(4, 2), (5, 2)]:
+    for n, k in [(4, 2), (5, 2), (6, 2), (6, 3)]:
         ctx = Context(n, k)
         g = hasse(ctx)
         cover_set = set(g.covers)
-        assert g.weak == weak_edges_as_indices(ctx)
+        assert g.weak == weak_edges_by_coset_lifts(ctx)
+        assert weak_edges(ctx) == tuple((g.labels[i], g.labels[j], s) for i, j, s in g.weak)
         for i, j, letter in g.weak:
             assert 1 <= letter <= n - 1
             assert (i, j) in cover_set
             assert g.dims[j] == g.dims[i] + 1
 
 
-def weak_edges_as_indices(ctx):
+def weak_edges_by_coset_lifts(ctx):
+    # independent definition on full cosets: lift each minimal member by a
+    # simple transposition and keep the lifts gaining one in length that
+    # land in a coset whose minimal length is one higher
     labels = enumerate_labels(ctx)
-    index = {lbl: pos for pos, lbl in enumerate(labels)}
-    return tuple((index[a], index[b], s) for a, b, s in weak_edges(ctx))
+    label_index = {}
+    minimal = []
+    for pos, lbl in enumerate(labels):
+        coset = coset_of(ctx, label_perm(lbl))
+        label_index.update((m, pos) for m in coset.members)
+        minimal.append(min_length_reps(coset))
+    edges = set()
+    for a, reps in enumerate(minimal):
+        for m in reps:
+            for i in range(1, ctx.n):
+                lifted = compose(simple(ctx.n, i), m)
+                if length(lifted) != length(m) + 1:
+                    continue
+                b = label_index[lifted]
+                if length(minimal[b][0]) == length(m) + 1:
+                    edges.add((a, b, i))
+    return tuple(sorted(edges))
+
+
+def test_hasse_at_7_3_without_pair_queries():
+    # 840 labels; the counts agree with the all-pairs closure order and its
+    # transitive reduction
+    start = time.perf_counter()
+    g = hasse(Context(7, 3))
+    assert time.perf_counter() - start < 5.0
+    assert len(g.labels) == 840
+    assert len(g.covers) == 4494
+    assert len(g.weak) == 2520
 
 
 def test_weak_edges_from_the_base_orbit():
