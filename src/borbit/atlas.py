@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -198,12 +199,12 @@ def label_of(ctx: Context, w: Perm) -> OrbitLabel:
     return OrbitLabel(sigma, alpha)
 
 
-def coset_reps(ctx: Context, w: Perm) -> tuple[Perm, ...]:
-    """The k! members of ``w H`` whose middle block increases, in
-    lexicographic order (the first-block values are distinct, so ordering
-    the sorted pairs orders the members)."""
+def coset_reps(ctx: Context, w: Perm) -> Iterator[Perm]:
+    """The k! members of ``w H`` whose middle block increases, generated
+    lazily in lexicographic order (the first-block values are distinct, so
+    ordering the sorted pairs orders the members)."""
     pairs, middle = _pairs_and_middle(ctx, w)
-    return tuple(
+    return (
         tuple(a for a, _ in order) + tuple(middle) + tuple(b for _, b in order)
         for order in itertools.permutations(sorted(pairs))
     )
@@ -255,10 +256,7 @@ def rep_matrix(ctx: Context, lbl: OrbitLabel) -> RationalMatrix:
     """The representative ``sum_j E_{sigma alpha(j), sigma(n-k+j)}``."""
     n, k = ctx.n, ctx.k
     tau = label_perm(lbl)
-    out = RationalMatrix.zero(n)
-    for j in range(1, k + 1):
-        out = out + RationalMatrix.elementary(n, tau[j - 1], lbl.sigma[n - k + j - 1])
-    return out
+    return RationalMatrix.from_entries(n, {(tau[j], lbl.sigma[n - k + j]): 1 for j in range(k)})
 
 
 def link_pattern(ctx: Context, lbl: OrbitLabel) -> OrientedLinkPattern:
@@ -362,23 +360,22 @@ def count_standard_tableaux_bruteforce(ctx: Context) -> int:
     return count
 
 
+def label_fields(lbl: OrbitLabel) -> dict[str, str]:
+    """The written form of a label, ``sigma`` and ``alpha`` in one-line
+    notation: every encoder writes labels through it."""
+    return {"sigma": format_perm(lbl.sigma), "alpha": format_perm(lbl.alpha)}
+
+
+def label_from_fields(ctx: Context, fields: Mapping[str, str]) -> OrbitLabel:
+    """Inverse of ``label_fields``, validated by ``label``."""
+    return label(ctx, parse_perm(fields["sigma"], ctx.n), parse_perm(fields["alpha"], ctx.n))
+
+
 def label_to_json(ctx: Context, lbl: OrbitLabel) -> str:
-    return json.dumps(
-        {
-            "n": ctx.n,
-            "k": ctx.k,
-            "sigma": format_perm(lbl.sigma),
-            "alpha": format_perm(lbl.alpha),
-        }
-    )
+    return json.dumps({"n": ctx.n, "k": ctx.k, **label_fields(lbl)})
 
 
 def label_from_json(text: str) -> tuple[Context, OrbitLabel]:
     data = json.loads(text)
     ctx = Context(int(data["n"]), int(data["k"]))
-    lbl = label(
-        ctx,
-        parse_perm(data["sigma"], ctx.n),
-        parse_perm(data["alpha"], ctx.n),
-    )
-    return ctx, lbl
+    return ctx, label_from_fields(ctx, data)

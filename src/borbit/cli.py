@@ -18,6 +18,8 @@ failure, 2 bad input, 3 cap exceeded.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,7 +81,8 @@ def parse_label_arg(ctx: Context, text: str) -> OrbitLabel:
 
 
 def _label_str(lbl: OrbitLabel) -> str:
-    return f"sigma={format_perm(lbl.sigma)} alpha={format_perm(lbl.alpha)}"
+    """One-line notation that ``parse_label_arg`` reads back."""
+    return " ".join(f"{key}={value}" for key, value in atlas.label_fields(lbl).items())
 
 
 def _singular_indices(g: poset.BruhatGraph) -> frozenset[int]:
@@ -91,39 +94,27 @@ def _singular_indices(g: poset.BruhatGraph) -> frozenset[int]:
 
 
 def cmd_enumerate(cfg: RunConfig) -> tuple[int, str]:
-    labels = atlas.enumerate_labels(cfg.ctx, cfg.cap)
+    ctx = cfg.ctx
+    rows = []
+    for lbl in atlas.enumerate_labels(ctx, cfg.cap):
+        t = atlas.tableau(ctx, lbl)
+        rows.append(
+            {
+                **atlas.label_fields(lbl),
+                "dim": atlas.dimension(ctx, lbl),
+                "upper": atlas.is_upper_label(ctx, lbl),
+                "tableau": [list(t.left), list(t.right)],
+                "arcs": [list(a) for a in atlas.link_pattern(ctx, lbl).arcs],
+            }
+        )
     if cfg.fmt == "json":
-        import json
-
-        rows = []
-        for lbl in labels:
-            t = atlas.tableau(cfg.ctx, lbl)
-            rows.append(
-                {
-                    "sigma": format_perm(lbl.sigma),
-                    "alpha": format_perm(lbl.alpha),
-                    "dim": atlas.dimension(cfg.ctx, lbl),
-                    "upper": atlas.is_upper_label(cfg.ctx, lbl),
-                    "tableau": [list(t.left), list(t.right)],
-                    "arcs": [list(a) for a in atlas.link_pattern(cfg.ctx, lbl).arcs],
-                }
-            )
-        return EXIT_OK, json.dumps({"n": cfg.ctx.n, "k": cfg.ctx.k, "labels": rows}, indent=2) + "\n"
-    lines = [f"# {len(labels)} labels for n={cfg.ctx.n} k={cfg.ctx.k}"]
-    for lbl in labels:
-        t = atlas.tableau(cfg.ctx, lbl)
-        arcs = atlas.link_pattern(cfg.ctx, lbl).arcs
+        return EXIT_OK, json.dumps({"n": ctx.n, "k": ctx.k, "labels": rows}, indent=2) + "\n"
+    lines = [f"# {len(rows)} labels for n={ctx.n} k={ctx.k}"]
+    for row in rows:
+        left, right = row["tableau"]
         lines.append(
-            "  ".join(
-                [
-                    f"sigma={format_perm(lbl.sigma)}",
-                    f"alpha={format_perm(lbl.alpha)}",
-                    f"dim={atlas.dimension(cfg.ctx, lbl)}",
-                    f"upper={'y' if atlas.is_upper_label(cfg.ctx, lbl) else 'n'}",
-                    f"tableau={list(t.left)}|{list(t.right)}",
-                    f"arcs={list(map(list, arcs))}",
-                ]
-            )
+            f"sigma={row['sigma']}  alpha={row['alpha']}  dim={row['dim']}  "
+            f"upper={'y' if row['upper'] else 'n'}  tableau={left}|{right}  arcs={row['arcs']}"
         )
     return EXIT_OK, "\n".join(lines) + "\n"
 
@@ -167,29 +158,18 @@ def _tangent_report(ctx: Context, lbl: OrbitLabel) -> str:
 def cmd_smooth(cfg: RunConfig) -> tuple[int, str]:
     labels = atlas.enumerate_labels(cfg.ctx, cfg.cap)
     if cfg.fmt == "json":
-        import json
-
-        return (
-            EXIT_OK,
-            json.dumps(
-                [tangent.verdict_json(cfg.ctx, lbl) for lbl in labels], indent=2
-            )
-            + "\n",
-        )
+        rows = [tangent.verdict_json(cfg.ctx, lbl) for lbl in labels]
+        return EXIT_OK, json.dumps(rows, indent=2) + "\n"
     lines = [f"# verdicts for n={cfg.ctx.n} k={cfg.ctx.k}"]
-    counts = {}
+    counts = dict.fromkeys(("smooth", "singular", "unknown"), 0)
     for lbl in labels:
         v = tangent.verdict(cfg.ctx, lbl)
-        rule = v.rule if v.rule is not None else "-"
         lines.append(
             f"  {_label_str(lbl)}  dim={atlas.dimension(cfg.ctx, lbl)}  "
-            f"verdict={v.status:<8} rule={rule:<2} witness={v.witness}"
+            f"verdict={v.status:<8} rule={v.rule or '-':<2} witness={v.witness}"
         )
-        counts[v.status] = counts.get(v.status, 0) + 1
-    lines.append(
-        "# totals: "
-        + " ".join(f"{status}={counts.get(status, 0)}" for status in ("smooth", "singular", "unknown"))
-    )
+        counts[v.status] += 1
+    lines.append("# totals: " + " ".join(f"{status}={count}" for status, count in counts.items()))
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
@@ -241,8 +221,6 @@ def _verify_suites(cfg: RunConfig) -> tuple[int, str]:
             status = EXIT_VERIFICATION
 
     labels = atlas.enumerate_labels(ctx, cfg.cap)
-
-    import math
 
     expected = math.factorial(ctx.n) // (
         math.factorial(ctx.k) * math.factorial(ctx.n - 2 * ctx.k)

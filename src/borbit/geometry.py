@@ -206,7 +206,7 @@ def verify_curve(
         if p != lower * x * lower_inv:
             failures.append((tag, "conjugation"))
         reconstructed = p - x - (t * t) * spec.quadratic
-        if reconstructed != t * spec.tangent_vector:
+        if reconstructed != t * spec.linear:
             failures.append((tag, "linear-coefficient"))
         if t == 0:
             continue
@@ -226,7 +226,7 @@ def tangent_stack_rank(ctx: Context) -> int:
     n = ctx.n
     E = RationalMatrix.elementary
     rows = [E(n, r, s).flatten() for (r, s) in full_corner_positions(ctx)]
-    rows += [curve(ctx, rt).tangent_vector.flatten() for rt in phi_plus(ctx)]
+    rows += [curve(ctx, rt).linear.flatten() for rt in phi_plus(ctx)]
     if not rows:
         return 0
     return RationalMatrix(rows).rank()

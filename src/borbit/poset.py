@@ -13,6 +13,7 @@ the ``alpha`` part fails to be Bruhat-monotone along it, and the weak edges.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .atlas import (
@@ -23,19 +24,20 @@ from .atlas import (
     coset_reps,
     dimension,
     enumerate_labels,
-    label,
+    label_fields,
+    label_from_fields,
     label_of,
     label_perm,
 )
 from .perms import (
     WORD_LENGTH_CAP,
+    CapExceeded,
     Perm,
     bruhat_leq,
     compose,
     format_perm,
     left_descents,
     lower_interval,
-    parse_perm,
     simple,
 )
 
@@ -60,9 +62,16 @@ def leq_witness(ctx: Context, a: OrbitLabel, b: OrbitLabel) -> Perm | None:
     the lexicographically first such member is itself middle-sorted:
     scanning ``coset_reps`` in order finds the witness the full coset
     would.
+
+    The scan is bounded: after ``8!`` members (``|S_8|``, from
+    ``ENUMERATION_CAP``) without a witness it raises ``CapExceeded``, so
+    for ``k >= 9`` a query answers at its first witness or gives up.
     """
     target = label_perm(b)
-    for member in coset_reps(ctx, label_perm(a)):
+    budget = math.factorial(ENUMERATION_CAP)
+    for scanned, member in enumerate(coset_reps(ctx, label_perm(a))):
+        if scanned == budget:
+            raise CapExceeded(f"no closure witness among the first {budget} coset members")
         if bruhat_leq(member, target):
             return member
     return None
@@ -204,8 +213,7 @@ def export_json(g: BruhatGraph, singular: frozenset[int] | set[int] = frozenset(
         "nodes": [
             {
                 "id": i,
-                "sigma": format_perm(lbl.sigma),
-                "alpha": format_perm(lbl.alpha),
+                **label_fields(lbl),
                 "dim": g.dims[i],
                 "singular": i in singular,
             }
@@ -224,11 +232,9 @@ def graph_from_json(text: str) -> tuple[BruhatGraph, frozenset[int]]:
     """Rebuild a graph (and its singular-node set) from ``export_json`` text."""
     data = json.loads(text)
     ctx = Context(int(data["n"]), int(data["k"]))
-    labels = tuple(
-        label(ctx, parse_perm(node["sigma"], ctx.n), parse_perm(node["alpha"], ctx.n))
-        for node in sorted(data["nodes"], key=lambda d: d["id"])
-    )
-    dims = tuple(int(node["dim"]) for node in sorted(data["nodes"], key=lambda d: d["id"]))
+    nodes = sorted(data["nodes"], key=lambda node: node["id"])
+    labels = tuple(label_from_fields(ctx, node) for node in nodes)
+    dims = tuple(int(node["dim"]) for node in nodes)
     covers = tuple((int(i), int(j)) for i, j, _ in data["covers"])
     descents = frozenset(
         (int(i), int(j)) for i, j, attrs in data["covers"] if attrs["alpha_descent"]

@@ -29,6 +29,7 @@ from .atlas import (
     dim_y0,
     dimension,
     is_upper_label,
+    label_fields,
     label_of,
 )
 from .perms import (
@@ -128,10 +129,6 @@ class CurveSpec:
     linear: RationalMatrix
     quadratic: RationalMatrix
 
-    @property
-    def tangent_vector(self) -> RationalMatrix:
-        return self.linear
-
     def point(self, t: Fraction | int) -> RationalMatrix:
         t = Fraction(t)
         return self.constant + t * self.linear + (t * t) * self.quadratic
@@ -140,10 +137,7 @@ class CurveSpec:
 def base_point(ctx: Context) -> RationalMatrix:
     """The base matrix ``sum_{r<=k} E_{r, r+n-k}``."""
     n, k = ctx.n, ctx.k
-    out = RationalMatrix.zero(n)
-    for r in range(1, k + 1):
-        out = out + RationalMatrix.elementary(n, r, r + n - k)
-    return out
+    return RationalMatrix.from_entries(n, {(r, r + n - k): 1 for r in range(1, k + 1)})
 
 
 def root_tangent(ctx: Context, rt: Root) -> SparseMatrix:
@@ -379,9 +373,6 @@ class Verdict:
     rule: str | None
     witness: dict
 
-    def to_dict(self) -> dict:
-        return {"verdict": self.status, "rule": self.rule, "witness": self.witness}
-
 
 def _pattern_verdict(rule: str, w: Perm, patterns: tuple[Perm, ...]) -> Verdict:
     for pattern in patterns:
@@ -435,15 +426,10 @@ def verdict(ctx: Context, lbl: OrbitLabel) -> Verdict:
 
 
 def verdict_json(ctx: Context, lbl: OrbitLabel) -> dict:
-    from .perms import format_perm
-
     v = verdict(ctx, lbl)
     return {
-        "label": {
-            "n": ctx.n,
-            "k": ctx.k,
-            "sigma": format_perm(lbl.sigma),
-            "alpha": format_perm(lbl.alpha),
-        },
-        **v.to_dict(),
+        "label": {"n": ctx.n, "k": ctx.k, **label_fields(lbl)},
+        "verdict": v.status,
+        "rule": v.rule,
+        "witness": v.witness,
     }

@@ -23,6 +23,8 @@ from borbit.atlas import (
     is_row_standard,
     is_upper_label,
     label,
+    label_fields,
+    label_from_fields,
     label_from_json,
     label_of,
     label_perm,
@@ -148,7 +150,7 @@ def test_labels_and_cosets_are_inverse_bijections():
                 m for m in coset.members if list(m[k : n - k]) == sorted(m[k : n - k])
             )
             assert len(reps) == math.factorial(k)
-            assert all(coset_reps(ctx, m) == reps for m in coset.members)
+            assert all(tuple(coset_reps(ctx, m)) == reps for m in coset.members)
             # the product sigma.alpha is a member of minimal length
             assert label_perm(lbl) in min_length_reps(coset)
             assert length(label_perm(lbl)) == length(lbl.sigma) + length(lbl.alpha)
@@ -312,3 +314,11 @@ def test_json_round_trip():
     assert (ctx2, lbl2) == (ctx, lbl)
     with pytest.raises(ValueError):
         label_from_json('{"n": 4, "k": 2, "sigma": "4,2,1,3", "alpha": "id"}')
+
+
+def test_label_fields_round_trip_every_label():
+    for n, k in [(5, 2), (6, 3)]:
+        ctx = Context(n, k)
+        for lbl in enumerate_labels(ctx):
+            assert label_from_fields(ctx, label_fields(lbl)) == lbl
+            assert label_from_json(label_to_json(ctx, lbl)) == (ctx, lbl)

@@ -71,6 +71,19 @@ def test_enumerate_is_deterministic(capsys):
     assert first == second
 
 
+def test_enumerate_table_and_json_render_the_same_rows(capsys):
+    _, table, _ = run(capsys, "--n", "5", "--k", "2", "enumerate")
+    _, text, _ = run(capsys, "--n", "5", "--k", "2", "--format", "json", "enumerate")
+    lines = table.splitlines()[1:]
+    rows = json.loads(text)["labels"]
+    assert len(lines) == len(rows) == 60
+    for line, row in zip(lines, rows):
+        words = dict(word.split("=", 1) for word in line.split("  "))
+        assert words["sigma"] == row["sigma"] and words["alpha"] == row["alpha"]
+        assert int(words["dim"]) == row["dim"]
+        assert words["upper"] == ("y" if row["upper"] else "n")
+
+
 def test_order_command(capsys):
     code, out, _ = run(
         capsys, "--n", "4", "--k", "2", "order", "sigma=id", "sigma=3,4,1,2"
@@ -94,6 +107,22 @@ def test_order_command_at_n16_scans_k_factorial_members(capsys):
     code, out, _ = run(capsys, "--n", "16", "--k", "2", "order", "sigma=s2", "sigma=id")
     assert code == EXIT_OK
     assert out == "false\n"
+    assert time.perf_counter() - start < 2.0
+
+
+def test_order_command_gives_up_after_8_factorial_members(capsys):
+    # the identity witness is the first of 32! members, so it answers at
+    # once; with no witness at k = 10 the scan stops after 8! members
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "--n", "64", "--k", "32", "order", "sigma=id", "sigma=id")
+    assert code == EXIT_OK
+    assert out == "true  witness=" + ",".join(map(str, range(1, 65))) + "\n"
+    assert time.perf_counter() - start < 2.0
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--n", "24", "--k", "10", "order", "sigma=s10", "sigma=id")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err == "error: no closure witness among the first 40320 coset members\n"
     assert time.perf_counter() - start < 2.0
 
 

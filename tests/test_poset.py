@@ -26,6 +26,7 @@ from borbit.poset import (
     minimum,
     weak_edges,
 )
+from borbit.tangent import verdict
 
 CTX42 = Context(4, 2)
 
@@ -236,3 +237,12 @@ def test_export_json_round_trip():
     g2, singular2 = graph_from_json(text)
     assert g2 == g
     assert singular2 == singular
+
+
+def test_export_json_round_trips_hasse_with_verdict_singulars():
+    for n, k in [(4, 2), (5, 2), (6, 3)]:
+        g = hasse(Context(n, k))
+        singular = frozenset(
+            i for i, lbl in enumerate(g.labels) if verdict(g.ctx, lbl).status == "singular"
+        )
+        assert graph_from_json(export_json(g, singular)) == (g, singular)
