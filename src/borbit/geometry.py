@@ -17,7 +17,7 @@ from fractions import Fraction
 from .atlas import Context, OrbitLabel, label_perm
 from .perms import Perm, evaluate_word, is_reduced, length, transposition
 from .ratmat import RationalMatrix
-from .tangent import CurveSpec, Root, base_point, curve, full_corner_positions, phi_plus
+from .tangent import Root, base_point, curve, full_corner_positions, phi_plus
 
 
 def is_two_nilpotent_of_rank(m: RationalMatrix, k: int) -> bool:
@@ -36,22 +36,13 @@ def in_Ck(ctx: Context, g: RationalMatrix) -> bool:
         raise ValueError(f"expected a {n}x{n} matrix")
     if g.rank() != n:
         raise ValueError("matrix is singular")
-    by_blocks = (
-        all(
-            g.rows[r][c] == 0
-            for r in range(k, n)
-            for c in range(min(k, r))
-        )
-        and all(
-            g.rows[r][c] == 0
-            for r in range(n - k, n)
-            for c in range(k, min(n - k, r))
-        )
-        and all(
-            g.rows[r][c] == g.rows[r + n - k][c + n - k]
-            for r in range(k)
-            for c in range(k)
-        )
+    by_blocks = not any(
+        (r > k and c <= k) or (r > n - k and k < c <= n - k)
+        for r, c in g.entries
+    ) and all(
+        g.entry(r, c) == g.entry(r + n - k, c + n - k)
+        for r in range(1, k + 1)
+        for c in range(1, k + 1)
     )
     x = base_point(ctx)
     by_commutation = (g * x) == (x * g)
@@ -213,7 +204,7 @@ def verify_curve(
         refl = RationalMatrix.permutation(transposition(n, i, j))
         upper = refl + t * E(n, j, j) - (1 / t) * E(n, i, i) - E(n, j, i)
         if not upper.is_upper_triangular() or any(
-            upper.rows[d][d] == 0 for d in range(n)
+            upper.entry(d, d) == 0 for d in range(1, n + 1)
         ):
             failures.append((tag, "factor-not-borel"))
         if upper * refl * (ident + (1 / t) * E(n, i, j)) != lower:

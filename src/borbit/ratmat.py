@@ -1,71 +1,98 @@
-"""Immutable matrices over the rationals with exact rank computation.
+"""Immutable sparse matrices over the rationals with exact rank computation.
 
-Entries are :class:`fractions.Fraction`; every operation is exact.  Rank is
-computed by fraction-free (Bareiss) elimination on an integer-scaled copy,
-so no floating point appears anywhere.  Constructors for elementary
-matrices use the usual 1-indexed convention: ``elementary(n, r, s)`` is
-the matrix with a single 1 in row ``r``, column ``s``.
+A matrix is its shape plus a read-only dict of its nonzero entries, keyed
+by 1-indexed ``(row, column)`` like :data:`borbit.tangent.SparseMatrix`;
+each value is a nonzero :class:`fractions.Fraction`, and no zero is ever
+stored, so equal matrices have equal dicts.  The matrices of the curve and
+geometry checks (base points, curve coefficients, ``I + t E_ji``,
+reflections, representatives) have O(n) nonzero entries, and products,
+sums and the triangularity tests touch only those.  Rank is computed by
+fraction-free (Bareiss) elimination on an integer-scaled dense view, so
+no floating point appears anywhere.  Constructors for elementary matrices
+use the usual 1-indexed convention: ``elementary(n, r, s)`` is the matrix
+with a single 1 in row ``r``, column ``s``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
 
+_ZERO = Fraction(0)
+
 
 class RationalMatrix:
-    """A rectangular matrix of Fractions, hashable and immutable.
+    """A rectangular matrix of Fractions, hashable and immutable, stored as
+    ``entries``, the read-only dict of its nonzero entries; ``rows`` is a
+    dense view built on demand.
 
     >>> a = RationalMatrix([[0, 1], [1, 0]])
     >>> (a * a) == RationalMatrix.matrix_identity(2)
     True
+    >>> sorted(a.entries)
+    [(1, 2), (2, 1)]
     >>> RationalMatrix([[1, 2], [2, 4]]).rank()
     1
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("nrows", "ncols", "entries")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if not data or not data[0]:
-            raise ValueError("empty matrix")
-        width = len(data[0])
+        data = [list(row) for row in rows]
+        width = len(data[0]) if data else 0
         if any(len(row) != width for row in data):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", data)
+        entries = {
+            (r, s): Fraction(x)
+            for r, row in enumerate(data, 1)
+            for s, x in enumerate(row, 1)
+            if x
+        }
+        self._set(len(data), width, entries)
+
+    def _set(self, nrows: int, ncols: int, entries: dict[tuple[int, int], Fraction]) -> None:
+        if nrows < 1 or ncols < 1:
+            raise ValueError("empty matrix")
+        object.__setattr__(self, "nrows", nrows)
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
+
+    @classmethod
+    def _of(cls, nrows: int, ncols: int, entries: dict[tuple[int, int], Fraction]) -> "RationalMatrix":
+        """Wrap ``entries``, which must hold only nonzero Fractions."""
+        m = object.__new__(cls)
+        m._set(nrows, ncols, entries)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense row-major view, built on each access."""
+        return tuple(
+            tuple(self.entries.get((r, s), _ZERO) for s in range(1, self.ncols + 1))
+            for r in range(1, self.nrows + 1)
+        )
 
     @classmethod
     def zero(cls, nrows: int, ncols: int | None = None) -> "RationalMatrix":
-        ncols = nrows if ncols is None else ncols
-        return cls([[0] * ncols for _ in range(nrows)])
+        return cls._of(nrows, nrows if ncols is None else ncols, {})
 
     @classmethod
     def matrix_identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_entries(n, {(i, i): 1 for i in range(1, n + 1)})
 
     @classmethod
     def elementary(cls, n: int, r: int, s: int) -> "RationalMatrix":
         """E_{r,s}: single unit entry in row ``r``, column ``s`` (1-indexed)."""
         if not (1 <= r <= n and 1 <= s <= n):
             raise ValueError(f"elementary index out of range: ({r}, {s})")
-        return cls(
-            [[1 if (i == r - 1 and j == s - 1) else 0 for j in range(n)]
-             for i in range(n)]
-        )
+        return cls._of(n, n, {(r, s): Fraction(1)})
 
     @classmethod
     def from_entries(
@@ -74,108 +101,121 @@ class RationalMatrix:
         """n x n matrix with the given 1-indexed entries, zero elsewhere."""
         if not all(1 <= r <= n and 1 <= s <= n for r, s in entries):
             raise ValueError(f"entry index out of range for size {n}")
-        return cls(
-            [[entries.get((r, s), 0) for s in range(1, n + 1)]
-             for r in range(1, n + 1)]
-        )
+        return cls._of(n, n, {pos: Fraction(x) for pos, x in entries.items() if x})
 
     @classmethod
     def permutation(cls, p: Sequence[int]) -> "RationalMatrix":
         """Permutation matrix sending the basis vector e_i to e_{p(i)}."""
-        n = len(p)
-        return cls(
-            [[1 if p[j] - 1 == i else 0 for j in range(n)] for i in range(n)]
-        )
+        return cls.from_entries(len(p), {(v, j): 1 for j, v in enumerate(p, 1)})
 
     def entry(self, r: int, s: int) -> Fraction:
         """1-indexed entry access."""
-        return self.rows[r - 1][s - 1]
+        if not (1 <= r <= self.nrows and 1 <= s <= self.ncols):
+            raise IndexError(f"entry ({r}, {s}) outside {self.nrows}x{self.ncols}")
+        return self.entries.get((r, s), _ZERO)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
+        return (
+            isinstance(other, RationalMatrix)
+            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
+            and self.entries == other.entries
+        )
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.nrows, self.ncols, frozenset(self.entries.items())))
+
+    def _combine(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
+        """``self + sign * other``, dropping entries that cancel."""
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(
+                f"shape mismatch: {self.nrows}x{self.ncols} vs "
+                f"{other.nrows}x{other.ncols}"
+            )
+        out = dict(self.entries)
+        for pos, b in other.entries.items():
+            out[pos] = out.get(pos, _ZERO) + sign * b
+        return RationalMatrix._of(
+            self.nrows, self.ncols, {pos: v for pos, v in out.items() if v}
+        )
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_shape(other)
-        return RationalMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_shape(other)
-        return RationalMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-a for a in row] for row in self.rows])
+        return RationalMatrix._of(
+            self.nrows, self.ncols, {pos: -a for pos, a in self.entries.items()}
+        )
 
     def __mul__(self, other):
+        """Matrix product, pairing each nonzero ``(r, m)`` of ``self`` with
+        the nonzeros of row ``m`` of ``other``; or a scalar multiple."""
         if isinstance(other, RationalMatrix):
             if self.ncols != other.nrows:
                 raise ValueError(
                     f"shape mismatch: {self.nrows}x{self.ncols} * "
                     f"{other.nrows}x{other.ncols}"
                 )
-            cols = list(zip(*other.rows))
-            return RationalMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in cols]
-                 for row in self.rows]
+            by_row: dict[int, list[tuple[int, Fraction]]] = {}
+            for (r, s), b in other.entries.items():
+                by_row.setdefault(r, []).append((s, b))
+            out: dict[tuple[int, int], Fraction] = {}
+            for (r, m), a in self.entries.items():
+                for s, b in by_row.get(m, ()):
+                    out[(r, s)] = out.get((r, s), _ZERO) + a * b
+            return RationalMatrix._of(
+                self.nrows, other.ncols, {pos: v for pos, v in out.items() if v}
             )
-        return RationalMatrix([[a * other for a in row] for row in self.rows])
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        scalar = Fraction(other)
+        return RationalMatrix._of(
+            self.nrows,
+            self.ncols,
+            {pos: a * scalar for pos, a in self.entries.items()} if scalar else {},
+        )
 
     def __rmul__(self, other: Scalar) -> "RationalMatrix":
         return self.__mul__(other)
 
-    def _check_shape(self, other: "RationalMatrix") -> None:
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(
-                f"shape mismatch: {self.nrows}x{self.ncols} vs "
-                f"{other.nrows}x{other.ncols}"
-            )
-
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.rows)))
+        return RationalMatrix._of(
+            self.ncols, self.nrows, {(s, r): a for (r, s), a in self.entries.items()}
+        )
 
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.rows for a in row)
+        return not self.entries
 
     def is_upper_triangular(self) -> bool:
-        return all(
-            self.rows[i][j] == 0
-            for i in range(self.nrows)
-            for j in range(min(i, self.ncols))
-        )
+        return all(r <= s for r, s in self.entries)
 
     def is_strictly_upper_triangular(self) -> bool:
-        return all(
-            self.rows[i][j] == 0
-            for i in range(self.nrows)
-            for j in range(min(i + 1, self.ncols))
-        )
+        return all(r < s for r, s in self.entries)
 
     def take_columns(self, j: int) -> "RationalMatrix":
         """Submatrix of the first ``j`` columns."""
         if not 1 <= j <= self.ncols:
             raise ValueError(f"column count out of range: {j}")
-        return RationalMatrix([row[:j] for row in self.rows])
+        return RationalMatrix._of(
+            self.nrows, j, {pos: a for pos, a in self.entries.items() if pos[1] <= j}
+        )
 
     def augment(self, other: "RationalMatrix") -> "RationalMatrix":
         """Columnwise concatenation ``[self | other]``."""
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in augment")
-        return RationalMatrix(
-            [ra + rb for ra, rb in zip(self.rows, other.rows)]
-        )
+        out = dict(self.entries)
+        out.update(((r, s + self.ncols), b) for (r, s), b in other.entries.items())
+        return RationalMatrix._of(self.nrows, self.ncols + other.ncols, out)
 
     def flatten(self) -> tuple[Fraction, ...]:
         """Row-major vector of all entries."""
         return tuple(a for row in self.rows for a in row)
 
     def rank(self) -> int:
-        """Exact rank by fraction-free elimination.
+        """Exact rank by fraction-free elimination on the dense view.
 
         Rows are first scaled to integers (rank-preserving), then reduced by
         Bareiss' two-by-two determinant rule, whose divisions are exact over
@@ -183,7 +223,7 @@ class RationalMatrix:
         """
         m = []
         for row in self.rows:
-            scale = lcm(*(a.denominator for a in row)) if row else 1
+            scale = lcm(*(a.denominator for a in row))
             m.append([int(a * scale) for a in row])
         nrows, ncols = len(m), len(m[0])
         rank = 0

@@ -292,8 +292,13 @@ def bk_span(ctx: Context, lbl: OrbitLabel) -> int:
 
     Exact over the integers, which gives the rank over the rationals; a
     rank modulo a prime could fall short of it."""
+    return _bracket_span(ctx, t_k_set(ctx, lbl))
+
+
+def _bracket_span(ctx: Context, roots: tuple[Root, ...]) -> int:
+    """``bk_span`` of the label whose ``t_k_set`` is ``roots``."""
     seeds = [{pos: 1} for pos in base_orbit_tangent_positions(ctx)]
-    seeds += [root_tangent(ctx, rt) for rt in t_k_set(ctx, lbl)]
+    seeds += [root_tangent(ctx, rt) for rt in roots]
     pivots: dict[tuple[int, int], SparseMatrix] = {}
     queue = [m for m in seeds if _insert(pivots, m)]
     borel = borel_stabiliser_basis(ctx)
@@ -409,7 +414,8 @@ def verdict(ctx: Context, lbl: OrbitLabel) -> Verdict:
     if lbl.sigma == identity(ctx.n):
         return _pattern_verdict("R3", lbl.alpha[: ctx.k], SINGULAR_PATTERNS)
     dim = dimension(ctx, lbl)
-    count = len(t_k_set(ctx, lbl))
+    roots = t_k_set(ctx, lbl)
+    count = len(roots)
     moved = length(lbl.sigma) + length(lbl.alpha)
     if is_upper_label(ctx, lbl):
         status = "smooth" if count == moved else "singular"
@@ -419,7 +425,7 @@ def verdict(ctx: Context, lbl: OrbitLabel) -> Verdict:
         return Verdict(
             "singular", "R5", {"tangent_lower_bound": bound, "dimension": dim}
         )
-    span = bk_span(ctx, lbl)
+    span = _bracket_span(ctx, roots)
     if span > dim:
         return Verdict("singular", "R6", {"bk_span": span, "dimension": dim})
     return Verdict("unknown", None, {"tangent_lower_bound": bound, "bk_span": span, "dimension": dim})

@@ -21,7 +21,6 @@ from borbit.atlas import (
     is_orbital_variety,
     is_upper_label,
     label,
-    label_perm,
     tableau,
 )
 from borbit.geometry import (

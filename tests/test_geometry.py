@@ -58,6 +58,15 @@ def test_stabiliser_membership():
     assert not in_Ck(CTX42, RationalMatrix.permutation((2, 1, 3, 4)))
     # lower unipotent touching the forbidden block is not a member
     assert not in_Ck(CTX42, ident + RationalMatrix.elementary(4, 3, 1))
+    # every elementary unipotent, in contexts with a middle block: in_Ck
+    # raises if the block shape and the commutation test disagree
+    for n, k in [(5, 2), (6, 2), (6, 3)]:
+        ctx, ident_n = Context(n, k), RationalMatrix.matrix_identity(n)
+        for r in range(1, n + 1):
+            for s in range(1, n + 1):
+                if r != s:
+                    in_Ck(ctx, ident_n + RationalMatrix.elementary(n, r, s))
+    assert not in_Ck(Context(6, 2), RationalMatrix.matrix_identity(6) + RationalMatrix.elementary(6, 5, 3))
     with pytest.raises(ValueError):
         in_Ck(CTX42, RationalMatrix.zero(4))
     with pytest.raises(ValueError):

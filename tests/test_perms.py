@@ -27,7 +27,6 @@ from borbit.perms import (
     pattern_positions,
     reduced_word,
     simple,
-    transposition,
 )
 
 

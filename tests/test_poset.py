@@ -2,8 +2,6 @@
 
 import time
 
-import pytest
-
 from borbit.atlas import (
     Context,
     coset_of,

@@ -184,3 +184,74 @@ def test_format_round_trip():
     )
     with pytest.raises(ValueError):
         parse_matrix("1,2;3")
+
+
+def random_rows(rng, nrows, ncols):
+    """Mostly zero rows with rational entries, as dense lists of Fractions."""
+    return [
+        [
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.3 else Fraction(0)
+            for _ in range(ncols)
+        ]
+        for _ in range(nrows)
+    ]
+
+
+def dense_of(m):
+    """The entries of ``m`` read one by one, as dense lists of Fractions."""
+    return [[m.entry(r, s) for s in range(1, m.ncols + 1)] for r in range(1, m.nrows + 1)]
+
+
+def test_sparse_operations_match_a_dense_reference():
+    rng = random.Random(61)
+    for _ in range(200):
+        p, q, r = (rng.randint(1, 6) for _ in range(3))
+        a_rows, a2_rows, b_rows = random_rows(rng, p, q), random_rows(rng, p, q), random_rows(rng, q, r)
+        a, a2, b = RationalMatrix(a_rows), RationalMatrix(a2_rows), RationalMatrix(b_rows)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        j = rng.randint(1, q)
+        expected = {
+            "mul": [[sum(x * y for x, y in zip(row, col)) for col in zip(*b_rows)] for row in a_rows],
+            "add": [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a_rows, a2_rows)],
+            "sub": [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a_rows, a2_rows)],
+            "scalar": [[c * x for x in row] for row in a_rows],
+            "transpose": [list(col) for col in zip(*a_rows)],
+            "take_columns": [row[:j] for row in a_rows],
+            "augment": [ra + rb for ra, rb in zip(a_rows, a2_rows)],
+        }
+        got = {
+            "mul": a * b,
+            "add": a + a2,
+            "sub": a - a2,
+            "scalar": c * a,
+            "transpose": a.transpose(),
+            "take_columns": a.take_columns(j),
+            "augment": a.augment(a2),
+        }
+        for op, m in got.items():
+            assert dense_of(m) == expected[op], op
+            assert 0 not in m.entries.values(), op
+        assert a * c == c * a
+        assert (a - a).entries == {} and (a + -a).entries == {} and (0 * a).entries == {}
+        assert (a * b).is_zero() == all(x == 0 for row in expected["mul"] for x in row)
+
+
+def test_explicit_zeros_are_neither_stored_nor_compared():
+    rng = random.Random(62)
+    for _ in range(50):
+        n = rng.randint(1, 5)
+        rows = random_rows(rng, n, n)
+        # integer-valued entries given as int, the rest as Fraction
+        given = {
+            (r, s): int(x) if x.denominator == 1 else x
+            for r, row in enumerate(rows, 1)
+            for s, x in enumerate(row, 1)
+            if x
+        }
+        dense = RationalMatrix(rows)
+        assert len(dense.entries) == len(given)
+        assert dense == RationalMatrix.from_entries(n, given)
+        assert hash(dense) == hash(RationalMatrix.from_entries(n, given))
+        assert dense == RationalMatrix.from_entries(n, {**given, (1, 1): given.get((1, 1), 0)})
+    assert RationalMatrix.zero(2, 3) != RationalMatrix.zero(3, 2)
+    assert RationalMatrix.zero(2, 3).transpose() == RationalMatrix.zero(3, 2)

@@ -5,14 +5,13 @@ import pytest
 from borbit.atlas import (
     Context,
     dim_orbit,
-    dim_y0,
     dimension,
     enumerate_labels,
     is_upper_label,
     label,
     label_perm,
 )
-from borbit.perms import identity, length
+from borbit.perms import identity
 from borbit.poset import leq
 from borbit.ratmat import RationalMatrix
 from borbit.tangent import (
