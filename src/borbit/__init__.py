@@ -4,70 +4,56 @@ Labels and representatives for the orbits, their closure order with a
 Bruhat-theoretic certificate, exact tangent-space bookkeeping with a
 rule-based smoothness verdict, and rational-arithmetic verification of
 every identity the bookkeeping rests on.
+
+The namespace is lazy (PEP 562): ``import borbit`` loads no submodule,
+and a public name imports its module on first use.
 """
 
-from .atlas import (
-    Context,
-    OrbitCoset,
-    OrbitLabel,
-    OrientedLinkPattern,
-    TwoColumnTableau,
-    coset_of,
-    coset_reps,
-    dim_orbit,
-    dim_y0,
-    dimension,
-    enumerate_labels,
-    involution_tau,
-    is_orbital_variety,
-    is_upper_label,
-    label,
-    label_of,
-    label_perm,
-    link_pattern,
-    min_length_reps,
-    rep_matrix,
-    tableau,
-)
-from .geometry import (
-    Flag,
-    compatible,
-    flag_in_schubert,
-    in_Ck,
-    incidence_member,
-    resolution_blueprint,
-    schubert_conditions,
-    tangent_independence,
-    verify_curve,
-    witness_flag,
-)
-from .perms import (
-    CapExceeded,
-    Perm,
-    bruhat_leq,
-    bruhat_leq_oracle,
-    compose,
-    evaluate_word,
-    inverse,
-    length,
-    reduced_word,
-)
-from .poset import BruhatGraph, export_dot, export_json, hasse, leq, leq_oracle, weak_edges
-from .ratmat import RationalMatrix
-from .tangent import (
-    CurveSpec,
-    Root,
-    Verdict,
-    bk_span,
-    curve,
-    phi_plus,
-    phi_plus_restricted,
-    s_set,
-    t_k_set,
-    tangent_lower_bound,
-    verdict,
-    weight_decomposition,
-)
+_EXPORTS = {
+    "atlas": (
+        "Context", "OrbitCoset", "OrbitLabel", "OrientedLinkPattern", "TwoColumnTableau",
+        "coset_of", "coset_reps", "dim_orbit", "dim_y0", "dimension", "enumerate_labels",
+        "involution_tau", "is_orbital_variety", "is_upper_label", "label", "label_of",
+        "label_perm", "link_pattern", "min_length_reps", "rep_matrix", "tableau",
+    ),
+    "geometry": (
+        "Flag", "compatible", "flag_in_schubert", "in_Ck", "incidence_member",
+        "resolution_blueprint", "schubert_conditions", "tangent_independence",
+        "verify_curve", "witness_flag",
+    ),
+    "perms": (
+        "CapExceeded", "Perm", "bruhat_leq", "bruhat_leq_oracle", "compose",
+        "evaluate_word", "inverse", "length", "reduced_word",
+    ),
+    "poset": (
+        "BruhatGraph", "export_dot", "export_json", "hasse", "leq", "leq_oracle", "weak_edges",
+    ),
+    "ratmat": ("RationalMatrix",),
+    "tangent": (
+        "CurveSpec", "Root", "Verdict", "bk_span", "curve", "phi_plus",
+        "phi_plus_restricted", "t_k_set", "tangent_lower_bound", "verdict",
+    ),
+}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: Public name -> the submodule that defines it.
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_MODULE_OF])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = name if name in _EXPORTS else _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The import statement's entry point, which binds the submodule here;
+    # unlike importlib.import_module, -X importtime reports it.
+    __import__(f"{__name__}.{module}")
+    value = globals()[module]
+    if name != module:
+        value = globals()[name] = getattr(value, name)  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

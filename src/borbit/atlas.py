@@ -22,8 +22,8 @@ import itertools
 import json
 import math
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from .perms import (
     CapExceeded,
@@ -35,7 +35,9 @@ from .perms import (
     length,
     parse_perm,
 )
-from .ratmat import RationalMatrix
+
+if TYPE_CHECKING:
+    from .ratmat import RationalMatrix
 
 #: Largest ``n`` for which full enumerations run by default.
 ENUMERATION_CAP = 8
@@ -44,44 +46,48 @@ ENUMERATION_CAP = 8
 POINTWISE_CAP = 64
 
 
-@dataclass(frozen=True)
-class Context:
-    """The pair (matrix size n, orbit rank k)."""
-
+class _ContextFields(NamedTuple):
     n: int
     k: int
 
-    def __post_init__(self):
-        if not 1 <= self.n <= POINTWISE_CAP:
-            raise ValueError(f"n out of range: {self.n}")
-        if not 0 <= 2 * self.k <= self.n:
-            raise ValueError(f"k out of range for n={self.n}: {self.k}")
+
+class Context(_ContextFields):
+    """The pair (matrix size n, orbit rank k)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int):
+        if not 1 <= n <= POINTWISE_CAP:
+            raise ValueError(f"n out of range: {n}")
+        if not 0 <= 2 * k <= n:
+            raise ValueError(f"k out of range for n={n}: {k}")
+        return super().__new__(cls, n, k)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class OrbitLabel:
+class OrbitLabel(NamedTuple):
     sigma: Perm
     alpha: Perm
 
 
-@dataclass(frozen=True)
-class OrbitCoset:
+class OrbitCoset(NamedTuple):
     """A coset of the paired-action subgroup; ``members`` is sorted
     lexicographically."""
 
     members: tuple[Perm, ...]
 
 
-@dataclass(frozen=True)
-class OrientedLinkPattern:
+class OrientedLinkPattern(NamedTuple):
     """Arcs ``(source, target)``: the matrix sends e_source to e_target."""
 
     n: int
     arcs: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class TwoColumnTableau:
+class TwoColumnTableau(NamedTuple):
     """Left column of length n-k, right column of length k, paired rows."""
 
     left: tuple[int, ...]
@@ -254,6 +260,8 @@ def dimension(ctx: Context, lbl: OrbitLabel) -> int:
 
 def rep_matrix(ctx: Context, lbl: OrbitLabel) -> RationalMatrix:
     """The representative ``sum_j E_{sigma alpha(j), sigma(n-k+j)}``."""
+    from .ratmat import RationalMatrix  # only callers of rep_matrix need matrices
+
     n, k = ctx.n, ctx.k
     tau = label_perm(lbl)
     return RationalMatrix.from_entries(n, {(tau[j], lbl.sigma[n - k + j]): 1 for j in range(k)})

@@ -1,0 +1,124 @@
+"""Self-check suites for one context: each fast path against its
+independent oracle, every counting law, and the curve and tangent-span
+identities.  The ``verify`` command renders them.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from . import atlas, geometry, poset, tangent
+from .atlas import Context, OrbitLabel
+from .perms import all_perms, length
+
+#: One suite's outcome: its name, whether it passed, and what it checked.
+Suite = tuple[str, bool, str]
+
+
+def run_suites(
+    ctx: Context, cap: int, samples: tuple[Fraction, ...]
+) -> tuple[list[Suite], list[OrbitLabel]]:
+    """The suites in their fixed order, and the orbital varieties whose
+    verdict is singular."""
+    suites: list[Suite] = []
+    labels = atlas.enumerate_labels(ctx, cap)
+
+    expected = math.factorial(ctx.n) // (
+        math.factorial(ctx.k) * math.factorial(ctx.n - 2 * ctx.k)
+    )
+    seen = set()
+    coset_count = 0
+    for p in all_perms(ctx.n):
+        if p in seen:
+            continue
+        coset_count += 1
+        seen.update(atlas.coset_of(ctx, p).members)
+    suites.append((
+        "label-count",
+        len(labels) == expected == coset_count,
+        f"{len(labels)} labels, {coset_count} cosets, formula {expected}",
+    ))
+
+    ok = True
+    for lbl in labels:
+        coset = atlas.coset_of(ctx, atlas.label_perm(lbl))
+        if atlas.label_perm(lbl) not in atlas.min_length_reps(coset):
+            ok = False
+        if length(atlas.label_perm(lbl)) != length(lbl.sigma) + length(lbl.alpha):
+            ok = False
+        if any(atlas.label_of(ctx, m) != lbl for m in coset.members):
+            ok = False
+    suites.append(("minimal-representatives", ok, f"{len(labels)} labels checked"))
+
+    ok = True
+    for lbl in labels:
+        m = atlas.rep_matrix(ctx, lbl)
+        if not geometry.is_two_nilpotent_of_rank(m, ctx.k):
+            ok = False
+        if atlas.is_upper_label(ctx, lbl) != m.is_strictly_upper_triangular():
+            ok = False
+    suites.append(("representative-matrices", ok, f"{len(labels)} labels checked"))
+
+    upper = [lbl for lbl in labels if atlas.is_upper_label(ctx, lbl)]
+    invol = atlas.count_involutions(ctx.n, ctx.k)
+    images = {atlas.involution_tau(ctx, lbl) for lbl in upper}
+    suites.append((
+        "involution-bijection",
+        len(upper) == invol == len(images),
+        f"{len(upper)} upper labels, {invol} involutions",
+    ))
+
+    hook = atlas.count_standard_tableaux(ctx)
+    brute = atlas.count_standard_tableaux_bruteforce(ctx)
+    orbital = [lbl for lbl in labels if atlas.is_orbital_variety(ctx, lbl)]
+    suites.append((
+        "orbital-varieties",
+        hook == brute == len(orbital),
+        f"{len(orbital)} components, hook {hook}, direct {brute}",
+    ))
+
+    g = poset.hasse(ctx, cap)
+    generated = [{j} for j in range(len(labels))]  # the order the covers generate
+    for i, j in sorted(g.covers, key=lambda cover: g.dims[cover[1]]):
+        generated[j] |= generated[i]
+    ok = all(
+        poset.leq_oracle(ctx, a, b) == poset.leq(ctx, a, b) == (i in generated[j])
+        for i, a in enumerate(labels)
+        for j, b in enumerate(labels)
+    )
+    suites.append(("closure-order-oracle", ok, f"{len(labels)}^2 ordered pairs"))
+
+    bad = 0
+    for rt in tangent.phi_plus(ctx):
+        if not geometry.verify_curve(ctx, rt, samples).ok:
+            bad += 1
+    suites.append((
+        "curves",
+        bad == 0,
+        f"{len(tangent.phi_plus(ctx))} roots x {len(samples)} samples",
+    ))
+
+    stack_rank = geometry.tangent_stack_rank(ctx)
+    suites.append((
+        "tangent-span",
+        geometry.tangent_independence(ctx),
+        f"rank {stack_rank}, orbit dimension {atlas.dim_orbit(ctx)}",
+    ))
+
+    try:
+        poset.minimum(g), poset.maximum(g)
+        ok = all(g.dims[i] < g.dims[j] for i, j in g.covers)
+    except ValueError:
+        ok = False
+    ok = ok and {(i, j) for i, j, _ in g.weak} <= set(g.covers)
+    suites.append(("hasse", ok, f"{len(g.covers)} covers, {len(g.weak)} weak edges"))
+
+    statuses = {lbl: tangent.verdict(ctx, lbl).status for lbl in labels}
+    singular_orbital = [lbl for lbl in orbital if statuses[lbl] == "singular"]
+    suites.append((
+        "verdicts",
+        all(status in ("smooth", "singular", "unknown") for status in statuses.values()),
+        f"{len(singular_orbital)} singular orbital varieties",
+    ))
+    return suites, singular_orbital

@@ -19,21 +19,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from . import atlas, geometry, poset, tangent
+# ``tangent``, ``geometry`` and ``checks`` are imported inside the commands
+# that run them, so that a command starts without the layers it never uses.
+from . import atlas, poset
 from .atlas import Context, OrbitLabel
 from .perms import (
     CapExceeded,
-    all_perms,
     evaluate_word,
     format_perm,
     format_word,
     identity,
-    length,
     parse_perm,
     parse_word,
 )
@@ -44,8 +43,7 @@ EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     ctx: Context
     fmt: str
     out: str | None
@@ -86,6 +84,8 @@ def _label_str(lbl: OrbitLabel) -> str:
 
 
 def _singular_indices(g: poset.BruhatGraph) -> frozenset[int]:
+    from . import tangent
+
     return frozenset(
         i
         for i, lbl in enumerate(g.labels)
@@ -135,6 +135,8 @@ def cmd_hasse(cfg: RunConfig) -> tuple[int, str]:
 
 
 def _tangent_report(ctx: Context, lbl: OrbitLabel) -> str:
+    from . import tangent
+
     lines = [f"# tangent data for {_label_str(lbl)}  (n={ctx.n} k={ctx.k})"]
     table = tangent.t_k_table(ctx, lbl)
     for rt, in_tk, kept, witness in table:
@@ -144,18 +146,20 @@ def _tangent_report(ctx: Context, lbl: OrbitLabel) -> str:
         lines.append(
             f"  ({rt.i},{rt.j})  {rt.family:<13} phi_n={phi_n} t_k={status}  witness={wit}"
         )
-    count = sum(1 for _, in_tk, _, _ in table if in_tk)
-    bound = atlas.dim_y0(ctx) + count
-    lines.append(f"  |t_k| = {count} of {len(table)} roots")
+    roots = tuple(rt for rt, in_tk, _, _ in table if in_tk)
+    bound = atlas.dim_y0(ctx) + len(roots)
+    lines.append(f"  |t_k| = {len(roots)} of {len(table)} roots")
     lines.append(f"  tangent lower bound = {bound}")
     lines.append(f"  dimension = {atlas.dimension(ctx, lbl)}")
     if atlas.is_upper_label(ctx, lbl):
         lines.append(f"  tangent dimension (upper label) = {bound}")
-    lines.append(f"  bracket-closure span = {tangent.bk_span(ctx, lbl)}")
+    lines.append(f"  bracket-closure span = {tangent.bracket_span(ctx, roots)}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_smooth(cfg: RunConfig) -> tuple[int, str]:
+    from . import tangent
+
     labels = atlas.enumerate_labels(cfg.ctx, cfg.cap)
     if cfg.fmt == "json":
         rows = [tangent.verdict_json(cfg.ctx, lbl) for lbl in labels]
@@ -174,6 +178,8 @@ def cmd_smooth(cfg: RunConfig) -> tuple[int, str]:
 
 
 def cmd_springer(cfg: RunConfig) -> tuple[int, str]:
+    from . import tangent
+
     ctx = cfg.ctx
     labels = atlas.enumerate_labels(ctx, cfg.cap)
     orbital = [lbl for lbl in labels if atlas.is_orbital_variety(ctx, lbl)]
@@ -191,6 +197,8 @@ def cmd_springer(cfg: RunConfig) -> tuple[int, str]:
 
 
 def cmd_blueprint(cfg: RunConfig, lbl: OrbitLabel, word: tuple[int, ...]) -> tuple[int, str]:
+    from . import geometry
+
     bp = geometry.resolution_blueprint(cfg.ctx, lbl, word)
     if cfg.fmt == "json":
         return EXIT_OK, geometry.blueprint_to_json(bp) + "\n"
@@ -208,120 +216,14 @@ def cmd_blueprint(cfg: RunConfig, lbl: OrbitLabel, word: tuple[int, ...]) -> tup
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _verify_suites(cfg: RunConfig) -> tuple[int, str]:
+def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
     """Self-check suites for one context; any failure exits nonzero."""
-    ctx = cfg.ctx
-    lines = []
-    status = EXIT_OK
+    from . import checks
 
-    def report(name: str, ok: bool, detail: str):
-        nonlocal status
-        lines.append(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            status = EXIT_VERIFICATION
-
-    labels = atlas.enumerate_labels(ctx, cfg.cap)
-
-    expected = math.factorial(ctx.n) // (
-        math.factorial(ctx.k) * math.factorial(ctx.n - 2 * ctx.k)
-    )
-    seen = set()
-    coset_count = 0
-    for p in all_perms(ctx.n):
-        if p in seen:
-            continue
-        coset_count += 1
-        seen.update(atlas.coset_of(ctx, p).members)
-    report(
-        "label-count",
-        len(labels) == expected == coset_count,
-        f"{len(labels)} labels, {coset_count} cosets, formula {expected}",
-    )
-
-    ok = True
-    for lbl in labels:
-        coset = atlas.coset_of(ctx, atlas.label_perm(lbl))
-        if atlas.label_perm(lbl) not in atlas.min_length_reps(coset):
-            ok = False
-        if length(atlas.label_perm(lbl)) != length(lbl.sigma) + length(lbl.alpha):
-            ok = False
-        if any(atlas.label_of(ctx, m) != lbl for m in coset.members):
-            ok = False
-    report("minimal-representatives", ok, f"{len(labels)} labels checked")
-
-    ok = True
-    for lbl in labels:
-        m = atlas.rep_matrix(ctx, lbl)
-        if not geometry.is_two_nilpotent_of_rank(m, ctx.k):
-            ok = False
-        if atlas.is_upper_label(ctx, lbl) != m.is_strictly_upper_triangular():
-            ok = False
-    report("representative-matrices", ok, f"{len(labels)} labels checked")
-
-    upper = [lbl for lbl in labels if atlas.is_upper_label(ctx, lbl)]
-    invol = atlas.count_involutions(ctx.n, ctx.k)
-    images = {atlas.involution_tau(ctx, lbl) for lbl in upper}
-    report(
-        "involution-bijection",
-        len(upper) == invol == len(images),
-        f"{len(upper)} upper labels, {invol} involutions",
-    )
-
-    hook = atlas.count_standard_tableaux(ctx)
-    brute = atlas.count_standard_tableaux_bruteforce(ctx)
-    orbital = [lbl for lbl in labels if atlas.is_orbital_variety(ctx, lbl)]
-    report(
-        "orbital-varieties",
-        hook == brute == len(orbital),
-        f"{len(orbital)} components, hook {hook}, direct {brute}",
-    )
-
-    g = poset.hasse(ctx, cfg.cap)
-    generated = [{j} for j in range(len(labels))]  # the order the covers generate
-    for i, j in sorted(g.covers, key=lambda cover: g.dims[cover[1]]):
-        generated[j] |= generated[i]
-    ok = all(
-        poset.leq_oracle(ctx, a, b) == poset.leq(ctx, a, b) == (i in generated[j])
-        for i, a in enumerate(labels)
-        for j, b in enumerate(labels)
-    )
-    report("closure-order-oracle", ok, f"{len(labels)}^2 ordered pairs")
-
-    bad = 0
-    for rt in tangent.phi_plus(ctx):
-        if not geometry.verify_curve(ctx, rt, cfg.samples).ok:
-            bad += 1
-    report(
-        "curves",
-        bad == 0,
-        f"{len(tangent.phi_plus(ctx))} roots x {len(cfg.samples)} samples",
-    )
-
-    stack_rank = geometry.tangent_stack_rank(ctx)
-    report(
-        "tangent-span",
-        geometry.tangent_independence(ctx),
-        f"rank {stack_rank}, orbit dimension {atlas.dim_orbit(ctx)}",
-    )
-
-    try:
-        poset.minimum(g), poset.maximum(g)
-        ok = all(g.dims[i] < g.dims[j] for i, j in g.covers)
-    except ValueError:
-        ok = False
-    ok = ok and {(i, j) for i, j, _ in g.weak} <= set(g.covers)
-    report("hasse", ok, f"{len(g.covers)} covers, {len(g.weak)} weak edges")
-
-    statuses = {lbl: tangent.verdict(ctx, lbl).status for lbl in labels}
-    singular_orbital = [lbl for lbl in orbital if statuses[lbl] == "singular"]
-    report(
-        "verdicts",
-        all(status in ("smooth", "singular", "unknown") for status in statuses.values()),
-        f"{len(singular_orbital)} singular orbital varieties",
-    )
-    for lbl in singular_orbital:
-        lines.append(_tangent_report(ctx, lbl).rstrip("\n"))
-
+    suites, singular_orbital = checks.run_suites(cfg.ctx, cfg.cap, cfg.samples)
+    lines = [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in suites]
+    lines += [_tangent_report(cfg.ctx, lbl).rstrip("\n") for lbl in singular_orbital]
+    status = EXIT_OK if all(ok for _, ok, _ in suites) else EXIT_VERIFICATION
     return status, "\n".join(lines) + "\n"
 
 
@@ -341,7 +243,7 @@ COMMANDS = {
         lambda cfg, args: (EXIT_OK, _tangent_report(cfg.ctx, parse_label_arg(cfg.ctx, args.label))),
     ),
     "smooth": ((), lambda cfg, args: cmd_smooth(cfg)),
-    "verify": ((), lambda cfg, args: _verify_suites(cfg)),
+    "verify": ((), lambda cfg, args: cmd_verify(cfg)),
     "springer": ((), lambda cfg, args: cmd_springer(cfg)),
     "blueprint": (
         ("label", "word"),

@@ -11,8 +11,8 @@ word.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .atlas import Context, OrbitLabel, label_perm
 from .perms import Perm, evaluate_word, is_reduced, length, transposition
@@ -53,17 +53,25 @@ def in_Ck(ctx: Context, g: RationalMatrix) -> bool:
     return by_blocks
 
 
-@dataclass(frozen=True)
-class Flag:
-    """A complete flag: V^i is the span of the first i columns of ``basis``."""
-
+class _FlagFields(NamedTuple):
     basis: RationalMatrix
 
-    def __post_init__(self):
-        if self.basis.nrows != self.basis.ncols:
+
+class Flag(_FlagFields):
+    """A complete flag: V^i is the span of the first i columns of ``basis``."""
+
+    __slots__ = ()
+
+    def __new__(cls, basis: RationalMatrix):
+        if basis.nrows != basis.ncols:
             raise ValueError("flag basis must be square")
-        if self.basis.rank() != self.basis.nrows:
+        if basis.rank() != basis.nrows:
             raise ValueError("flag basis is singular")
+        return super().__new__(cls, basis)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -96,8 +104,7 @@ def compatible(ctx: Context, u: RationalMatrix, f: Flag) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RankConditionSet:
+class RankConditionSet(NamedTuple):
     """Schubert conditions: dim(V^i + K^j) <= bound for each (i, j)."""
 
     tau: Perm
@@ -140,8 +147,7 @@ def witness_flag(lbl: OrbitLabel) -> Flag:
     return permutation_flag(label_perm(lbl))
 
 
-@dataclass(frozen=True)
-class CurveReport:
+class CurveReport(NamedTuple):
     """Outcome of the per-sample curve identities; empty failures = pass."""
 
     root: Root
@@ -229,8 +235,7 @@ def tangent_independence(ctx: Context) -> bool:
     return tangent_stack_rank(ctx) == 2 * ctx.k * (ctx.n - ctx.k)
 
 
-@dataclass(frozen=True)
-class ResolutionBlueprint:
+class ResolutionBlueprint(NamedTuple):
     """Flag-chain data for a Bott-Samelson-style resolution.
 
     Row ``s`` lists the subspace symbols of the s-th flag; flag ``s``

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .atlas import (
     Context,
@@ -89,8 +89,7 @@ def leq_oracle(
     return any(m in interval for m in coset_of(ctx, label_perm(a)).members)
 
 
-@dataclass(frozen=True)
-class BruhatGraph:
+class BruhatGraph(NamedTuple):
     ctx: Context
     labels: tuple[OrbitLabel, ...]
     dims: tuple[int, ...]

@@ -17,11 +17,10 @@ tangent-versus-dimension bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .atlas import (
     Context,
@@ -61,8 +60,7 @@ RANK_ONE_PATTERN: Perm = (3, 1, 4, 2)
 SparseMatrix = dict[tuple[int, int], int]
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A positive stabiliser root, recorded as the pair ``i < j``."""
 
     i: int
@@ -120,8 +118,7 @@ def phi_plus_restricted(ctx: Context) -> tuple[Root, ...]:
     )
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(NamedTuple):
     """A curve ``t -> constant + t*linear + t^2*quadratic`` in the closure."""
 
     root: Root
@@ -195,12 +192,6 @@ def t_k_table(
         witness = leq_witness(ctx, root_coset_label(ctx, rt), lbl)
         out.append((rt, witness is not None, rt in restricted, witness))
     return tuple(out)
-
-
-def s_set(ctx: Context, lbl: OrbitLabel) -> tuple[Root, ...]:
-    """The t_k roots that survive the upper-label restriction."""
-    restricted = set(phi_plus_restricted(ctx))
-    return tuple(rt for rt in t_k_set(ctx, lbl) if rt in restricted)
 
 
 def tangent_lower_bound(ctx: Context, lbl: OrbitLabel) -> int:
@@ -292,11 +283,12 @@ def bk_span(ctx: Context, lbl: OrbitLabel) -> int:
 
     Exact over the integers, which gives the rank over the rationals; a
     rank modulo a prime could fall short of it."""
-    return _bracket_span(ctx, t_k_set(ctx, lbl))
+    return bracket_span(ctx, t_k_set(ctx, lbl))
 
 
-def _bracket_span(ctx: Context, roots: tuple[Root, ...]) -> int:
-    """``bk_span`` of the label whose ``t_k_set`` is ``roots``."""
+def bracket_span(ctx: Context, roots: tuple[Root, ...]) -> int:
+    """``bk_span`` of the label whose ``t_k_set`` is ``roots``, for callers
+    that already hold those roots."""
     seeds = [{pos: 1} for pos in base_orbit_tangent_positions(ctx)]
     seeds += [root_tangent(ctx, rt) for rt in roots]
     pivots: dict[tuple[int, int], SparseMatrix] = {}
@@ -309,49 +301,6 @@ def _bracket_span(ctx: Context, roots: tuple[Root, ...]) -> int:
             if _insert(pivots, w):
                 queue.append(w)
     return len(pivots)
-
-
-def _character_index(ctx: Context, m: int) -> int:
-    """Coordinate of basis position ``m`` in the stabiliser torus: the
-    first and last blocks share coordinates 0..k-1, the middle block gets
-    k..n-k-1."""
-    n, k = ctx.n, ctx.k
-    return m - 1 if m <= n - k else m - (n - k) - 1
-
-
-def _character(ctx: Context, vec: SparseMatrix) -> tuple[int, ...]:
-    n, k = ctx.n, ctx.k
-    chars = set()
-    for r, s in vec:
-        char = [0] * (n - k)
-        char[_character_index(ctx, r)] += 1
-        char[_character_index(ctx, s)] -= 1
-        chars.add(tuple(char))
-    if len(chars) != 1:
-        raise ValueError("matrix is not a torus eigenvector")
-    return chars.pop()
-
-
-TangentTag = tuple[str, tuple[int, int]]
-
-
-def weight_decomposition(
-    ctx: Context,
-) -> dict[tuple[int, ...], tuple[TangentTag, ...]]:
-    """Group the 2k(n-k) tangent basis vectors by stabiliser-torus character.
-
-    Tags are ``("base", (r, s))`` for base-orbit positions and
-    ``("curve", (i, j))`` for curve tangents.  The trivial character
-    collects exactly 2k vectors; each character pairing two distinct
-    corner coordinates collects exactly 2.
-    """
-    out: dict[tuple[int, ...], list[TangentTag]] = {}
-    for pos in base_orbit_tangent_positions(ctx):
-        out.setdefault(_character(ctx, {pos: 1}), []).append(("base", pos))
-    for rt in phi_plus(ctx):
-        char = _character(ctx, root_tangent(ctx, rt))
-        out.setdefault(char, []).append(("curve", (rt.i, rt.j)))
-    return {char: tuple(tags) for char, tags in out.items()}
 
 
 def omega_k(ctx: Context) -> Perm:
@@ -372,8 +321,7 @@ def o_k(ctx: Context) -> Perm:
 Status = Literal["smooth", "singular", "unknown"]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: Status
     rule: str | None
     witness: dict
@@ -425,7 +373,7 @@ def verdict(ctx: Context, lbl: OrbitLabel) -> Verdict:
         return Verdict(
             "singular", "R5", {"tangent_lower_bound": bound, "dimension": dim}
         )
-    span = _bracket_span(ctx, roots)
+    span = bracket_span(ctx, roots)
     if span > dim:
         return Verdict("singular", "R6", {"bk_span": span, "dimension": dim})
     return Verdict("unknown", None, {"tangent_lower_bound": bound, "bk_span": span, "dimension": dim})

@@ -47,7 +47,12 @@ def test_context_validation():
         Context(0, 0)
     with pytest.raises(ValueError):
         Context(65, 1)
+    with pytest.raises(ValueError):
+        Context(n=5, k=3)
+    with pytest.raises(ValueError):
+        Context(4, 2)._replace(k=3)
     assert Context(4, 2).n == 4
+    assert Context(k=2, n=4) == Context(4, 2) == (4, 2)
 
 
 def test_block_increasing_predicate():

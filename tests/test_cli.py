@@ -12,6 +12,7 @@ from borbit.cli import (
     main,
     parse_label_arg,
 )
+from borbit import poset, tangent
 from borbit.atlas import Context, label
 from borbit.perms import identity
 from borbit.poset import graph_from_json
@@ -210,6 +211,24 @@ def test_blueprint_command(capsys):
     data = json.loads(out)
     assert data["moves"] == [2, 1, 3, 2]
     assert data["chain"][-1] == "W1 < W2 < W3 < K4"
+
+
+def test_tangent_report_answers_each_closure_query_once(capsys, monkeypatch):
+    # the table's in-t_k roots feed the bracket span, so no root's closure
+    # query is asked again
+    queried = []
+    inner = poset.leq_witness
+
+    def counting(ctx, a, b):
+        queried.append(a)
+        return inner(ctx, a, b)
+
+    monkeypatch.setattr(poset, "leq_witness", counting)
+    monkeypatch.setattr(tangent, "leq_witness", counting)
+    code, out, _ = run(capsys, "--n", "6", "--k", "2", "tangent", "sigma=s1.s3.s2.s5.s4")
+    assert code == EXIT_OK
+    assert "bracket-closure span = " in out
+    assert len(queried) == len(tangent.phi_plus(Context(6, 2))) == 13
 
 
 def test_verify_command(capsys):

@@ -89,6 +89,10 @@ def test_flag_validation():
         Flag(RationalMatrix.zero(3))
     with pytest.raises(ValueError):
         Flag(RationalMatrix.zero(2, 3))
+    with pytest.raises(ValueError):
+        Flag(basis=RationalMatrix([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError):
+        standard_flag(2)._replace(basis=RationalMatrix([[1, 2], [2, 4]]))
     f = standard_flag(4)
     assert f.subspace(2) == RationalMatrix.matrix_identity(4).take_columns(2)
     assert f.n == 4

@@ -1,0 +1,70 @@
+"""Cold start: each command, run in a fresh interpreter, imports only the
+layers it runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PROBE = (
+    "import sys\n"
+    "from borbit.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(*sorted(sys.modules), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+COMMANDS = {
+    "enumerate": ["--n", "5", "--k", "2", "enumerate"],
+    "order": ["--n", "10", "--k", "3", "order", "sigma=id", "sigma=s3"],
+    "hasse": ["--n", "5", "--k", "1", "hasse"],
+    "tangent": ["--n", "6", "--k", "3", "tangent", "sigma=2,4,6,1,3,5"],
+    "smooth": ["--n", "5", "--k", "2", "smooth"],
+    "springer": ["--n", "5", "--k", "2", "springer"],
+    "verify": ["--n", "4", "--k", "2", "verify"],
+    "blueprint": ["--n", "4", "--k", "2", "blueprint", "sigma=2,4,1,3", "s1.s3.s2"],
+}
+
+
+def modules_after(code: str, *argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``, which
+    prints them to stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+@pytest.fixture(scope="module")
+def loaded() -> dict[str, set[str]]:
+    return {name: modules_after(PROBE, *argv) for name, argv in COMMANDS.items()}
+
+
+def test_order_loads_no_tangent_geometry_or_matrices(loaded):
+    assert {"borbit.atlas", "borbit.poset", "borbit.perms"} <= loaded["order"]
+    assert not {"borbit.tangent", "borbit.geometry", "borbit.ratmat"} & loaded["order"]
+
+
+def test_only_verify_and_blueprint_load_geometry(loaded):
+    assert {name for name, mods in loaded.items() if "borbit.geometry" in mods} == {
+        "verify",
+        "blueprint",
+    }
+    assert {name for name, mods in loaded.items() if "borbit.checks" in mods} == {"verify"}
+
+
+def test_no_command_loads_dataclasses(loaded):
+    startup = modules_after("import sys; print(*sorted(sys.modules), file=sys.stderr)")
+    assert {name for name, mods in loaded.items() if "dataclasses" in mods - startup} == set()
+
+
+def test_import_borbit_loads_no_submodule():
+    mods = modules_after("import sys, borbit; print(*sorted(sys.modules), file=sys.stderr)")
+    assert {name for name in mods if name.startswith("borbit.")} == set()

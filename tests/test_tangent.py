@@ -35,13 +35,12 @@ from borbit.tangent import (
     phi_plus_restricted,
     root,
     root_coset_label,
-    s_set,
+    root_tangent,
     t_k_set,
     t_k_table,
     tangent_lower_bound,
     verdict,
     verdict_json,
-    weight_decomposition,
 )
 
 CTX42 = Context(4, 2)
@@ -203,6 +202,12 @@ def test_t_k_is_monotone_in_the_closure_order():
                 assert tk[a] <= tk[b]
 
 
+def s_set(ctx, lbl):
+    """The t_k roots that survive the upper-label restriction."""
+    restricted = set(phi_plus_restricted(ctx))
+    return tuple(rt for rt in t_k_set(ctx, lbl) if rt in restricted)
+
+
 def test_s_set_keeps_only_restricted_roots():
     # on the worked size-6 example the restriction drops nothing from t_k
     lbl = label(CTX62, (2, 4, 1, 6, 3, 5), ID6)
@@ -312,6 +317,34 @@ def test_bk_span_dominates_the_counting_bound():
         for lbl in enumerate_labels(ctx):
             span = bk_span(ctx, lbl)
             assert tangent_lower_bound(ctx, lbl) <= span <= dim_orbit(ctx)
+
+
+def weight_decomposition(ctx):
+    """Group the 2k(n-k) tangent basis vectors (base-orbit positions and
+    curve tangents) by stabiliser-torus character.  The first and last
+    blocks share torus coordinates 0..k-1, the middle block gets
+    k..n-k-1; each vector must be a torus eigenvector."""
+    n, k = ctx.n, ctx.k
+
+    def coordinate(m):
+        return m - 1 if m <= n - k else m - (n - k) - 1
+
+    def character(vec):
+        chars = set()
+        for r, s in vec:
+            char = [0] * (n - k)
+            char[coordinate(r)] += 1
+            char[coordinate(s)] -= 1
+            chars.add(tuple(char))
+        assert len(chars) == 1, "not a torus eigenvector"
+        return chars.pop()
+
+    out = {}
+    for pos in base_orbit_tangent_positions(ctx):
+        out.setdefault(character({pos: 1}), []).append(("base", pos))
+    for rt in phi_plus(ctx):
+        out.setdefault(character(root_tangent(ctx, rt)), []).append(("curve", (rt.i, rt.j)))
+    return out
 
 
 def test_weight_decomposition_block_sizes():
