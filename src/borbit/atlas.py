@@ -136,7 +136,8 @@ def label(ctx: Context, sigma: Perm, alpha: Perm) -> OrbitLabel:
 
 def label_perm(lbl: OrbitLabel) -> Perm:
     """The product permutation ``sigma alpha``."""
-    return compose(lbl.sigma, lbl.alpha)
+    sigma = lbl.sigma
+    return tuple([sigma[v - 1] for v in lbl.alpha])
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +176,7 @@ def min_length_reps(coset: OrbitCoset) -> tuple[Perm, ...]:
     return tuple(m for m in coset.members if length(m) == shortest)
 
 
-def _pairs_and_middle(ctx: Context, w: Perm) -> tuple[list[tuple[int, int]], list[int]]:
+def _pairs_and_middle(ctx: Context, w: Perm) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
     """The k value pairs ``(w(j), w(n-k+j))`` and the sorted middle values.
 
     Right multiplication by ``H`` permutes the pairs among the outer
@@ -186,7 +187,7 @@ def _pairs_and_middle(ctx: Context, w: Perm) -> tuple[list[tuple[int, int]], lis
         raise ValueError(f"size mismatch: got {len(w)}, context has n={ctx.n}")
     n, k = ctx.n, ctx.k
     pairs = [(w[j], w[n - k + j]) for j in range(k)]
-    return pairs, sorted(w[k : n - k])
+    return pairs, tuple(sorted(w[k : n - k]))
 
 
 def label_of(ctx: Context, w: Perm) -> OrbitLabel:
@@ -200,7 +201,7 @@ def label_of(ctx: Context, w: Perm) -> OrbitLabel:
     pairs.sort(key=lambda pair: pair[1])
     first = [a for a, _ in pairs]
     low = sorted(first)
-    sigma = tuple(low) + tuple(middle) + tuple(b for _, b in pairs)
+    sigma = tuple(low) + middle + tuple(b for _, b in pairs)
     alpha = tuple(low.index(a) + 1 for a in first) + tuple(range(ctx.k + 1, ctx.n + 1))
     return OrbitLabel(sigma, alpha)
 
@@ -208,11 +209,13 @@ def label_of(ctx: Context, w: Perm) -> OrbitLabel:
 def coset_reps(ctx: Context, w: Perm) -> Iterator[Perm]:
     """The k! members of ``w H`` whose middle block increases, generated
     lazily in lexicographic order (the first-block values are distinct, so
-    ordering the sorted pairs orders the members)."""
+    ordering the sorted pairs orders the members); ``permutations`` of the
+    first- and last-block values run in step, keeping each pair together."""
     pairs, middle = _pairs_and_middle(ctx, w)
+    first, last = zip(*sorted(pairs)) if pairs else ((), ())
     return (
-        tuple(a for a, _ in order) + tuple(middle) + tuple(b for _, b in order)
-        for order in itertools.permutations(sorted(pairs))
+        head + middle + tail
+        for head, tail in zip(itertools.permutations(first), itertools.permutations(last))
     )
 
 

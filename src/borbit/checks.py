@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import atlas, geometry, poset, tangent
 from .atlas import Context, OrbitLabel
-from .perms import all_perms, length
+from .perms import all_perms, length, lower_interval
 
 #: One suite's outcome: its name, whether it passed, and what it checked.
 Suite = tuple[str, bool, str]
@@ -40,12 +40,13 @@ def run_suites(
         f"{len(labels)} labels, {coset_count} cosets, formula {expected}",
     ))
 
+    products = [atlas.label_perm(lbl) for lbl in labels]
+    cosets = [atlas.coset_of(ctx, w) for w in products]
     ok = True
-    for lbl in labels:
-        coset = atlas.coset_of(ctx, atlas.label_perm(lbl))
-        if atlas.label_perm(lbl) not in atlas.min_length_reps(coset):
+    for lbl, w, coset in zip(labels, products, cosets):
+        if w not in atlas.min_length_reps(coset):
             ok = False
-        if length(atlas.label_perm(lbl)) != length(lbl.sigma) + length(lbl.alpha):
+        if length(w) != length(lbl.sigma) + length(lbl.alpha):
             ok = False
         if any(atlas.label_of(ctx, m) != lbl for m in coset.members):
             ok = False
@@ -82,8 +83,11 @@ def run_suites(
     generated = [{j} for j in range(len(labels))]  # the order the covers generate
     for i, j in sorted(g.covers, key=lambda cover: g.dims[cover[1]]):
         generated[j] |= generated[i]
+    # ``poset.leq_oracle`` from one coset and one subword interval per label
+    members = [frozenset(coset.members) for coset in cosets]
+    intervals = [lower_interval(w) for w in products]
     ok = all(
-        poset.leq_oracle(ctx, a, b) == poset.leq(ctx, a, b) == (i in generated[j])
+        (not members[i].isdisjoint(intervals[j])) == poset.leq(ctx, a, b) == (i in generated[j])
         for i, a in enumerate(labels)
         for j, b in enumerate(labels)
     )

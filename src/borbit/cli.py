@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 # ``tangent``, ``geometry`` and ``checks`` are imported inside the commands
@@ -48,7 +47,7 @@ class RunConfig(NamedTuple):
     fmt: str
     out: str | None
     cap: int
-    samples: tuple[Fraction, ...]
+    samples: str  # parsed by ``verify``, the only command that reads it
 
 
 def _parse_perm_or_word(text: str, n: int):
@@ -218,9 +217,12 @@ def cmd_blueprint(cfg: RunConfig, lbl: OrbitLabel, word: tuple[int, ...]) -> tup
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
     """Self-check suites for one context; any failure exits nonzero."""
+    from fractions import Fraction
+
     from . import checks
 
-    suites, singular_orbital = checks.run_suites(cfg.ctx, cfg.cap, cfg.samples)
+    samples = tuple(Fraction(part) for part in cfg.samples.split(",") if part)
+    suites, singular_orbital = checks.run_suites(cfg.ctx, cfg.cap, samples)
     lines = [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in suites]
     lines += [_tangent_report(cfg.ctx, lbl).rstrip("\n") for lbl in singular_orbital]
     status = EXIT_OK if all(ok for _, ok, _ in suites) else EXIT_VERIFICATION
@@ -286,16 +288,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         ctx = Context(args.n, args.k)
-        samples = tuple(
-            Fraction(part) for part in str(args.samples).split(",") if part
-        )
         default_fmt = "dot" if args.command == "hasse" else "table"
         cfg = RunConfig(
             ctx=ctx,
             fmt=args.fmt or default_fmt,
             out=args.out,
             cap=args.cap,
-            samples=samples,
+            samples=args.samples,
         )
         _, handler = COMMANDS[args.command]
         code, text = handler(cfg, args)

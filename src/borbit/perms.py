@@ -15,7 +15,6 @@ rightmost letter acts first on points.
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -54,7 +53,7 @@ def compose(p: Perm, q: Perm) -> Perm:
     """
     if len(p) != len(q):
         raise ValueError(f"size mismatch: {len(p)} vs {len(q)}")
-    return tuple(p[v - 1] for v in q)
+    return tuple([p[v - 1] for v in q])
 
 
 def inverse(p: Perm) -> Perm:
@@ -137,10 +136,17 @@ def reduced_word(p: Perm) -> Word:
 
 
 def bruhat_leq(u: Perm, w: Perm) -> bool:
-    """Bruhat order via prefix dominance.
+    """Bruhat order by the rank-matrix criterion (Bjoerner-Brenti,
+    *Combinatorics of Coxeter Groups*, Thm 2.1.5): ``u <= w`` iff
+    ``#{a <= i : u(a) >= j} <= #{a <= i : w(a) >= j}`` for all ``i, j``.
 
-    ``u <= w`` iff for every ``i`` the sorted initial values
-    ``{u(1), ..., u(i)}`` are entrywise at most ``{w(1), ..., w(i)}``.
+    For one ``i`` this is sorted-prefix dominance, ``sorted(u(1..i)) <=
+    sorted(w(1..i))`` entrywise: if the ``t``-th largest of ``u(1..i)`` is
+    ``>= j``, so are the ``t`` largest of ``w(1..i)``; conversely take
+    ``j`` to be that ``t``-th largest value.  ``diff[j]`` is the second
+    count minus the first for the current prefix; appending ``u(i)`` and
+    ``w(i)`` raises it by one on ``(u(i), w(i)]`` or lowers it on
+    ``(w(i), u(i)]``, and the answer is False once an entry would go below 0.
 
     >>> bruhat_leq((2, 1, 3, 4), (3, 1, 4, 2))
     True
@@ -151,13 +157,16 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
         raise ValueError(f"size mismatch: {len(u)} vs {len(w)}")
     if u == w:
         return True
-    su: list[int] = []
-    sw: list[int] = []
-    for i in range(len(u) - 1):
-        insort(su, u[i])
-        insort(sw, w[i])
-        if any(a > b for a, b in zip(su, sw)):
-            return False
+    diff = [0] * (len(u) + 1)
+    for a, b in zip(u, w):
+        if a < b:
+            for j in range(a + 1, b + 1):
+                diff[j] += 1
+        elif a > b:
+            for j in range(b + 1, a + 1):
+                if not diff[j]:
+                    return False
+                diff[j] -= 1
     return True
 
 

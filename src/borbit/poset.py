@@ -2,7 +2,7 @@
 
 One orbit closure contains another exactly when some member of the smaller
 label's coset lies below the bigger label's product permutation in Bruhat
-order.  ``leq`` implements that test with the prefix-dominance comparison;
+order.  ``leq`` implements that test with the rank-matrix comparison;
 ``leq_oracle`` recomputes it independently from subword enumeration.
 
 The Hasse graph takes all of its edges from the left action of the simple

@@ -6,17 +6,16 @@ each value is a nonzero :class:`fractions.Fraction`, and no zero is ever
 stored, so equal matrices have equal dicts.  The matrices of the curve and
 geometry checks (base points, curve coefficients, ``I + t E_ji``,
 reflections, representatives) have O(n) nonzero entries, and products,
-sums and the triangularity tests touch only those.  Rank is computed by
-fraction-free (Bareiss) elimination on an integer-scaled dense view, so
-no floating point appears anywhere.  Constructors for elementary matrices
-use the usual 1-indexed convention: ``elementary(n, r, s)`` is the matrix
-with a single 1 in row ``r``, column ``s``.
+sums, the triangularity tests and rank touch only those.  Rank is
+computed by Gaussian elimination with ``Fraction`` pivots on the sparse
+rows, so no floating point appears anywhere.  Constructors for elementary
+matrices use the usual 1-indexed convention: ``elementary(n, r, s)`` is
+the matrix with a single 1 in row ``r``, column ``s``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -27,8 +26,8 @@ _ZERO = Fraction(0)
 
 class RationalMatrix:
     """A rectangular matrix of Fractions, hashable and immutable, stored as
-    ``entries``, the read-only dict of its nonzero entries; ``rows`` is a
-    dense view built on demand.
+    ``entries``, the read-only dict of its nonzero entries, which
+    arithmetic and ``rank`` read; ``rows`` is a dense view built on demand.
 
     >>> a = RationalMatrix([[0, 1], [1, 0]])
     >>> (a * a) == RationalMatrix.matrix_identity(2)
@@ -215,35 +214,32 @@ class RationalMatrix:
         return tuple(a for row in self.rows for a in row)
 
     def rank(self) -> int:
-        """Exact rank by fraction-free elimination on the dense view.
-
-        Rows are first scaled to integers (rank-preserving), then reduced by
-        Bareiss' two-by-two determinant rule, whose divisions are exact over
-        the integers.
+        """Exact rank by Gaussian elimination over the rationals on the
+        stored entries.  Each row, a dict of its nonzero entries, is reduced
+        against the echelon rows kept by leading (smallest) column, scaled
+        to a leading 1: subtracting ``row[lead]`` times the kept row clears
+        the lead and adds nothing left of it, so the lead strictly rises.
+        A row that keeps an entry joins the echelon; the rank is its size.
         """
-        m = []
-        for row in self.rows:
-            scale = lcm(*(a.denominator for a in row))
-            m.append([int(a * scale) for a in row])
-        nrows, ncols = len(m), len(m[0])
-        rank = 0
-        prev = 1
-        for col in range(ncols):
-            pivot = next(
-                (i for i in range(rank, nrows) if m[i][col] != 0), None
-            )
-            if pivot is None:
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            for i in range(rank + 1, nrows):
-                for j in range(col + 1, ncols):
-                    m[i][j] = (m[i][j] * m[rank][col] - m[i][col] * m[rank][j]) // prev
-                m[i][col] = 0
-            prev = m[rank][col]
-            rank += 1
-            if rank == nrows:
-                break
-        return rank
+        rows: dict[int, dict[int, Fraction]] = {}
+        for (r, s), a in self.entries.items():
+            rows.setdefault(r, {})[s] = a
+        echelon: dict[int, dict[int, Fraction]] = {}
+        for row in rows.values():
+            while row:
+                lead = min(row)
+                kept = echelon.get(lead)
+                if kept is None:
+                    echelon[lead] = {s: a / row[lead] for s, a in row.items()}
+                    break
+                factor = row[lead]
+                for s, a in kept.items():
+                    value = row.get(s, _ZERO) - factor * a
+                    if value:
+                        row[s] = value
+                    else:
+                        del row[s]
+        return len(echelon)
 
 
 def format_matrix(m: RationalMatrix) -> str:

@@ -1,0 +1,58 @@
+"""The self-check suites, called directly: each comes back in its fixed
+order and passes, and a planted fault in a checked fast path fails it."""
+
+import pytest
+
+from borbit import checks, poset
+from borbit.atlas import Context, enumerate_labels
+from borbit.geometry import DEFAULT_SAMPLES
+from borbit.ratmat import RationalMatrix
+
+SUITE_NAMES = [
+    "label-count",
+    "minimal-representatives",
+    "representative-matrices",
+    "involution-bijection",
+    "orbital-varieties",
+    "closure-order-oracle",
+    "curves",
+    "tangent-span",
+    "hasse",
+    "verdicts",
+]
+
+
+def outcomes(ctx):
+    suites, _ = checks.run_suites(ctx, 8, DEFAULT_SAMPLES)
+    return {name: ok for name, ok, _ in suites}, [name for name, _, _ in suites]
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 1)])
+def test_every_suite_runs_in_order_and_passes(n, k):
+    ok, names = outcomes(Context(n, k))
+    assert names == SUITE_NAMES
+    assert all(ok.values())
+
+
+@pytest.mark.parametrize("position", [0, 37, 71, 143])
+def test_a_flipped_closure_answer_fails_the_pair_suite(monkeypatch, position):
+    """Any one pair of the 12^2 at (4,2), the last one included."""
+    ctx = Context(4, 2)
+    labels = enumerate_labels(ctx)
+    target = (labels[position // len(labels)], labels[position % len(labels)])
+    real = poset.leq
+
+    def flipped(ctx, a, b):
+        return real(ctx, a, b) != ((a, b) == target)
+
+    monkeypatch.setattr(poset, "leq", flipped)
+    ok, _ = outcomes(ctx)
+    assert not ok["closure-order-oracle"]
+    assert ok["label-count"] and ok["minimal-representatives"]
+
+
+def test_an_off_by_one_rank_fails_the_representative_suite(monkeypatch):
+    real = RationalMatrix.rank
+    monkeypatch.setattr(RationalMatrix, "rank", lambda self: real(self) + 1)
+    ok, _ = outcomes(Context(4, 2))
+    assert not ok["representative-matrices"]

@@ -287,3 +287,12 @@ def test_custom_samples_flag(capsys):
     )
     assert code == EXIT_OK
     assert "curves: 5 roots x 4 samples" in out
+
+
+def test_only_verify_reads_the_samples_flag(capsys):
+    for bad in ("abc", "1/0"):
+        code, out, err = run(capsys, "--n", "4", "--k", "2", "--samples", bad, "verify")
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err.startswith("error: ")
+    code, out, _ = run(capsys, "--n", "4", "--k", "2", "--samples", "abc", "order", "sigma=id", "sigma=s2")
+    assert code == EXIT_OK and out.startswith("true")

@@ -68,3 +68,10 @@ def test_no_command_loads_dataclasses(loaded):
 def test_import_borbit_loads_no_submodule():
     mods = modules_after("import sys, borbit; print(*sorted(sys.modules), file=sys.stderr)")
     assert {name for name in mods if name.startswith("borbit.")} == set()
+
+
+def test_cli_order_and_enumerate_load_no_fractions(loaded):
+    mods = modules_after("import sys, borbit.cli; print(*sorted(sys.modules), file=sys.stderr)")
+    assert not {"fractions", "decimal", "numbers"} & mods
+    assert not {"fractions", "decimal", "numbers"} & (loaded["order"] | loaded["enumerate"])
+    assert "fractions" in loaded["verify"]

@@ -1,6 +1,8 @@
 """Permutation engine: conventions, reduced words, Bruhat order, patterns."""
 
 import doctest
+import random
+from bisect import insort
 
 import pytest
 
@@ -132,6 +134,44 @@ def test_subword_oracle_agrees_exhaustively_small():
         for u in all_perms(n):
             for w in all_perms(n):
                 assert bruhat_leq(u, w) == bruhat_leq_oracle(u, w)
+
+
+def test_bruhat_leq_matches_the_subword_oracle_on_all_of_s5():
+    perms5 = list(all_perms(5))
+    pairs = [(u, w) for u in perms5 for w in perms5]
+    assert len(pairs) == 14400
+    assert all(bruhat_leq(u, w) == bruhat_leq_oracle(u, w) for u, w in pairs)
+
+
+def sorted_prefix_leq(u, w):
+    """Prefix dominance: ``u <= w`` iff each sorted prefix of ``u`` is
+    entrywise at most the sorted prefix of ``w`` of the same length."""
+    su, sw = [], []
+    for a, b in zip(u, w):
+        insort(su, a)
+        insort(sw, b)
+        if any(x > y for x, y in zip(su, sw)):
+            return False
+    return True
+
+
+def test_bruhat_leq_matches_sorted_prefix_dominance_at_larger_n():
+    rng = random.Random(20261018)
+    seen = {True: 0, False: 0}
+    for n in range(9, 13):
+        for _ in range(300):
+            w = tuple(rng.sample(range(1, n + 1), n))
+            u = list(w)
+            for _ in range(rng.randint(0, 4)):  # a few swaps keep many pairs comparable
+                i, j = sorted(rng.sample(range(n), 2))
+                u[i], u[j] = u[j], u[i]
+            u = tuple(u) if rng.random() < 0.7 else tuple(rng.sample(range(1, n + 1), n))
+            answer = bruhat_leq(u, w)
+            assert answer == sorted_prefix_leq(u, w)
+            seen[answer] += 1
+    assert min(seen.values()) > 100
+    with pytest.raises(ValueError):
+        bruhat_leq((1, 2, 3), (1, 2))
 
 
 def test_lower_interval_is_the_down_set():

@@ -150,6 +150,37 @@ def test_rank_matches_gaussian_elimination_on_random_matrices():
         assert RationalMatrix(mat.rows + mat.rows).rank() == mat.rank()
 
 
+def test_rank_matches_gaussian_elimination_on_sparse_matrices():
+    """Mostly zero entries, zero rows and dependent rows, which the dense
+    random matrices above almost never have."""
+    rng = random.Random(20261018)
+    shapes = [(1, m) for m in range(1, 9)] + [(m, 1) for m in range(1, 9)]
+    shapes += [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(300)]
+    deficient = 0
+    for nrows, ncols in shapes:
+        rows = [
+            [
+                Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.25 else 0
+                for _ in range(ncols)
+            ]
+            for _ in range(nrows)
+        ]
+        for r in range(nrows):
+            draw = rng.random()
+            if draw < 0.15:
+                rows[r] = [0] * ncols
+            elif draw < 0.35 and r >= 2:  # a combination of two earlier rows
+                a, b = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3))
+                rows[r] = [a * x + b * y for x, y in zip(rows[r - 1], rows[r - 2])]
+        rng.shuffle(rows)
+        mat = RationalMatrix(rows)
+        expected = gauss_rank(rows)
+        assert mat.rank() == expected
+        assert mat.transpose().rank() == expected
+        deficient += expected < min(nrows, ncols)
+    assert deficient > 100
+
+
 def test_rank_of_products_never_exceeds_factors():
     rng = random.Random(7)
     for _ in range(40):

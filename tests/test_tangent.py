@@ -270,7 +270,8 @@ def test_borel_stabiliser_basis_spans_the_upper_centraliser():
 
 def dense_bracket_span(ctx, lbl):
     """Reference for ``bk_span``: the same closure with dense commutators,
-    a candidate kept when it raises the Bareiss rank of the kept ones."""
+    a candidate kept when it raises the ``RationalMatrix.rank`` (Gaussian
+    elimination over the rationals) of the kept ones."""
     n = ctx.n
     borel = [RationalMatrix.from_entries(n, b) for b in borel_stabiliser_basis(ctx)]
     seeds = [RationalMatrix.elementary(n, r, s) for r, s in base_orbit_tangent_positions(ctx)]
