@@ -12,7 +12,7 @@ and a public name imports its module on first use.
 _EXPORTS = {
     "atlas": (
         "Context", "OrbitCoset", "OrbitLabel", "OrientedLinkPattern", "TwoColumnTableau",
-        "coset_of", "coset_reps", "dim_orbit", "dim_y0", "dimension", "enumerate_labels",
+        "coset_of", "dim_orbit", "dim_y0", "dimension", "enumerate_labels",
         "involution_tau", "is_orbital_variety", "is_upper_label", "label", "label_of",
         "label_perm", "link_pattern", "min_length_reps", "rep_matrix", "tableau",
     ),

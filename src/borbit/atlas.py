@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -165,7 +165,7 @@ def paired_subgroup(ctx: Context) -> tuple[Perm, ...]:
 
 def coset_of(ctx: Context, w: Perm) -> OrbitCoset:
     """All k!(n-2k)! members of ``w H``: the independent oracle for
-    ``label_of`` and ``coset_reps``."""
+    ``label_of``."""
     if len(w) != ctx.n:
         raise ValueError(f"size mismatch: got {len(w)}, context has n={ctx.n}")
     return OrbitCoset(tuple(sorted(compose(w, h) for h in paired_subgroup(ctx))))
@@ -176,47 +176,25 @@ def min_length_reps(coset: OrbitCoset) -> tuple[Perm, ...]:
     return tuple(m for m in coset.members if length(m) == shortest)
 
 
-def _pairs_and_middle(ctx: Context, w: Perm) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
-    """The k value pairs ``(w(j), w(n-k+j))`` and the sorted middle values.
-
-    Right multiplication by ``H`` permutes the pairs among the outer
-    positions and the middle values among the middle positions, so these
-    two sets determine the coset ``w H``.
-    """
-    if len(w) != ctx.n:
-        raise ValueError(f"size mismatch: got {len(w)}, context has n={ctx.n}")
-    n, k = ctx.n, ctx.k
-    pairs = [(w[j], w[n - k + j]) for j in range(k)]
-    return pairs, tuple(sorted(w[k : n - k]))
-
-
 def label_of(ctx: Context, w: Perm) -> OrbitLabel:
     """The unique label whose product lies in the coset ``w H``.
 
+    Right multiplication by ``H`` permutes the value pairs
+    ``(w(j), w(n-k+j))`` among the outer positions and the middle values
+    among the middle positions, so these two sets determine the coset.
     The member with the pairs ordered by last-block value and the middle
     sorted is increasing on the last two blocks, so it is ``sigma alpha``
     for the ``sigma`` that sorts its first block as well.
     """
-    pairs, middle = _pairs_and_middle(ctx, w)
-    pairs.sort(key=lambda pair: pair[1])
+    if len(w) != ctx.n:
+        raise ValueError(f"size mismatch: got {len(w)}, context has n={ctx.n}")
+    n, k = ctx.n, ctx.k
+    pairs = sorted(((w[j], w[n - k + j]) for j in range(k)), key=lambda pair: pair[1])
     first = [a for a, _ in pairs]
     low = sorted(first)
-    sigma = tuple(low) + middle + tuple(b for _, b in pairs)
-    alpha = tuple(low.index(a) + 1 for a in first) + tuple(range(ctx.k + 1, ctx.n + 1))
+    sigma = tuple(low) + tuple(sorted(w[k : n - k])) + tuple(b for _, b in pairs)
+    alpha = tuple(low.index(a) + 1 for a in first) + tuple(range(k + 1, n + 1))
     return OrbitLabel(sigma, alpha)
-
-
-def coset_reps(ctx: Context, w: Perm) -> Iterator[Perm]:
-    """The k! members of ``w H`` whose middle block increases, generated
-    lazily in lexicographic order (the first-block values are distinct, so
-    ordering the sorted pairs orders the members); ``permutations`` of the
-    first- and last-block values run in step, keeping each pair together."""
-    pairs, middle = _pairs_and_middle(ctx, w)
-    first, last = zip(*sorted(pairs)) if pairs else ((), ())
-    return (
-        head + middle + tail
-        for head, tail in zip(itertools.permutations(first), itertools.permutations(last))
-    )
 
 
 @lru_cache(maxsize=None)

@@ -84,13 +84,18 @@ def run_suites(
     for i, j in sorted(g.covers, key=lambda cover: g.dims[cover[1]]):
         generated[j] |= generated[i]
     # ``poset.leq_oracle`` from one coset and one subword interval per label
+    # (a reduced word has at most n(n-1)/2 letters, and ``enumerate_labels``
+    # has admitted ``n``); a witness in both sets proves the oracle's answer true
     members = [frozenset(coset.members) for coset in cosets]
-    intervals = [lower_interval(w) for w in products]
-    ok = all(
-        (not members[i].isdisjoint(intervals[j])) == poset.leq(ctx, a, b) == (i in generated[j])
-        for i, a in enumerate(labels)
-        for j, b in enumerate(labels)
-    )
+    intervals = [lower_interval(w, ctx.n * (ctx.n - 1) // 2) for w in products]
+
+    def agrees(i: int, j: int) -> bool:
+        witness = poset.leq_witness(ctx, labels[i], labels[j])
+        if witness is None:
+            return members[i].isdisjoint(intervals[j]) and i not in generated[j]
+        return witness in members[i] and witness in intervals[j] and i in generated[j]
+
+    ok = all(agrees(i, j) for i in range(len(labels)) for j in range(len(labels)))
     suites.append(("closure-order-oracle", ok, f"{len(labels)}^2 ordered pairs"))
 
     bad = 0

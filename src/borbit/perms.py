@@ -112,10 +112,6 @@ def left_descents(p: Perm) -> tuple[int, ...]:
     return tuple(i for i in range(1, len(p)) if pos[i - 1] > pos[i])
 
 
-def right_descents(p: Perm) -> tuple[int, ...]:
-    return tuple(i for i in range(1, len(p)) if p[i - 1] > p[i])
-
-
 def reduced_word(p: Perm) -> Word:
     """Deterministic reduced word, peeling the smallest left descent.
 

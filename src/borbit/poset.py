@@ -2,8 +2,9 @@
 
 One orbit closure contains another exactly when some member of the smaller
 label's coset lies below the bigger label's product permutation in Bruhat
-order.  ``leq`` implements that test with the rank-matrix comparison;
-``leq_oracle`` recomputes it independently from subword enumeration.
+order.  ``leq`` follows for one pair the left-descent recursion that
+``hasse`` runs for all, with a witness from its chain; ``leq_oracle``
+recomputes it independently from subword enumeration.
 
 The Hasse graph takes all of its edges from the left action of the simple
 transpositions on cosets: the covers of the closure order, each flagged if
@@ -13,7 +14,6 @@ the ``alpha`` part fails to be Bruhat-monotone along it, and the weak edges.
 from __future__ import annotations
 
 import json
-import math
 from typing import NamedTuple
 
 from .atlas import (
@@ -21,7 +21,6 @@ from .atlas import (
     ENUMERATION_CAP,
     OrbitLabel,
     coset_of,
-    coset_reps,
     dimension,
     enumerate_labels,
     label_fields,
@@ -31,10 +30,10 @@ from .atlas import (
 )
 from .perms import (
     WORD_LENGTH_CAP,
-    CapExceeded,
     Perm,
     bruhat_leq,
     compose,
+    evaluate_word,
     format_perm,
     left_descents,
     lower_interval,
@@ -48,33 +47,54 @@ def leq(ctx: Context, a: OrbitLabel, b: OrbitLabel) -> bool:
 
 
 def leq_witness(ctx: Context, a: OrbitLabel, b: OrbitLabel) -> Perm | None:
-    """The lexicographically first member of ``a``'s coset lying below
-    ``label_perm(b)``, or None; only the k! middle-sorted members are tried.
+    """A member of ``a``'s coset below ``w_b = label_perm(b)``, or None: the
+    descent recursion of ``hasse``, followed for one pair.
 
-    Proof that they suffice.  Permuting the middle positions
-    ``k+1..n-k`` is the standard parabolic subgroup ``W_J`` with
-    ``J = {s_(k+1), ..., s_(n-k-1)}``, which lies in ``H``, so every coset
-    member ``m`` has ``m W_J`` inside the coset.  Sorting the middle of
-    ``m`` gives the minimal element of ``m W_J``, which is below ``m`` in
-    Bruhat order and also lexicographically (it agrees with ``m`` before
-    the middle and is the least arrangement of the middle values).  Hence
-    some member lies below the target iff a middle-sorted one does, and
-    the lexicographically first such member is itself middle-sorted:
-    scanning ``coset_reps`` in order finds the witness the full coset
-    would.
-
-    The scan is bounded: after ``8!`` members (``|S_8|``, from
-    ``ENUMERATION_CAP``) without a witness it raises ``CapExceeded``, so
-    for ``k >= 9`` a query answers at its first witness or gives up.
+    With ``s = s_i`` the first left descent of ``w_b``, ``hasse`` proves
+    ``a <= b`` iff ``a <= b'`` or ``s·a <= b'``, where ``s w_b`` is the
+    label product of ``b'``.  The label product ``u`` of ``a`` is of
+    minimal length in its coset, and ``s`` changes only the comparison of
+    the values ``i`` and ``i+1``, so ``s·a = a`` if both lie in the middle
+    block; else the minimal length moves by one, through their inversion
+    across blocks or the opposition of their pairs inside one.  ``s·a`` is
+    lower exactly when ``i+1`` precedes ``i`` in ``u`` (then ``s u < u``
+    is the label product of ``s·a``) or both lie in the last block at
+    pairs ``(x, i)``, ``(x', i+1)`` with ``x > x'`` (swapping ``x`` and
+    ``x'`` in ``u`` removes one inversion and gives that label product).
+    So the lower coset ``c`` of ``a``, ``s·a`` has a member below the
+    label product of the higher (for ``c = a`` read the cases from
+    ``s·a``), hence ``c`` lies below both, and ``a <= b`` iff ``c <= b'``.
+    At ``w_b = e`` only the base, of product ``e``, is below.  Witness:
+    ``sw < w`` and ``m <= sw`` give ``s m <= w`` (lifting property,
+    Bjoerner-Brenti Prop. 2.2.7), so walking back from ``e`` multiplies by
+    each ``s`` at which ``c`` moved, in order.  ``s w_b`` changes only the
+    descents at ``i-1``, ``i``, ``i+1``: the next scan resumes at ``i-1``.
     """
-    target = label_perm(b)
-    budget = math.factorial(ENUMERATION_CAP)
-    for scanned, member in enumerate(coset_reps(ctx, label_perm(a))):
-        if scanned == budget:
-            raise CapExceeded(f"no closure witness among the first {budget} coset members")
-        if bruhat_leq(member, target):
-            return member
-    return None
+    n, last = ctx.n, ctx.n - ctx.k
+    u = list(label_perm(a))
+    upos, wpos = [0] * (n + 1), [0] * (n + 1)
+    for p, (v, x) in enumerate(zip(u, label_perm(b))):
+        upos[v], wpos[x] = p, p
+    word, i = [], 1
+    while i < n:
+        p, q = wpos[i], wpos[i + 1]
+        if p < q:
+            i += 1
+            continue
+        wpos[i], wpos[i + 1] = q, p
+        p, q = upos[i], upos[i + 1]
+        if p >= last and q >= last:
+            x, y = u[p - last], u[q - last]
+            if x > y:
+                u[p - last], u[q - last] = y, x
+                upos[x], upos[y] = q - last, p - last
+                word.append(i)
+        elif q < p:
+            u[p], u[q] = i + 1, i
+            upos[i], upos[i + 1] = q, p
+            word.append(i)
+        i = max(i - 1, 1)
+    return evaluate_word(n, word) if u == list(range(1, n + 1)) else None
 
 
 def leq_oracle(

@@ -4,8 +4,9 @@ order and passes, and a planted fault in a checked fast path fails it."""
 import pytest
 
 from borbit import checks, poset
-from borbit.atlas import Context, enumerate_labels
+from borbit.atlas import Context, enumerate_labels, label_perm
 from borbit.geometry import DEFAULT_SAMPLES
+from borbit.perms import bruhat_leq, lower_interval
 from borbit.ratmat import RationalMatrix
 
 SUITE_NAMES = [
@@ -40,15 +41,50 @@ def test_a_flipped_closure_answer_fails_the_pair_suite(monkeypatch, position):
     ctx = Context(4, 2)
     labels = enumerate_labels(ctx)
     target = (labels[position // len(labels)], labels[position % len(labels)])
-    real = poset.leq
+    real = poset.leq_witness
 
     def flipped(ctx, a, b):
-        return real(ctx, a, b) != ((a, b) == target)
+        witness = real(ctx, a, b)
+        if (a, b) != target:
+            return witness
+        return label_perm(a) if witness is None else None
 
-    monkeypatch.setattr(poset, "leq", flipped)
+    monkeypatch.setattr(poset, "leq_witness", flipped)
     ok, _ = outcomes(ctx)
     assert not ok["closure-order-oracle"]
     assert ok["label-count"] and ok["minimal-representatives"]
+
+
+def test_a_witness_above_the_target_fails_the_pair_suite(monkeypatch):
+    """Every answer stays right, but each witness is the label product of
+    ``a``, a coset member that is not always below the target."""
+    ctx = Context(4, 2)
+    labels = enumerate_labels(ctx)
+    real = poset.leq_witness
+
+    def product_witness(ctx, a, b):
+        return None if real(ctx, a, b) is None else label_perm(a)
+
+    assert any(
+        product_witness(ctx, a, b) is not None and not bruhat_leq(label_perm(a), label_perm(b))
+        for a in labels
+        for b in labels
+    )
+    monkeypatch.setattr(poset, "leq_witness", product_witness)
+    ok, _ = outcomes(ctx)
+    assert not ok["closure-order-oracle"]
+    assert ok["label-count"] and ok["minimal-representatives"]
+
+
+def test_every_suite_passes_at_8_2():
+    """The longest label product at (8,2) has 21 inversions; the pair
+    suite's subword intervals take the honest cap n(n-1)/2."""
+    try:
+        ok, names = outcomes(Context(8, 2))
+    finally:
+        lower_interval.cache_clear()  # 840 intervals of S_8: free them for later tests
+    assert names == SUITE_NAMES
+    assert all(ok.values())
 
 
 def test_an_off_by_one_rank_fails_the_representative_suite(monkeypatch):

@@ -1,5 +1,7 @@
 """Closure order on labels, Hasse diagram, weak edges, graph exports."""
 
+import itertools
+import random
 import time
 
 from borbit.atlas import (
@@ -8,6 +10,7 @@ from borbit.atlas import (
     dimension,
     enumerate_labels,
     label,
+    label_of,
     label_perm,
     min_length_reps,
 )
@@ -56,17 +59,64 @@ def test_leq_transitivity():
 
 
 def test_leq_witness_is_a_coset_member_below_the_target():
-    # the witness is the lexicographically first full-coset member below
-    # the target, although only the middle-sorted members are scanned
-    for n, k in [(4, 1), (4, 2), (5, 2), (6, 1), (6, 2)]:
+    # a witness exists iff some member of the full coset lies below the
+    # target, and then it is such a member
+    for n, k in [(4, 1), (4, 2), (5, 2), (6, 1), (6, 2), (6, 3)]:
         ctx = Context(n, k)
         labels = enumerate_labels(ctx)
         for a in labels:
-            members = coset_of(ctx, label_perm(a)).members
+            members = frozenset(coset_of(ctx, label_perm(a)).members)
             for b in labels:
-                below = [m for m in members if bruhat_leq(m, label_perm(b))]
-                assert leq_witness(ctx, a, b) == (below[0] if below else None)
-                assert leq(ctx, a, b) == bool(below)
+                target = label_perm(b)
+                witness = leq_witness(ctx, a, b)
+                if witness is None:
+                    assert not any(bruhat_leq(m, target) for m in members)
+                else:
+                    assert witness in members and bruhat_leq(witness, target)
+                assert leq(ctx, a, b) == (witness is not None)
+
+
+def test_leq_is_the_order_the_covers_generate():
+    contexts = [(n, k) for n in range(1, 7) for k in range(n // 2 + 1)] + [(7, 1), (7, 2)]
+    for n, k in contexts:
+        ctx = Context(n, k)
+        g = hasse(ctx)
+        generated = [{j} for j in range(len(g.labels))]
+        for i, j in sorted(g.covers, key=lambda cover: g.dims[cover[1]]):
+            generated[j] |= generated[i]
+        for i, a in enumerate(g.labels):
+            for j, b in enumerate(g.labels):
+                assert leq(ctx, a, b) == (i in generated[j]), (n, k, a, b)
+
+
+def middle_sorted_members(ctx, w):
+    """The k! members of ``w H`` whose middle block increases: the first-
+    and last-block values of the pairs permuted in step, the middle sorted.
+    Some member of a coset lies below a target iff one of these does
+    (sorting the middle is the minimal element of a parabolic coset of
+    ``W_J``, ``J`` the middle transpositions, inside ``H``)."""
+    n, k = ctx.n, ctx.k
+    pairs = sorted((w[j], w[n - k + j]) for j in range(k))
+    first, last = zip(*pairs) if pairs else ((), ())
+    middle = tuple(sorted(w[k : n - k]))
+    return (
+        head + middle + tail
+        for head, tail in zip(itertools.permutations(first), itertools.permutations(last))
+    )
+
+
+def test_leq_matches_the_middle_sorted_scan_at_large_n():
+    rng = random.Random(9)
+    answers = []
+    for _ in range(1200):
+        n = rng.randint(9, 12)
+        ctx = Context(n, rng.randint(1, 4))
+        a, b = (label_of(ctx, tuple(rng.sample(range(1, n + 1), n))) for _ in range(2))
+        target = label_perm(b)
+        scanned = any(bruhat_leq(m, target) for m in middle_sorted_members(ctx, label_perm(a)))
+        assert leq(ctx, a, b) == scanned, (ctx, a, b)
+        answers.append(scanned)
+    assert 100 <= sum(answers) <= len(answers) - 100  # both answers are common
 
 
 def test_leq_matches_subword_oracle():
