@@ -17,9 +17,9 @@ _EXPORTS = {
         "label_perm", "link_pattern", "min_length_reps", "rep_matrix", "tableau",
     ),
     "geometry": (
-        "Flag", "compatible", "flag_in_schubert", "in_Ck", "incidence_member",
-        "resolution_blueprint", "schubert_conditions", "tangent_independence",
-        "verify_curve", "witness_flag",
+        "CurveSpec", "Flag", "compatible", "curve", "flag_in_schubert", "in_Ck",
+        "incidence_member", "resolution_blueprint", "schubert_conditions",
+        "tangent_independence", "verify_curve", "witness_flag",
     ),
     "perms": (
         "CapExceeded", "Perm", "bruhat_leq", "bruhat_leq_oracle", "compose",
@@ -30,8 +30,8 @@ _EXPORTS = {
     ),
     "ratmat": ("RationalMatrix",),
     "tangent": (
-        "CurveSpec", "Root", "Verdict", "bk_span", "curve", "phi_plus",
-        "phi_plus_restricted", "t_k_set", "tangent_lower_bound", "verdict",
+        "Root", "Verdict", "bk_span", "phi_plus", "phi_plus_restricted",
+        "t_k_set", "tangent_lower_bound", "verdict",
     ),
 }
 

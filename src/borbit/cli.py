@@ -305,11 +305,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    if cfg.out is not None:
+    if cfg.out is None:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(cfg.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     return code
 
 

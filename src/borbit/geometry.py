@@ -3,8 +3,9 @@
 Everything here reduces to exact ranks of concatenated column blocks over
 the rationals: complete-flag compatibility with a square-zero matrix,
 Schubert rank conditions, membership in labelled incidence sets, the
-curve and factorisation identities behind the tangent bookkeeping, and
-blueprints for the Bott-Samelson-style resolutions read off a reduced
+explicit rational curves of the stabiliser roots with the curve and
+factorisation identities that certify ``tangent``'s integer bookkeeping,
+and blueprints for the Bott-Samelson-style resolutions read off a reduced
 word.
 """
 
@@ -17,7 +18,38 @@ from typing import NamedTuple
 from .atlas import Context, OrbitLabel, label_perm
 from .perms import Perm, evaluate_word, is_reduced, length, transposition
 from .ratmat import RationalMatrix
-from .tangent import Root, base_point, curve, full_corner_positions, phi_plus
+from .tangent import DELTA, Root, full_corner_positions, phi_plus, root_tangent
+
+
+class CurveSpec(NamedTuple):
+    """A curve ``t -> constant + t*linear + t^2*quadratic`` in the closure."""
+
+    root: Root
+    constant: RationalMatrix
+    linear: RationalMatrix
+    quadratic: RationalMatrix
+
+    def point(self, t: Fraction | int) -> RationalMatrix:
+        t = Fraction(t)
+        return self.constant + t * self.linear + (t * t) * self.quadratic
+
+
+def base_point(ctx: Context) -> RationalMatrix:
+    """The base matrix ``sum_{r<=k} E_{r, r+n-k}``."""
+    n, k = ctx.n, ctx.k
+    return RationalMatrix.from_entries(n, {(r, r + n - k): 1 for r in range(1, k + 1)})
+
+
+def curve(ctx: Context, rt: Root) -> CurveSpec:
+    """The explicit curve attached to a stabiliser root: linear coefficient
+    from ``tangent.root_tangent``, plus a quadratic term for the DELTA
+    family."""
+    n, k = ctx.n, ctx.k
+    linear = RationalMatrix.from_entries(n, root_tangent(ctx, rt))
+    quadratic = RationalMatrix.zero(n)
+    if rt.family == DELTA:
+        quadratic = -RationalMatrix.elementary(n, rt.i + n - k, rt.i)
+    return CurveSpec(rt, base_point(ctx), linear, quadratic)
 
 
 def is_two_nilpotent_of_rank(m: RationalMatrix, k: int) -> bool:

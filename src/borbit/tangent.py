@@ -1,4 +1,4 @@
-"""Tangent-space bookkeeping and the smoothness verdict rules.
+"""Tangent-space bookkeeping and the smoothness verdict rules, in integers.
 
 For each positive root of the stabiliser of the base point there is an
 explicit curve through the base point inside the orbit closure; its tangent
@@ -9,6 +9,11 @@ reflections' cosets; counting them gives exact tangent dimensions for
 upper labels and lower bounds in general.  A Lie-bracket closure under the
 base-point Borel stabiliser sharpens the lower bound.
 
+All of this is integer data: roots, ``t_k`` counts, and sparse integer
+matrices with entries 0 and +-1 for the tangents and the bracket span.
+The rational curves themselves, and the identities that certify their
+tangents, live in ``geometry``.
+
 The verdict engine applies six rules in order: a pattern criterion for
 rank one, fibration criteria when ``alpha`` is longest or ``sigma`` is
 trivial, the exact tangent count for upper labels, and the two
@@ -17,7 +22,6 @@ tangent-versus-dimension bounds.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Literal, NamedTuple
@@ -40,7 +44,6 @@ from .perms import (
     transposition,
 )
 from .poset import leq, leq_witness
-from .ratmat import RationalMatrix
 
 INSIDE_GLK = "INSIDE_GLK"
 DELTA = "DELTA"
@@ -118,32 +121,13 @@ def phi_plus_restricted(ctx: Context) -> tuple[Root, ...]:
     )
 
 
-class CurveSpec(NamedTuple):
-    """A curve ``t -> constant + t*linear + t^2*quadratic`` in the closure."""
-
-    root: Root
-    constant: RationalMatrix
-    linear: RationalMatrix
-    quadratic: RationalMatrix
-
-    def point(self, t: Fraction | int) -> RationalMatrix:
-        t = Fraction(t)
-        return self.constant + t * self.linear + (t * t) * self.quadratic
-
-
-def base_point(ctx: Context) -> RationalMatrix:
-    """The base matrix ``sum_{r<=k} E_{r, r+n-k}``."""
-    n, k = ctx.n, ctx.k
-    return RationalMatrix.from_entries(n, {(r, r + n - k): 1 for r in range(1, k + 1)})
-
-
 def root_tangent(ctx: Context, rt: Root) -> SparseMatrix:
     """Tangent vector at the base point of the curve of a stabiliser root.
 
     Conjugating the base point by the one-parameter subgroup of the
     negative root gives, per family, this linear coefficient.  It is the
-    one definition of the curve tangents: ``curve`` builds its linear
-    coefficient from it and ``bk_span`` brackets it directly.
+    one definition of the curve tangents: ``geometry.curve`` builds its
+    linear coefficient from it and ``bk_span`` brackets it directly.
     """
     n, k = ctx.n, ctx.k
     if classify_root(ctx, rt.i, rt.j) != rt.family:
@@ -156,17 +140,6 @@ def root_tangent(ctx: Context, rt: Root) -> SparseMatrix:
     if rt.family == MIDDLE_BOTTOM:
         return {(j - n + k, i): -1}
     return {(j, i + n - k): 1}  # INSIDE_GLK and TOP_MIDDLE
-
-
-def curve(ctx: Context, rt: Root) -> CurveSpec:
-    """The explicit curve attached to a stabiliser root: linear coefficient
-    from ``root_tangent``, plus a quadratic term for the DELTA family."""
-    n, k = ctx.n, ctx.k
-    linear = RationalMatrix.from_entries(n, root_tangent(ctx, rt))
-    quadratic = RationalMatrix.zero(n)
-    if rt.family == DELTA:
-        quadratic = -RationalMatrix.elementary(n, rt.i + n - k, rt.i)
-    return CurveSpec(rt, base_point(ctx), linear, quadratic)
 
 
 def root_coset_label(ctx: Context, rt: Root) -> OrbitLabel:

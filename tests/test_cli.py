@@ -290,6 +290,14 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert len(g.labels) == 12 and len(singular) == 3
 
 
+def test_out_into_a_missing_directory_is_bad_input(tmp_path, capsys):
+    target = tmp_path / "missing" / "graph.json"
+    code, out, err = run(capsys, "--n", "4", "--k", "2", "--format", "json", "--out", str(target), "hasse")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
+
+
 def test_custom_samples_flag(capsys):
     code, out, _ = run(
         capsys, "--n", "4", "--k", "2", "--samples", "1,5,-7,2/9", "verify"

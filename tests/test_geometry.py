@@ -15,6 +15,7 @@ from borbit.atlas import (
 from borbit.geometry import (
     DEFAULT_SAMPLES,
     Flag,
+    base_point,
     blueprint_to_json,
     compatible,
     flag_in_schubert,
@@ -31,7 +32,7 @@ from borbit.geometry import (
 )
 from borbit.perms import all_perms, bruhat_leq, identity, reduced_word
 from borbit.ratmat import RationalMatrix, parse_matrix
-from borbit.tangent import Root, DELTA, base_point, phi_plus, root
+from borbit.tangent import Root, DELTA, phi_plus, root
 
 CTX42 = Context(4, 2)
 ID4 = identity(4)

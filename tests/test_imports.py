@@ -1,12 +1,15 @@
 """Cold start: each command, run in a fresh interpreter, imports only the
 layers it runs."""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import borbit
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PROBE = (
@@ -53,10 +56,11 @@ def test_order_loads_no_tangent_geometry_or_matrices(loaded):
 
 
 def test_only_verify_and_blueprint_load_geometry(loaded):
-    assert {name for name, mods in loaded.items() if "borbit.geometry" in mods} == {
-        "verify",
-        "blueprint",
-    }
+    for module in ("borbit.geometry", "borbit.ratmat"):
+        assert {name for name, mods in loaded.items() if module in mods} == {
+            "verify",
+            "blueprint",
+        }, module
     assert {name for name, mods in loaded.items() if "borbit.checks" in mods} == {"verify"}
 
 
@@ -75,3 +79,28 @@ def test_cli_order_and_enumerate_load_no_fractions(loaded):
     assert not {"fractions", "decimal", "numbers"} & mods
     assert not {"fractions", "decimal", "numbers"} & (loaded["order"] | loaded["enumerate"])
     assert "fractions" in loaded["verify"]
+
+
+RATIONALS = {"borbit.ratmat", "fractions", "decimal", "numbers"}
+
+
+def test_tangent_layer_commands_load_no_rationals(loaded):
+    for name in ("hasse", "smooth", "tangent", "springer"):
+        assert "borbit.tangent" in loaded[name]
+        assert not RATIONALS & loaded[name], name
+
+
+def test_import_tangent_loads_no_rationals():
+    mods = modules_after("import sys, borbit.tangent; print(*sorted(sys.modules), file=sys.stderr)")
+    assert "borbit.tangent" in mods
+    assert not {"borbit.ratmat", "fractions"} & mods
+
+
+@pytest.mark.parametrize("name", borbit.__all__)
+def test_every_export_is_its_module_attribute(name):
+    value = getattr(borbit, name)
+    if name in borbit._EXPORTS:
+        assert value is importlib.import_module(f"borbit.{name}")
+    else:
+        module = importlib.import_module(f"borbit.{borbit._MODULE_OF[name]}")
+        assert value is getattr(module, name)

@@ -11,6 +11,7 @@ from borbit.atlas import (
     label,
     label_perm,
 )
+from borbit.geometry import base_point, curve
 from borbit.perms import identity
 from borbit.poset import leq
 from borbit.ratmat import RationalMatrix
@@ -22,12 +23,10 @@ from borbit.tangent import (
     TOP_MIDDLE,
     Root,
     base_orbit_tangent_positions,
-    base_point,
     bk_span,
     borel_stabiliser_basis,
     bracket,
     classify_root,
-    curve,
     full_corner_positions,
     o_k,
     omega_k,
