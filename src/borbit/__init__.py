@@ -19,7 +19,7 @@ _EXPORTS = {
     "geometry": (
         "CurveSpec", "Flag", "compatible", "curve", "flag_in_schubert", "in_Ck",
         "incidence_member", "resolution_blueprint", "schubert_conditions",
-        "tangent_independence", "verify_curve", "witness_flag",
+        "verify_curve", "witness_flag",
     ),
     "perms": (
         "CapExceeded", "Perm", "bruhat_leq", "bruhat_leq_oracle", "compose",

@@ -19,7 +19,6 @@ with the involutions having exactly ``k`` two-cycles.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections.abc import Mapping
 from functools import lru_cache
@@ -358,13 +357,3 @@ def label_fields(lbl: OrbitLabel) -> dict[str, str]:
 def label_from_fields(ctx: Context, fields: Mapping[str, str]) -> OrbitLabel:
     """Inverse of ``label_fields``, validated by ``label``."""
     return label(ctx, parse_perm(fields["sigma"], ctx.n), parse_perm(fields["alpha"], ctx.n))
-
-
-def label_to_json(ctx: Context, lbl: OrbitLabel) -> str:
-    return json.dumps({"n": ctx.n, "k": ctx.k, **label_fields(lbl)})
-
-
-def label_from_json(text: str) -> tuple[Context, OrbitLabel]:
-    data = json.loads(text)
-    ctx = Context(int(data["n"]), int(data["k"]))
-    return ctx, label_from_fields(ctx, data)

@@ -111,7 +111,7 @@ def run_suites(
     stack_rank = geometry.tangent_stack_rank(ctx)
     suites.append((
         "tangent-span",
-        geometry.tangent_independence(ctx),
+        stack_rank == atlas.dim_orbit(ctx),
         f"rank {stack_rank}, orbit dimension {atlas.dim_orbit(ctx)}",
     ))
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import NamedTuple
 
@@ -138,14 +139,14 @@ def _tangent_report(ctx: Context, lbl: OrbitLabel) -> str:
 
     lines = [f"# tangent data for {_label_str(lbl)}  (n={ctx.n} k={ctx.k})"]
     table = tangent.t_k_table(ctx, lbl)
-    for rt, in_tk, kept, witness in table:
-        status = "in " if in_tk else "out"
-        phi_n = "yes" if kept else "no "
-        wit = format_perm(witness) if witness is not None else "-"
+    kept = set(tangent.phi_plus_restricted(ctx))
+    for rt, witness in table:
+        status, wit = ("out", "-") if witness is None else ("in ", format_perm(witness))
+        phi_n = "yes" if rt in kept else "no "
         lines.append(
             f"  ({rt.i},{rt.j})  {rt.family:<13} phi_n={phi_n} t_k={status}  witness={wit}"
         )
-    roots = tuple(rt for rt, in_tk, _, _ in table if in_tk)
+    roots = tuple(rt for rt, witness in table if witness is not None)
     bound = atlas.dim_y0(ctx) + len(roots)
     lines.append(f"  |t_k| = {len(roots)} of {len(table)} roots")
     lines.append(f"  tangent lower bound = {bound}")
@@ -296,6 +297,8 @@ def main(argv: list[str] | None = None) -> int:
             cap=args.cap,
             samples=args.samples,
         )
+        if cfg.out is not None and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+            raise ValueError(f"cannot write {cfg.out}: no such directory")
         _, handler = COMMANDS[args.command]
         code, text = handler(cfg, args)
     except CapExceeded as exc:

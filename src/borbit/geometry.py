@@ -261,12 +261,6 @@ def tangent_stack_rank(ctx: Context) -> int:
     return RationalMatrix(rows).rank()
 
 
-def tangent_independence(ctx: Context) -> bool:
-    """Do the corner positions plus all curve tangents span a space of
-    dimension exactly 2k(n-k)?"""
-    return tangent_stack_rank(ctx) == 2 * ctx.k * (ctx.n - ctx.k)
-
-
 class ResolutionBlueprint(NamedTuple):
     """Flag-chain data for a Bott-Samelson-style resolution.
 

@@ -115,19 +115,26 @@ def left_descents(p: Perm) -> tuple[int, ...]:
 def reduced_word(p: Perm) -> Word:
     """Deterministic reduced word, peeling the smallest left descent.
 
+    ``i`` is a left descent when the value ``i+1`` precedes ``i``.  Peeling
+    ``s_i`` swaps their positions and changes only the descents at ``i-1``,
+    ``i`` and ``i+1``, so with none below ``i`` the next scan resumes at
+    ``i-1``: O(n + length) steps in all.
+
     >>> reduced_word((3, 4, 1, 2))
     (2, 1, 3, 2)
     >>> evaluate_word(4, reduced_word((3, 4, 1, 2)))
     (3, 4, 1, 2)
     """
     n = len(p)
-    word = []
-    q = p
-    ident = identity(n)
-    while q != ident:
-        i = left_descents(q)[0]
+    pos = [0, *inverse(p)]  # pos[v] is the place of v; the 0 in front is no descent
+    word, i = [], 1
+    while i < n:
+        if pos[i] < pos[i + 1]:
+            i += 1
+            continue
+        pos[i], pos[i + 1] = pos[i + 1], pos[i]
         word.append(i)
-        q = compose(simple(n, i), q)
+        i -= 1
     return tuple(word)
 
 

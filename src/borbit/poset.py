@@ -31,12 +31,14 @@ from .atlas import (
 from .perms import (
     WORD_LENGTH_CAP,
     Perm,
+    Word,
     bruhat_leq,
     compose,
     evaluate_word,
     format_perm,
     left_descents,
     lower_interval,
+    reduced_word,
     simple,
 )
 
@@ -48,53 +50,57 @@ def leq(ctx: Context, a: OrbitLabel, b: OrbitLabel) -> bool:
 
 def leq_witness(ctx: Context, a: OrbitLabel, b: OrbitLabel) -> Perm | None:
     """A member of ``a``'s coset below ``w_b = label_perm(b)``, or None: the
-    descent recursion of ``hasse``, followed for one pair.
+    descent recursion of ``hasse``, followed for one pair by ``descend``.
 
-    With ``s = s_i`` the first left descent of ``w_b``, ``hasse`` proves
-    ``a <= b`` iff ``a <= b'`` or ``s·a <= b'``, where ``s w_b`` is the
-    label product of ``b'``.  The label product ``u`` of ``a`` is of
-    minimal length in its coset, and ``s`` changes only the comparison of
-    the values ``i`` and ``i+1``, so ``s·a = a`` if both lie in the middle
-    block; else the minimal length moves by one, through their inversion
-    across blocks or the opposition of their pairs inside one.  ``s·a`` is
-    lower exactly when ``i+1`` precedes ``i`` in ``u`` (then ``s u < u``
-    is the label product of ``s·a``) or both lie in the last block at
-    pairs ``(x, i)``, ``(x', i+1)`` with ``x > x'`` (swapping ``x`` and
-    ``x'`` in ``u`` removes one inversion and gives that label product).
-    So the lower coset ``c`` of ``a``, ``s·a`` has a member below the
-    label product of the higher (for ``c = a`` read the cases from
-    ``s·a``), hence ``c`` lies below both, and ``a <= b`` iff ``c <= b'``.
-    At ``w_b = e`` only the base, of product ``e``, is below.  Witness:
-    ``sw < w`` and ``m <= sw`` give ``s m <= w`` (lifting property,
-    Bjoerner-Brenti Prop. 2.2.7), so walking back from ``e`` multiplies by
-    each ``s`` at which ``c`` moved, in order.  ``s w_b`` changes only the
-    descents at ``i-1``, ``i``, ``i+1``: the next scan resumes at ``i-1``.
+    With ``s = s_i`` the first letter of a reduced word of ``w_b``,
+    ``hasse`` proves ``a <= b`` iff ``a <= b'`` or ``s·a <= b'``, where
+    ``s w_b`` is the label product of ``b'``.  The label product ``u`` of
+    ``a`` is of minimal length in its coset, and ``s`` changes only the
+    comparison of the values ``i`` and ``i+1``, so ``s·a = a`` if both lie
+    in the middle block; else the minimal length moves by one, through
+    their inversion across blocks or the opposition of their pairs inside
+    one.  ``s·a`` is lower exactly when ``i+1`` precedes ``i`` in ``u``
+    (then ``s u < u`` is the label product of ``s·a``) or both lie in the
+    last block at pairs ``(x, i)``, ``(x', i+1)`` with ``x > x'`` (swapping
+    ``x`` and ``x'`` in ``u`` removes one inversion and gives that label
+    product).  So the lower coset ``c`` of ``a``, ``s·a`` has a member
+    below the label product of the higher (for ``c = a`` read the cases
+    from ``s·a``), hence ``c`` lies below both, and ``a <= b`` iff
+    ``c <= b'``.  At ``w_b = e`` only the base, of product ``e``, is below.
+    Witness: ``sw < w`` and ``m <= sw`` give ``s m <= w`` (lifting
+    property, Bjoerner-Brenti Prop. 2.2.7), so walking back from ``e``
+    multiplies by each ``s`` at which ``c`` moved, in order.
+
+    Any reduced word of ``w_b`` will do: each letter is a left descent of
+    what the letters before it leave, and ``s w`` is a label product
+    whenever ``s`` is a left descent of one, as ``hasse`` shows.
     """
+    return descend(ctx, label_perm(a), reduced_word(label_perm(b)))
+
+
+def descend(ctx: Context, u: Perm, word: Word) -> Perm | None:
+    """Walk the coset of label product ``u`` down ``word``, a reduced word
+    of some label product ``w``: a member of the coset below ``w``, or None
+    (the recursion of ``leq_witness``)."""
     n, last = ctx.n, ctx.n - ctx.k
-    u = list(label_perm(a))
-    upos, wpos = [0] * (n + 1), [0] * (n + 1)
-    for p, (v, x) in enumerate(zip(u, label_perm(b))):
-        upos[v], wpos[x] = p, p
-    word, i = [], 1
-    while i < n:
-        p, q = wpos[i], wpos[i + 1]
-        if p < q:
-            i += 1
-            continue
-        wpos[i], wpos[i + 1] = q, p
+    u = list(u)
+    upos = [0] * (n + 1)
+    for p, v in enumerate(u):
+        upos[v] = p
+    moved = []
+    for i in word:
         p, q = upos[i], upos[i + 1]
         if p >= last and q >= last:
             x, y = u[p - last], u[q - last]
             if x > y:
                 u[p - last], u[q - last] = y, x
                 upos[x], upos[y] = q - last, p - last
-                word.append(i)
+                moved.append(i)
         elif q < p:
             u[p], u[q] = i + 1, i
             upos[i], upos[i + 1] = q, p
-            word.append(i)
-        i = max(i - 1, 1)
-    return evaluate_word(n, word) if u == list(range(1, n + 1)) else None
+            moved.append(i)
+    return evaluate_word(n, moved) if u == list(range(1, n + 1)) else None
 
 
 def leq_oracle(

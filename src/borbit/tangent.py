@@ -34,6 +34,7 @@ from .atlas import (
     is_upper_label,
     label_fields,
     label_of,
+    label_perm,
 )
 from .perms import (
     Perm,
@@ -41,9 +42,10 @@ from .perms import (
     identity,
     length,
     pattern_positions,
+    reduced_word,
     transposition,
 )
-from .poset import leq, leq_witness
+from .poset import descend
 
 INSIDE_GLK = "INSIDE_GLK"
 DELTA = "DELTA"
@@ -97,17 +99,23 @@ def root(ctx: Context, i: int, j: int) -> Root:
 
 
 @lru_cache(maxsize=None)
-def phi_plus(ctx: Context) -> tuple[Root, ...]:
-    """All positive stabiliser roots; count 2k(n-k) - k(k+1)/2."""
+def _roots(ctx: Context) -> tuple[tuple[Root, Perm], ...]:
+    """Each positive stabiliser root with the label product of its
+    reflection coset, built once per context."""
     n, k = ctx.n, ctx.k
-    out = tuple(
+    roots = [
         Root(i, j, family)
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
         if (family := classify_root(ctx, i, j)) is not None
-    )
-    assert len(out) == 2 * k * (n - k) - k * (k + 1) // 2
-    return out
+    ]
+    assert len(roots) == 2 * k * (n - k) - k * (k + 1) // 2
+    return tuple((rt, label_perm(root_coset_label(ctx, rt))) for rt in roots)
+
+
+def phi_plus(ctx: Context) -> tuple[Root, ...]:
+    """All positive stabiliser roots; count 2k(n-k) - k(k+1)/2."""
+    return tuple(rt for rt, _ in _roots(ctx))
 
 
 def phi_plus_restricted(ctx: Context) -> tuple[Root, ...]:
@@ -147,24 +155,17 @@ def root_coset_label(ctx: Context, rt: Root) -> OrbitLabel:
     return label_of(ctx, transposition(ctx.n, rt.i, rt.j))
 
 
+def t_k_table(ctx: Context, lbl: OrbitLabel) -> tuple[tuple[Root, Perm | None], ...]:
+    """Each root with a member of its reflection coset below the label
+    product, or None: one reduced word of the product, walked down from
+    every root's coset (``poset.leq_witness``)."""
+    word = reduced_word(label_perm(lbl))
+    return tuple((rt, descend(ctx, u, word)) for rt, u in _roots(ctx))
+
+
 def t_k_set(ctx: Context, lbl: OrbitLabel) -> tuple[Root, ...]:
     """Roots whose reflection coset lies below the label in closure order."""
-    return tuple(
-        rt for rt in phi_plus(ctx) if leq(ctx, root_coset_label(ctx, rt), lbl)
-    )
-
-
-def t_k_table(
-    ctx: Context, lbl: OrbitLabel
-) -> tuple[tuple[Root, bool, bool, Perm | None], ...]:
-    """Per-root record (root, in t_k, kept by the upper-label restriction,
-    Bruhat witness) used by reports."""
-    restricted = set(phi_plus_restricted(ctx))
-    out = []
-    for rt in phi_plus(ctx):
-        witness = leq_witness(ctx, root_coset_label(ctx, rt), lbl)
-        out.append((rt, witness is not None, rt in restricted, witness))
-    return tuple(out)
+    return tuple(rt for rt, witness in t_k_table(ctx, lbl) if witness is not None)
 
 
 def tangent_lower_bound(ctx: Context, lbl: OrbitLabel) -> int:

@@ -15,6 +15,7 @@ from borbit.atlas import (
     count_involutions,
     count_standard_tableaux,
     count_standard_tableaux_bruteforce,
+    dim_orbit,
     dim_y0,
     dimension,
     enumerate_labels,
@@ -28,7 +29,7 @@ from borbit.geometry import (
     Flag,
     flag_in_schubert,
     permutation_flag,
-    tangent_independence,
+    tangent_stack_rank,
     verify_curve,
 )
 from borbit.perms import (
@@ -44,6 +45,7 @@ from borbit.ratmat import RationalMatrix
 from borbit.tangent import (
     bk_span,
     phi_plus,
+    phi_plus_restricted,
     root_coset_label,
     t_k_set,
     t_k_table,
@@ -130,9 +132,10 @@ def test_criterion_2_rank_two_worked_example():
         lbl = label(ctx, sigma, ID6)
 
         assert len(phi_plus(ctx)) == 13
-        table = t_k_table(ctx, lbl)
+        kept = set(phi_plus_restricted(ctx))
         assert {
-            (rt.i, rt.j): (in_tk, kept) for rt, in_tk, kept, _ in table
+            (rt.i, rt.j): (witness is not None, rt in kept)
+            for rt, witness in t_k_table(ctx, lbl)
         } == EXAMPLE_62_TABLE
 
         count = len(t_k_set(ctx, lbl))
@@ -222,7 +225,8 @@ def test_criterion_6_curve_and_span_identities():
                     assert report.ok, (n, k, rt, report.failures)
         for n in range(1, 9):
             for k in range(0, n // 2 + 1):
-                assert tangent_independence(Context(n, k)), (n, k)
+                ctx = Context(n, k)
+                assert tangent_stack_rank(ctx) == dim_orbit(ctx), (n, k)
 
 
 def subspace_leq(inner: RationalMatrix, outer: RationalMatrix) -> bool:

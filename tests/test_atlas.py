@@ -1,5 +1,6 @@
 """Orbit labels, cosets, representative matrices, tableaux, involutions."""
 
+import json
 import math
 
 import pytest
@@ -24,10 +25,8 @@ from borbit.atlas import (
     label,
     label_fields,
     label_from_fields,
-    label_from_json,
     label_of,
     label_perm,
-    label_to_json,
     link_pattern,
     min_length_reps,
     paired_subgroup,
@@ -307,11 +306,9 @@ def test_springer_component_dim():
 def test_json_round_trip():
     ctx = Context(6, 2)
     lbl = label(ctx, (2, 4, 1, 6, 3, 5), identity(6))
-    text = label_to_json(ctx, lbl)
-    ctx2, lbl2 = label_from_json(text)
-    assert (ctx2, lbl2) == (ctx, lbl)
+    assert label_from_fields(ctx, json.loads(json.dumps(label_fields(lbl)))) == lbl
     with pytest.raises(ValueError):
-        label_from_json('{"n": 4, "k": 2, "sigma": "4,2,1,3", "alpha": "id"}')
+        label_from_fields(Context(4, 2), {"sigma": "4,2,1,3", "alpha": "id"})
 
 
 def test_label_fields_round_trip_every_label():
@@ -319,4 +316,3 @@ def test_label_fields_round_trip_every_label():
         ctx = Context(n, k)
         for lbl in enumerate_labels(ctx):
             assert label_from_fields(ctx, label_fields(lbl)) == lbl
-            assert label_from_json(label_to_json(ctx, lbl)) == (ctx, lbl)

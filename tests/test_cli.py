@@ -223,21 +223,30 @@ def test_blueprint_command(capsys):
 
 
 def test_tangent_report_answers_each_closure_query_once(capsys, monkeypatch):
-    # the table's in-t_k roots feed the bracket span, so no root's closure
-    # query is asked again
-    queried = []
-    inner = poset.leq_witness
+    # one reduced word of the label product, walked once per root; the
+    # table's in-t_k roots feed the bracket span, so no walk is repeated
+    words, walks = [], []
+    reduced_word, descend = tangent.reduced_word, tangent.descend
 
-    def counting(ctx, a, b):
-        queried.append(a)
-        return inner(ctx, a, b)
+    def counting_word(w):
+        words.append(w)
+        return reduced_word(w)
 
-    monkeypatch.setattr(poset, "leq_witness", counting)
-    monkeypatch.setattr(tangent, "leq_witness", counting)
+    def counting_walk(ctx, u, word):
+        walks.append(u)
+        return descend(ctx, u, word)
+
+    def no_pair_query(*args):
+        raise AssertionError("per-pair closure query")
+
+    monkeypatch.setattr(tangent, "reduced_word", counting_word)
+    monkeypatch.setattr(tangent, "descend", counting_walk)
+    monkeypatch.setattr(poset, "leq_witness", no_pair_query)
     code, out, _ = run(capsys, "--n", "6", "--k", "2", "tangent", "sigma=s1.s3.s2.s5.s4")
     assert code == EXIT_OK
     assert "bracket-closure span = " in out
-    assert len(queried) == len(tangent.phi_plus(Context(6, 2))) == 13
+    assert words == [(2, 4, 1, 6, 3, 5)]
+    assert len(walks) == len(tangent.phi_plus(Context(6, 2))) == 13
 
 
 def test_verify_command(capsys):
@@ -296,6 +305,17 @@ def test_out_into_a_missing_directory_is_bad_input(tmp_path, capsys):
     assert (code, out) == (EXIT_BAD_INPUT, "")
     assert err.startswith("error: ") and str(target) in err
     assert not target.parent.exists()
+
+
+def test_out_into_a_missing_directory_fails_before_the_command_runs(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(poset, "hasse", never)
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "--n", "8", "--k", "3", "--format", "json", "--out", str(target), "hasse")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ")
 
 
 def test_custom_samples_flag(capsys):

@@ -14,8 +14,9 @@ from borbit.atlas import (
     label_perm,
     min_length_reps,
 )
-from borbit.perms import bruhat_leq, compose, identity, length, simple
+from borbit.perms import bruhat_leq, compose, identity, left_descents, length, simple
 from borbit.poset import (
+    descend,
     export_dot,
     export_json,
     graph_from_json,
@@ -74,6 +75,25 @@ def test_leq_witness_is_a_coset_member_below_the_target():
                 else:
                     assert witness in members and bruhat_leq(witness, target)
                 assert leq(ctx, a, b) == (witness is not None)
+
+
+def test_descend_takes_any_reduced_word():
+    # the recursion of leq_witness holds down every reduced word of the
+    # target; here the one peeling the largest left descent first
+    for n, k in [(5, 2), (6, 2), (6, 3)]:
+        ctx = Context(n, k)
+        labels = enumerate_labels(ctx)
+        for b in labels:
+            w, word = label_perm(b), []
+            while w != identity(n):
+                word.append(max(left_descents(w)))
+                w = compose(simple(n, word[-1]), w)
+            for a in labels:
+                witness = descend(ctx, label_perm(a), tuple(word))
+                assert (witness is None) == (leq_witness(ctx, a, b) is None)
+                if witness is not None:
+                    assert label_of(ctx, witness) == a
+                    assert bruhat_leq(witness, label_perm(b))
 
 
 def test_leq_is_the_order_the_covers_generate():

@@ -1,5 +1,7 @@
 """Stabiliser roots, curve tangents, t_k counting, bracket spans, verdicts."""
 
+import random
+
 import pytest
 
 from borbit.atlas import (
@@ -9,11 +11,12 @@ from borbit.atlas import (
     enumerate_labels,
     is_upper_label,
     label,
+    label_of,
     label_perm,
 )
 from borbit.geometry import base_point, curve
-from borbit.perms import identity
-from borbit.poset import leq
+from borbit.perms import bruhat_leq, identity
+from borbit.poset import leq, leq_witness
 from borbit.ratmat import RationalMatrix
 from borbit.tangent import (
     CROSS_FAR,
@@ -182,7 +185,11 @@ def test_t_k_frozen_values_62():
         (4, 5),
         (4, 6),
     ]
-    table = {(rt.i, rt.j): (in_tk, kept, witness) for rt, in_tk, kept, witness in t_k_table(CTX62, lbl)}
+    kept = set(phi_plus_restricted(CTX62))
+    table = {
+        (rt.i, rt.j): (witness is not None, rt in kept, witness)
+        for rt, witness in t_k_table(CTX62, lbl)
+    }
     assert len(table) == 13
     assert table[(1, 2)][0] and table[(1, 2)][1]
     assert table[(1, 5)] == (False, False, None)
@@ -190,6 +197,24 @@ def test_t_k_frozen_values_62():
     assert table[(1, 6)] == (False, True, None)
     assert table[(4, 6)][0] and table[(4, 6)][1]
     assert table[(1, 3)][2] == (2, 3, 1, 4, 6, 5)
+
+
+@pytest.mark.parametrize("n, k", [(64, 32), (64, 16)])
+def test_t_k_table_matches_the_pairwise_query_at_64(n, k):
+    # one walk per root down one shared word answers what one pairwise
+    # query per root answers, witness for witness
+    ctx = Context(n, k)
+    rng = random.Random(n * k)
+    for _ in range(3):
+        lbl = label_of(ctx, tuple(rng.sample(range(1, n + 1), n)))
+        table = t_k_table(ctx, lbl)
+        assert [rt for rt, _ in table] == list(phi_plus(ctx))
+        for rt, witness in table:
+            coset = root_coset_label(ctx, rt)
+            assert witness == leq_witness(ctx, coset, lbl)
+            if witness is not None:
+                assert label_of(ctx, witness) == coset
+                assert bruhat_leq(witness, label_perm(lbl))
 
 
 def test_t_k_is_monotone_in_the_closure_order():
