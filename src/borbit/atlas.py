@@ -171,8 +171,9 @@ def coset_of(ctx: Context, w: Perm) -> OrbitCoset:
 
 
 def min_length_reps(coset: OrbitCoset) -> tuple[Perm, ...]:
-    shortest = min(length(m) for m in coset.members)
-    return tuple(m for m in coset.members if length(m) == shortest)
+    lengths = [length(m) for m in coset.members]
+    shortest = min(lengths)
+    return tuple(m for m, ell in zip(coset.members, lengths) if ell == shortest)
 
 
 def label_of(ctx: Context, w: Perm) -> OrbitLabel:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import atlas, geometry, poset, tangent
 from .atlas import Context, OrbitLabel
-from .perms import all_perms, length, lower_interval
+from .perms import all_perms, length, lower_interval, reduced_word
 
 #: One suite's outcome: its name, whether it passed, and what it checked.
 Suite = tuple[str, bool, str]
@@ -88,9 +88,11 @@ def run_suites(
     # has admitted ``n``); a witness in both sets proves the oracle's answer true
     members = [frozenset(coset.members) for coset in cosets]
     intervals = [lower_interval(w, ctx.n * (ctx.n - 1) // 2) for w in products]
+    # ``poset.leq_witness`` with each target's reduced word computed once
+    words = [reduced_word(w) for w in products]
 
     def agrees(i: int, j: int) -> bool:
-        witness = poset.leq_witness(ctx, labels[i], labels[j])
+        witness = poset.descend(ctx, products[i], words[j])
         if witness is None:
             return members[i].isdisjoint(intervals[j]) and i not in generated[j]
         return witness in members[i] and witness in intervals[j] and i in generated[j]

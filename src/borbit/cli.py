@@ -223,6 +223,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
     from . import checks
 
     samples = tuple(Fraction(part) for part in cfg.samples.split(",") if part)
+    if not any(samples):
+        raise ValueError(f"--samples needs a nonzero value: got {cfg.samples!r}")
     suites, singular_orbital = checks.run_suites(cfg.ctx, cfg.cap, samples)
     lines = [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in suites]
     lines += [_tangent_report(cfg.ctx, lbl).rstrip("\n") for lbl in singular_orbital]

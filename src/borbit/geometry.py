@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .atlas import Context, OrbitLabel, label_perm
 from .perms import Perm, evaluate_word, is_reduced, length, transposition
-from .ratmat import RationalMatrix
+from .ratmat import RationalMatrix, exact
 from .tangent import DELTA, Root, full_corner_positions, phi_plus, root_tangent
 
 
@@ -30,7 +30,7 @@ class CurveSpec(NamedTuple):
     quadratic: RationalMatrix
 
     def point(self, t: Fraction | int) -> RationalMatrix:
-        t = Fraction(t)
+        t = exact(t)
         return self.constant + t * self.linear + (t * t) * self.quadratic
 
 
@@ -225,7 +225,7 @@ def verify_curve(
         failures.append(("0", "constant-term"))
 
     for t in samples:
-        t = Fraction(t)
+        t = exact(t)  # an integral sample keeps every product in ints
         tag = str(t)
         p = spec.point(t)
         if not (p * p).is_zero() or p.rank() != k:
@@ -239,13 +239,14 @@ def verify_curve(
             failures.append((tag, "linear-coefficient"))
         if t == 0:
             continue
+        inv = Fraction(1, t)
         refl = RationalMatrix.permutation(transposition(n, i, j))
-        upper = refl + t * E(n, j, j) - (1 / t) * E(n, i, i) - E(n, j, i)
+        upper = refl + t * E(n, j, j) - inv * E(n, i, i) - E(n, j, i)
         if not upper.is_upper_triangular() or any(
             upper.entry(d, d) == 0 for d in range(1, n + 1)
         ):
             failures.append((tag, "factor-not-borel"))
-        if upper * refl * (ident + (1 / t) * E(n, i, j)) != lower:
+        if upper * refl * (ident + inv * E(n, i, j)) != lower:
             failures.append((tag, "factorisation"))
     return CurveReport(rt, tuple(Fraction(t) for t in samples), tuple(failures))
 

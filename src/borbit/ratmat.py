@@ -1,14 +1,16 @@
 """Immutable sparse matrices over the rationals with exact rank computation.
 
 A matrix is its shape plus a read-only dict of its nonzero entries, keyed
-by 1-indexed ``(row, column)`` like :data:`borbit.tangent.SparseMatrix`;
-each value is a nonzero :class:`fractions.Fraction`, and no zero is ever
-stored, so equal matrices have equal dicts.  The matrices of the curve and
-geometry checks (base points, curve coefficients, ``I + t E_ji``,
-reflections, representatives) have O(n) nonzero entries, and products,
-sums, the triangularity tests and rank touch only those.  Rank is
-computed by Gaussian elimination with ``Fraction`` pivots on the sparse
-rows, so no floating point appears anywhere.  Constructors for elementary
+by 1-indexed ``(row, column)`` like :data:`borbit.tangent.SparseMatrix`.
+Each value is nonzero and in its :func:`exact` form: an ``int`` when it is
+integral, a :class:`fractions.Fraction` only when it is not.  No zero is
+ever stored, so equal matrices have equal dicts.  The matrices of the
+curve and geometry checks (base points, curve coefficients, ``I + t E_ji``,
+reflections, representatives) have O(n) nonzero entries, mostly 0 and ±1,
+and products, sums, the triangularity tests and rank touch only those, in
+integer arithmetic until a truly rational entry appears.  Rank is computed
+by Gaussian elimination on the sparse rows, dividing through ``Fraction``,
+so no floating point appears anywhere.  Constructors for elementary
 matrices use the usual 1-indexed convention: ``elementary(n, r, s)`` is
 the matrix with a single 1 in row ``r``, column ``s``.
 """
@@ -21,13 +23,25 @@ from typing import Iterable, Sequence
 
 Scalar = int | Fraction
 
-_ZERO = Fraction(0)
+
+def exact(x: Scalar) -> Scalar:
+    """The stored form of a rational: an ``int`` when it is integral (a
+    ``bool`` becomes its ``int``), else a ``Fraction``.
+
+    >>> exact(Fraction(4, 2)), exact(True), exact(Fraction(1, 3))
+    (2, 1, Fraction(1, 3))
+    """
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class RationalMatrix:
-    """A rectangular matrix of Fractions, hashable and immutable, stored as
-    ``entries``, the read-only dict of its nonzero entries, which
-    arithmetic and ``rank`` read; ``rows`` is a dense view built on demand.
+    """A rectangular rational matrix, hashable and immutable, stored as
+    ``entries``, the read-only dict of its nonzero entries in :func:`exact`
+    form, which arithmetic and ``rank`` read; ``rows`` is a dense view
+    built on demand.
 
     >>> a = RationalMatrix([[0, 1], [1, 0]])
     >>> (a * a) == RationalMatrix.matrix_identity(2)
@@ -46,14 +60,14 @@ class RationalMatrix:
         if any(len(row) != width for row in data):
             raise ValueError("ragged rows")
         entries = {
-            (r, s): Fraction(x)
+            (r, s): exact(x)
             for r, row in enumerate(data, 1)
             for s, x in enumerate(row, 1)
             if x
         }
         self._set(len(data), width, entries)
 
-    def _set(self, nrows: int, ncols: int, entries: dict[tuple[int, int], Fraction]) -> None:
+    def _set(self, nrows: int, ncols: int, entries: dict[tuple[int, int], Scalar]) -> None:
         if nrows < 1 or ncols < 1:
             raise ValueError("empty matrix")
         object.__setattr__(self, "nrows", nrows)
@@ -61,8 +75,9 @@ class RationalMatrix:
         object.__setattr__(self, "entries", MappingProxyType(entries))
 
     @classmethod
-    def _of(cls, nrows: int, ncols: int, entries: dict[tuple[int, int], Fraction]) -> "RationalMatrix":
-        """Wrap ``entries``, which must hold only nonzero Fractions."""
+    def _of(cls, nrows: int, ncols: int, entries: dict[tuple[int, int], Scalar]) -> "RationalMatrix":
+        """Wrap ``entries``, which must hold only nonzero values in
+        :func:`exact` form."""
         m = object.__new__(cls)
         m._set(nrows, ncols, entries)
         return m
@@ -71,10 +86,10 @@ class RationalMatrix:
         raise AttributeError("RationalMatrix is immutable")
 
     @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
         """Dense row-major view, built on each access."""
         return tuple(
-            tuple(self.entries.get((r, s), _ZERO) for s in range(1, self.ncols + 1))
+            tuple(self.entries.get((r, s), 0) for s in range(1, self.ncols + 1))
             for r in range(1, self.nrows + 1)
         )
 
@@ -91,7 +106,7 @@ class RationalMatrix:
         """E_{r,s}: single unit entry in row ``r``, column ``s`` (1-indexed)."""
         if not (1 <= r <= n and 1 <= s <= n):
             raise ValueError(f"elementary index out of range: ({r}, {s})")
-        return cls._of(n, n, {(r, s): Fraction(1)})
+        return cls._of(n, n, {(r, s): 1})
 
     @classmethod
     def from_entries(
@@ -100,18 +115,18 @@ class RationalMatrix:
         """n x n matrix with the given 1-indexed entries, zero elsewhere."""
         if not all(1 <= r <= n and 1 <= s <= n for r, s in entries):
             raise ValueError(f"entry index out of range for size {n}")
-        return cls._of(n, n, {pos: Fraction(x) for pos, x in entries.items() if x})
+        return cls._of(n, n, {pos: exact(x) for pos, x in entries.items() if x})
 
     @classmethod
     def permutation(cls, p: Sequence[int]) -> "RationalMatrix":
         """Permutation matrix sending the basis vector e_i to e_{p(i)}."""
         return cls.from_entries(len(p), {(v, j): 1 for j, v in enumerate(p, 1)})
 
-    def entry(self, r: int, s: int) -> Fraction:
+    def entry(self, r: int, s: int) -> Scalar:
         """1-indexed entry access."""
         if not (1 <= r <= self.nrows and 1 <= s <= self.ncols):
             raise IndexError(f"entry ({r}, {s}) outside {self.nrows}x{self.ncols}")
-        return self.entries.get((r, s), _ZERO)
+        return self.entries.get((r, s), 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -132,9 +147,9 @@ class RationalMatrix:
             )
         out = dict(self.entries)
         for pos, b in other.entries.items():
-            out[pos] = out.get(pos, _ZERO) + sign * b
+            out[pos] = out.get(pos, 0) + sign * b
         return RationalMatrix._of(
-            self.nrows, self.ncols, {pos: v for pos, v in out.items() if v}
+            self.nrows, self.ncols, {pos: exact(v) for pos, v in out.items() if v}
         )
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -157,23 +172,23 @@ class RationalMatrix:
                     f"shape mismatch: {self.nrows}x{self.ncols} * "
                     f"{other.nrows}x{other.ncols}"
                 )
-            by_row: dict[int, list[tuple[int, Fraction]]] = {}
+            by_row: dict[int, list[tuple[int, Scalar]]] = {}
             for (r, s), b in other.entries.items():
                 by_row.setdefault(r, []).append((s, b))
-            out: dict[tuple[int, int], Fraction] = {}
+            out: dict[tuple[int, int], Scalar] = {}
             for (r, m), a in self.entries.items():
                 for s, b in by_row.get(m, ()):
-                    out[(r, s)] = out.get((r, s), _ZERO) + a * b
+                    out[(r, s)] = out.get((r, s), 0) + a * b
             return RationalMatrix._of(
-                self.nrows, other.ncols, {pos: v for pos, v in out.items() if v}
+                self.nrows, other.ncols, {pos: exact(v) for pos, v in out.items() if v}
             )
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        scalar = Fraction(other)
+        scalar = exact(other)
         return RationalMatrix._of(
             self.nrows,
             self.ncols,
-            {pos: a * scalar for pos, a in self.entries.items()} if scalar else {},
+            {pos: exact(a * scalar) for pos, a in self.entries.items()} if scalar else {},
         )
 
     def __rmul__(self, other: Scalar) -> "RationalMatrix":
@@ -209,7 +224,7 @@ class RationalMatrix:
         out.update(((r, s + self.ncols), b) for (r, s), b in other.entries.items())
         return RationalMatrix._of(self.nrows, self.ncols + other.ncols, out)
 
-    def flatten(self) -> tuple[Fraction, ...]:
+    def flatten(self) -> tuple[Scalar, ...]:
         """Row-major vector of all entries."""
         return tuple(a for row in self.rows for a in row)
 
@@ -217,24 +232,29 @@ class RationalMatrix:
         """Exact rank by Gaussian elimination over the rationals on the
         stored entries.  Each row, a dict of its nonzero entries, is reduced
         against the echelon rows kept by leading (smallest) column, scaled
-        to a leading 1: subtracting ``row[lead]`` times the kept row clears
-        the lead and adds nothing left of it, so the lead strictly rises.
-        A row that keeps an entry joins the echelon; the rank is its size.
+        to a leading 1 by dividing through ``Fraction`` (``int / int``
+        would be a float): subtracting ``row[lead]`` times the kept row
+        clears the lead and adds nothing left of it, so the lead strictly
+        rises.  A row that keeps an entry joins the echelon; the rank is its
+        size.
         """
-        rows: dict[int, dict[int, Fraction]] = {}
+        rows: dict[int, dict[int, Scalar]] = {}
         for (r, s), a in self.entries.items():
             rows.setdefault(r, {})[s] = a
-        echelon: dict[int, dict[int, Fraction]] = {}
+        echelon: dict[int, dict[int, Scalar]] = {}
         for row in rows.values():
             while row:
                 lead = min(row)
                 kept = echelon.get(lead)
                 if kept is None:
-                    echelon[lead] = {s: a / row[lead] for s, a in row.items()}
+                    pivot = row[lead]
+                    if pivot != 1:
+                        row = {s: exact(Fraction(a) / pivot) for s, a in row.items()}
+                    echelon[lead] = row
                     break
                 factor = row[lead]
                 for s, a in kept.items():
-                    value = row.get(s, _ZERO) - factor * a
+                    value = row.get(s, 0) - factor * a
                     if value:
                         row[s] = value
                     else:

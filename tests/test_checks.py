@@ -6,7 +6,7 @@ import pytest
 from borbit import checks, poset
 from borbit.atlas import Context, enumerate_labels, label_perm
 from borbit.geometry import DEFAULT_SAMPLES
-from borbit.perms import bruhat_leq, lower_interval
+from borbit.perms import bruhat_leq, lower_interval, reduced_word
 from borbit.ratmat import RationalMatrix
 
 SUITE_NAMES = [
@@ -37,19 +37,22 @@ def test_every_suite_runs_in_order_and_passes(n, k):
 
 @pytest.mark.parametrize("position", [0, 37, 71, 143])
 def test_a_flipped_closure_answer_fails_the_pair_suite(monkeypatch, position):
-    """Any one pair of the 12^2 at (4,2), the last one included."""
+    """Any one pair of the 12^2 at (4,2), the last one included; the suite
+    walks ``poset.descend`` from the label product of ``a`` down the
+    reduced word of the label product of ``b``."""
     ctx = Context(4, 2)
     labels = enumerate_labels(ctx)
-    target = (labels[position // len(labels)], labels[position % len(labels)])
-    real = poset.leq_witness
+    a, b = labels[position // len(labels)], labels[position % len(labels)]
+    target = (label_perm(a), reduced_word(label_perm(b)))
+    real = poset.descend
 
-    def flipped(ctx, a, b):
-        witness = real(ctx, a, b)
-        if (a, b) != target:
+    def flipped(ctx, u, word):
+        witness = real(ctx, u, word)
+        if (u, word) != target:
             return witness
-        return label_perm(a) if witness is None else None
+        return u if witness is None else None
 
-    monkeypatch.setattr(poset, "leq_witness", flipped)
+    monkeypatch.setattr(poset, "descend", flipped)
     ok, _ = outcomes(ctx)
     assert not ok["closure-order-oracle"]
     assert ok["label-count"] and ok["minimal-representatives"]
@@ -60,17 +63,18 @@ def test_a_witness_above_the_target_fails_the_pair_suite(monkeypatch):
     ``a``, a coset member that is not always below the target."""
     ctx = Context(4, 2)
     labels = enumerate_labels(ctx)
-    real = poset.leq_witness
+    real = poset.descend
 
-    def product_witness(ctx, a, b):
-        return None if real(ctx, a, b) is None else label_perm(a)
+    def product_witness(ctx, u, word):
+        return None if real(ctx, u, word) is None else u
 
     assert any(
-        product_witness(ctx, a, b) is not None and not bruhat_leq(label_perm(a), label_perm(b))
+        product_witness(ctx, label_perm(a), reduced_word(label_perm(b))) is not None
+        and not bruhat_leq(label_perm(a), label_perm(b))
         for a in labels
         for b in labels
     )
-    monkeypatch.setattr(poset, "leq_witness", product_witness)
+    monkeypatch.setattr(poset, "descend", product_witness)
     ok, _ = outcomes(ctx)
     assert not ok["closure-order-oracle"]
     assert ok["label-count"] and ok["minimal-representatives"]

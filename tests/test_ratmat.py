@@ -229,7 +229,7 @@ def random_rows(rng, nrows, ncols):
 
 
 def dense_of(m):
-    """The entries of ``m`` read one by one, as dense lists of Fractions."""
+    """The entries of ``m`` read one by one, as dense lists of exact rationals."""
     return [[m.entry(r, s) for s in range(1, m.ncols + 1)] for r in range(1, m.nrows + 1)]
 
 
@@ -286,3 +286,67 @@ def test_explicit_zeros_are_neither_stored_nor_compared():
         assert dense == RationalMatrix.from_entries(n, {**given, (1, 1): given.get((1, 1), 0)})
     assert RationalMatrix.zero(2, 3) != RationalMatrix.zero(3, 2)
     assert RationalMatrix.zero(2, 3).transpose() == RationalMatrix.zero(3, 2)
+
+
+def stored_types(m):
+    return {type(a) for a in m.entries.values()}
+
+
+def test_integral_entries_are_ints_and_the_rest_fractions():
+    m = RationalMatrix([[Fraction(4, 2), True, Fraction(1, 3)], [0, -1, Fraction(-6, 3)]])
+    assert m.entries == {(1, 1): 2, (1, 2): 1, (1, 3): Fraction(1, 3), (2, 2): -1, (2, 3): -2}
+    assert {pos: type(a) for pos, a in m.entries.items()} == {
+        (1, 1): int, (1, 2): int, (1, 3): Fraction, (2, 2): int, (2, 3): int
+    }
+    assert stored_types(RationalMatrix.from_entries(2, {(1, 2): Fraction(3), (2, 1): False})) == {int}
+    assert stored_types(RationalMatrix.elementary(3, 1, 2)) == {int}
+    assert stored_types(parse_matrix("1,0;0,1")) == {int}
+
+
+def test_no_float_appears_in_arithmetic_or_rank():
+    """Sums that cancel a denominator come back as ints; a Fraction stays
+    only where an entry is not integral, and a float never appears."""
+    rng = random.Random(63)
+    for _ in range(200):
+        p, q, r = (rng.randint(1, 5) for _ in range(3))
+        a, a2, b = (
+            RationalMatrix(random_rows(rng, *shape)) for shape in ((p, q), (p, q), (q, r))
+        )
+        c = rng.choice([2, -1, Fraction(3, 1), Fraction(1, 3), Fraction(-5, 2)])
+        for m in (a, a + a2, a - a2, a * b, c * a, a * c, -a, a.transpose()):
+            for x in m.entries.values():
+                assert type(x) in (int, Fraction)
+                assert (type(x) is int) == (Fraction(x).denominator == 1)
+        assert isinstance(a.rank(), int)
+    third = Fraction(1, 3)
+    assert stored_types(RationalMatrix([[third, third, third]]) * RationalMatrix([[1], [1], [1]])) == {int}
+    assert stored_types(RationalMatrix([[third]]) + RationalMatrix([[Fraction(2, 3)]])) == {int}
+    assert stored_types(3 * RationalMatrix([[third, Fraction(2, 3)]])) == {int}
+
+
+def test_rank_divides_exactly():
+    """Rank-one matrices whose first pivot row is (3, 1).  With ``int / int``
+    division that row becomes (1.0, 0.333...), and in the second matrix
+    ``5/3 - 5 * 0.333...`` leaves a float residue of about 2e-16, so the
+    rank comes out as 2."""
+    assert RationalMatrix([[3, 1], [1, Fraction(1, 3)]]).rank() == 1
+    assert RationalMatrix([[3, 1], [5, Fraction(5, 3)]]).rank() == 1
+    assert RationalMatrix([[3, 1], [5, Fraction(5, 3) + Fraction(1, 10**20)]]).rank() == 2
+
+
+def test_int_and_fraction_built_twins_are_equal():
+    rng = random.Random(64)
+    for _ in range(50):
+        rows = random_rows(rng, rng.randint(1, 5), rng.randint(1, 5))
+        as_ints = [[int(x) if x.denominator == 1 else x for x in row] for row in rows]
+        fractions_only, ints = RationalMatrix(rows), RationalMatrix(as_ints)
+        assert fractions_only == ints and hash(fractions_only) == hash(ints)
+        assert fractions_only.entries == ints.entries
+        assert format_matrix(fractions_only) == format_matrix(ints)
+
+
+def test_format_matrix_strings_are_unchanged():
+    third = Fraction(1, 3)
+    assert format_matrix(RationalMatrix([[Fraction(2), 0], [-1, third]])) == "2,0;-1,1/3"
+    assert format_matrix(RationalMatrix.matrix_identity(2)) == "1,0;0,1"
+    assert format_matrix(3 * RationalMatrix([[third, Fraction(-1, 6)]])) == "1,-1/2"
