@@ -11,10 +11,9 @@ and a public name imports its module on first use.
 
 _EXPORTS = {
     "atlas": (
-        "Context", "OrbitCoset", "OrbitLabel", "OrientedLinkPattern", "TwoColumnTableau",
-        "coset_of", "dim_orbit", "dim_y0", "dimension", "enumerate_labels",
-        "involution_tau", "is_orbital_variety", "is_upper_label", "label", "label_of",
-        "label_perm", "link_pattern", "min_length_reps", "rep_matrix", "tableau",
+        "Context", "OrbitCoset", "OrbitLabel", "coset_of", "dim_orbit", "dim_y0", "dimension",
+        "enumerate_labels", "is_upper_label", "label", "label_of", "label_perm",
+        "min_length_reps", "rep_matrix",
     ),
     "geometry": (
         "CurveSpec", "Flag", "compatible", "curve", "flag_in_schubert", "in_Ck",
@@ -29,6 +28,10 @@ _EXPORTS = {
         "BruhatGraph", "export_dot", "export_json", "hasse", "leq", "leq_oracle", "weak_edges",
     ),
     "ratmat": ("RationalMatrix",),
+    "springer": (
+        "OrientedLinkPattern", "TwoColumnTableau", "involution_tau", "is_orbital_variety",
+        "link_pattern", "tableau",
+    ),
     "tangent": (
         "Root", "Verdict", "bk_span", "phi_plus", "phi_plus_restricted",
         "t_k_set", "tangent_lower_bound", "verdict",

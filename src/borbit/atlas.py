@@ -10,30 +10,17 @@ the middle block and move the first and last blocks in parallel
 (``w(j + n - k) = w(j) + n - k`` for ``j <= k``).
 
 Each label owns a representative matrix ``sum_j E_{sigma alpha(j),
-sigma(n-k+j)}``, equivalently an oriented link pattern with arcs
-``sigma(n-k+j) -> sigma alpha(j)``, equivalently a two-column tableau.
-Labels whose representative matrix is strictly upper triangular biject
-with the involutions having exactly ``k`` two-cycles.
+sigma(n-k+j)}``; ``springer`` reads its tableau and link pattern.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Mapping
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .perms import (
-    CapExceeded,
-    Perm,
-    check_perm,
-    compose,
-    format_perm,
-    identity,
-    length,
-    parse_perm,
-)
+from .perms import CapExceeded, Perm, check_perm, compose, format_perm, length, parse_perm
 
 if TYPE_CHECKING:
     from .ratmat import RationalMatrix
@@ -77,27 +64,6 @@ class OrbitCoset(NamedTuple):
     lexicographically."""
 
     members: tuple[Perm, ...]
-
-
-class OrientedLinkPattern(NamedTuple):
-    """Arcs ``(source, target)``: the matrix sends e_source to e_target."""
-
-    n: int
-    arcs: tuple[tuple[int, int], ...]
-
-
-class TwoColumnTableau(NamedTuple):
-    """Left column of length n-k, right column of length k, paired rows."""
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-
-    def table_rows(self) -> tuple[tuple[int, ...], ...]:
-        paired = tuple(
-            (a, self.right[i]) if i < len(self.right) else (a,)
-            for i, a in enumerate(self.left)
-        )
-        return paired
 
 
 def blocks(ctx: Context) -> tuple[range, range, range]:
@@ -248,111 +214,25 @@ def rep_matrix(ctx: Context, lbl: OrbitLabel) -> RationalMatrix:
     return RationalMatrix.from_entries(n, {(tau[j], lbl.sigma[n - k + j]): 1 for j in range(k)})
 
 
-def link_pattern(ctx: Context, lbl: OrbitLabel) -> OrientedLinkPattern:
-    n, k = ctx.n, ctx.k
-    tau = label_perm(lbl)
-    arcs = tuple(
-        (lbl.sigma[n - k + j - 1], tau[j - 1]) for j in range(1, k + 1)
-    )
-    return OrientedLinkPattern(n, arcs)
-
-
-def tableau(ctx: Context, lbl: OrbitLabel) -> TwoColumnTableau:
-    n, k = ctx.n, ctx.k
-    tau = label_perm(lbl)
-    return TwoColumnTableau(left=tau[: n - k], right=tau[n - k :])
-
-
-def is_row_standard(t: TwoColumnTableau) -> bool:
-    """Do all paired rows increase left to right?"""
-    return all(a < b for a, b in zip(t.left, t.right))
-
-
 def is_upper_label(ctx: Context, lbl: OrbitLabel) -> bool:
-    """Labels whose representative matrix is strictly upper triangular."""
-    return is_row_standard(tableau(ctx, lbl))
-
-
-def involution_tau(ctx: Context, lbl: OrbitLabel) -> Perm:
-    """The involution with two-cycles (sigma alpha(i), sigma(n-k+i)).
-
-    Defined for upper labels only, where it is a bijection onto the
-    involutions of S_n with exactly k two-cycles.
-    """
-    if not is_upper_label(ctx, lbl):
-        raise ValueError(f"label is not upper-triangular: {lbl}")
+    """Labels whose representative matrix is strictly upper triangular: its
+    entry in column ``tau(n-k+j)`` sits in row ``tau(j)``, ``tau = sigma alpha``
+    (the paired rows of ``springer.tableau`` increase)."""
     n, k = ctx.n, ctx.k
     tau = label_perm(lbl)
-    out = list(range(1, n + 1))
-    for i in range(1, k + 1):
-        a, b = tau[i - 1], lbl.sigma[n - k + i - 1]
-        out[a - 1], out[b - 1] = b, a
-    return tuple(out)
-
-
-def count_involutions(n: int, k: int) -> int:
-    """Brute-force count of involutions of S_n with exactly k two-cycles."""
-    ident = identity(n)
-    count = 0
-    for p in itertools.permutations(range(1, n + 1)):
-        if compose(p, p) == ident:
-            fixed = sum(1 for i in range(n) if p[i] == i + 1)
-            if fixed == n - 2 * k:
-                count += 1
-    return count
-
-
-def is_orbital_variety(ctx: Context, lbl: OrbitLabel) -> bool:
-    """Top-dimensional upper labels: the irreducible components of the
-    intersection of the orbit closure with the upper-triangular matrices."""
-    n, k = ctx.n, ctx.k
-    top = k * (n - k) - dim_y0(ctx)
-    return is_upper_label(ctx, lbl) and length(lbl.sigma) + length(lbl.alpha) == top
-
-
-def springer_component_dim(ctx: Context) -> int:
-    """Common dimension of the components of the associated Springer fiber."""
-    n, k = ctx.n, ctx.k
-    return (k * (k - 1) + (n - k) * (n - k - 1)) // 2
-
-
-def count_standard_tableaux(ctx: Context) -> int:
-    """Hook-length count of standard fillings of the two-column shape.
-
-    The shape has column lengths (n-k, k): k rows of width 2 above
-    n-2k rows of width 1.
-    """
-    n, k = ctx.n, ctx.k
-    row_widths = [2] * k + [1] * (n - 2 * k)
-    hooks = 1
-    for i, width in enumerate(row_widths):
-        for j in range(width):
-            arm = width - (j + 1)
-            leg = sum(1 for w in row_widths[i + 1 :] if w >= j + 1)
-            hooks *= arm + leg + 1
-    return math.factorial(n) // hooks
-
-
-def count_standard_tableaux_bruteforce(ctx: Context) -> int:
-    """Independent count: enumerate right-column value sets directly.
-
-    A standard filling is determined by the set of right-column values R:
-    both columns are then sorted, and the filling is valid iff each paired
-    row increases.
-    """
-    n, k = ctx.n, ctx.k
-    count = 0
-    for right in itertools.combinations(range(1, n + 1), k):
-        left = sorted(set(range(1, n + 1)) - set(right))
-        if all(left[i] < right[i] for i in range(k)):
-            count += 1
-    return count
+    return all(tau[j] < tau[n - k + j] for j in range(k))
 
 
 def label_fields(lbl: OrbitLabel) -> dict[str, str]:
     """The written form of a label, ``sigma`` and ``alpha`` in one-line
     notation: every encoder writes labels through it."""
     return {"sigma": format_perm(lbl.sigma), "alpha": format_perm(lbl.alpha)}
+
+
+def format_label(lbl: OrbitLabel) -> str:
+    """One-line ``sigma=... alpha=...`` text that ``cli.parse_label_arg``
+    reads back."""
+    return " ".join(f"{key}={value}" for key, value in label_fields(lbl).items())
 
 
 def label_from_fields(ctx: Context, fields: Mapping[str, str]) -> OrbitLabel:

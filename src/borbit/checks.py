@@ -1,6 +1,6 @@
 """Self-check suites for one context: each fast path against its
 independent oracle, every counting law, and the curve and tangent-span
-identities.  The ``verify`` command renders them.
+identities, and the ``verify`` command's text.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import atlas, geometry, poset, tangent
+from . import atlas, geometry, poset, springer, tangent
 from .atlas import Context, OrbitLabel
 from .perms import all_perms, length, lower_interval, reduced_word
 
@@ -62,17 +62,17 @@ def run_suites(
     suites.append(("representative-matrices", ok, f"{len(labels)} labels checked"))
 
     upper = [lbl for lbl in labels if atlas.is_upper_label(ctx, lbl)]
-    invol = atlas.count_involutions(ctx.n, ctx.k)
-    images = {atlas.involution_tau(ctx, lbl) for lbl in upper}
+    invol = springer.count_involutions(ctx.n, ctx.k)
+    images = {springer.involution_tau(ctx, lbl) for lbl in upper}
     suites.append((
         "involution-bijection",
         len(upper) == invol == len(images),
         f"{len(upper)} upper labels, {invol} involutions",
     ))
 
-    hook = atlas.count_standard_tableaux(ctx)
-    brute = atlas.count_standard_tableaux_bruteforce(ctx)
-    orbital = [lbl for lbl in labels if atlas.is_orbital_variety(ctx, lbl)]
+    hook = springer.count_standard_tableaux(ctx)
+    brute = springer.count_standard_tableaux_bruteforce(ctx)
+    orbital = [lbl for lbl in labels if springer.is_orbital_variety(ctx, lbl)]
     suites.append((
         "orbital-varieties",
         hook == brute == len(orbital),
@@ -133,3 +133,16 @@ def run_suites(
         f"{len(singular_orbital)} singular orbital varieties",
     ))
     return suites, singular_orbital
+
+
+def report(ctx: Context, cap: int, samples_arg: str) -> tuple[bool, str]:
+    """Whether every suite passed, and the ``verify`` text: one line per
+    suite, then the tangent report of each singular orbital variety.
+    ``samples_arg`` is the ``--samples`` list."""
+    samples = tuple(Fraction(part) for part in samples_arg.split(",") if part)
+    if not any(samples):
+        raise ValueError(f"--samples needs a nonzero value: got {samples_arg!r}")
+    suites, singular_orbital = run_suites(ctx, cap, samples)
+    lines = [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in suites]
+    lines += [tangent.report(ctx, lbl).rstrip("\n") for lbl in singular_orbital]
+    return all(ok for _, ok, _ in suites), "\n".join(lines) + "\n"

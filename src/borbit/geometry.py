@@ -6,17 +6,16 @@ Schubert rank conditions, membership in labelled incidence sets, the
 explicit rational curves of the stabiliser roots with the curve and
 factorisation identities that certify ``tangent``'s integer bookkeeping,
 and blueprints for the Bott-Samelson-style resolutions read off a reduced
-word.
+word, with the ``blueprint`` command's text.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from .atlas import Context, OrbitLabel, label_perm
-from .perms import Perm, evaluate_word, is_reduced, length, transposition
+from .atlas import Context, OrbitLabel, format_label, label_perm
+from .perms import Perm, evaluate_word, format_word, is_reduced, length, transposition
 from .ratmat import RationalMatrix, exact
 from .tangent import DELTA, Root, full_corner_positions, phi_plus, root_tangent
 
@@ -323,7 +322,25 @@ def resolution_blueprint(
     )
 
 
+def blueprint_text(lbl: OrbitLabel, bp: ResolutionBlueprint) -> str:
+    """The table form of a blueprint: one line per flag, then the relations."""
+    lines = [
+        f"# blueprint for {format_label(lbl)} via word {format_word(bp.moves)}",
+        f"  flags: {len(bp.moves)}",
+    ]
+    standard = tuple(f"K{m}" for m in range(1, bp.n + 1))
+    lines.append("  V0: " + " < ".join(standard) + "   (standard flag)")
+    for s, row in enumerate(bp.flags, start=1):
+        lines.append(f"  V{s}: " + " < ".join(row) + f"   (changed at {bp.moves[s - 1]})")
+    lines.append("  matrix constraints:")
+    for rel in bp.relations:
+        lines.append(f"    {rel}")
+    return "\n".join(lines) + "\n"
+
+
 def blueprint_to_json(bp: ResolutionBlueprint) -> str:
+    import json  # only JSON output loads it
+
     return json.dumps(
         {
             "flags": len(bp.moves),

@@ -13,33 +13,15 @@ the ``alpha`` part fails to be Bruhat-monotone along it, and the weak edges.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .atlas import (
-    Context,
-    ENUMERATION_CAP,
-    OrbitLabel,
-    coset_of,
-    dimension,
-    enumerate_labels,
-    label_fields,
-    label_from_fields,
-    label_of,
-    label_perm,
+    Context, ENUMERATION_CAP, OrbitLabel, coset_of, dimension, enumerate_labels, label_fields,
+    label_from_fields, label_of, label_perm,
 )
 from .perms import (
-    WORD_LENGTH_CAP,
-    Perm,
-    Word,
-    bruhat_leq,
-    compose,
-    evaluate_word,
-    format_perm,
-    left_descents,
-    lower_interval,
-    reduced_word,
-    simple,
+    WORD_LENGTH_CAP, Perm, Word, bruhat_leq, compose, evaluate_word, format_perm, left_descents,
+    lower_interval, reduced_word, simple,
 )
 
 
@@ -232,6 +214,8 @@ def export_dot(g: BruhatGraph, singular: frozenset[int] | set[int] = frozenset()
 
 
 def export_json(g: BruhatGraph, singular: frozenset[int] | set[int] = frozenset()) -> str:
+    import json  # only JSON output loads it
+
     data = {
         "n": g.ctx.n,
         "k": g.ctx.k,
@@ -255,6 +239,8 @@ def export_json(g: BruhatGraph, singular: frozenset[int] | set[int] = frozenset(
 
 def graph_from_json(text: str) -> tuple[BruhatGraph, frozenset[int]]:
     """Rebuild a graph (and its singular-node set) from ``export_json`` text."""
+    import json
+
     data = json.loads(text)
     ctx = Context(int(data["n"]), int(data["k"]))
     nodes = sorted(data["nodes"], key=lambda node: node["id"])

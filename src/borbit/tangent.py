@@ -17,7 +17,8 @@ tangents, live in ``geometry``.
 The verdict engine applies six rules in order: a pattern criterion for
 rank one, fibration criteria when ``alpha`` is longest or ``sigma`` is
 trivial, the exact tangent count for upper labels, and the two
-tangent-versus-dimension bounds.
+tangent-versus-dimension bounds.  The ``tangent`` report and the ``smooth``
+table are rendered here.
 """
 
 from __future__ import annotations
@@ -27,23 +28,11 @@ from math import gcd
 from typing import Literal, NamedTuple
 
 from .atlas import (
-    Context,
-    OrbitLabel,
-    dim_y0,
-    dimension,
-    is_upper_label,
-    label_fields,
-    label_of,
+    Context, OrbitLabel, dim_y0, dimension, format_label, is_upper_label, label_fields, label_of,
     label_perm,
 )
 from .perms import (
-    Perm,
-    compose,
-    identity,
-    length,
-    pattern_positions,
-    reduced_word,
-    transposition,
+    Perm, compose, format_perm, identity, length, pattern_positions, reduced_word, transposition,
 )
 from .poset import descend
 
@@ -268,10 +257,18 @@ def bracket_span(ctx: Context, roots: tuple[Root, ...]) -> int:
     pivots: dict[tuple[int, int], SparseMatrix] = {}
     queue = [m for m in seeds if _insert(pivots, m)]
     borel = borel_stabiliser_basis(ctx)
+    # [E_ab, E_cd] = 0 unless b = c or d = a: only the basis elements with a
+    # column among v's rows or a row among v's columns bracket v to nonzero
+    in_row = [set() for _ in range(ctx.n + 1)]
+    in_col = [set() for _ in range(ctx.n + 1)]
+    for pos, b in enumerate(borel):
+        for r, c in b:
+            in_row[r].add(pos)
+            in_col[c].add(pos)
     while queue:
         v = queue.pop()
-        for b in borel:
-            w = bracket(b, v)
+        for pos in sorted(set().union(*(in_col[r] | in_row[c] for r, c in v))):
+            w = bracket(borel[pos], v)
             if _insert(pivots, w):
                 queue.append(w)
     return len(pivots)
@@ -361,3 +358,40 @@ def verdict_json(ctx: Context, lbl: OrbitLabel) -> dict:
         "rule": v.rule,
         "witness": v.witness,
     }
+
+
+def report(ctx: Context, lbl: OrbitLabel) -> str:
+    """The ``tangent`` text: the per-root table, ``t_k`` and the bounds."""
+    lines = [f"# tangent data for {format_label(lbl)}  (n={ctx.n} k={ctx.k})"]
+    table = t_k_table(ctx, lbl)
+    kept = set(phi_plus_restricted(ctx))
+    for rt, witness in table:
+        status, wit = ("out", "-") if witness is None else ("in ", format_perm(witness))
+        phi_n = "yes" if rt in kept else "no "
+        lines.append(
+            f"  ({rt.i},{rt.j})  {rt.family:<13} phi_n={phi_n} t_k={status}  witness={wit}"
+        )
+    roots = tuple(rt for rt, witness in table if witness is not None)
+    bound = dim_y0(ctx) + len(roots)
+    lines.append(f"  |t_k| = {len(roots)} of {len(table)} roots")
+    lines.append(f"  tangent lower bound = {bound}")
+    lines.append(f"  dimension = {dimension(ctx, lbl)}")
+    if is_upper_label(ctx, lbl):
+        lines.append(f"  tangent dimension (upper label) = {bound}")
+    lines.append(f"  bracket-closure span = {bracket_span(ctx, roots)}")
+    return "\n".join(lines) + "\n"
+
+
+def smooth_table(ctx: Context, labels: tuple[OrbitLabel, ...]) -> str:
+    """The ``smooth`` table: one verdict line per label, then the totals."""
+    lines = [f"# verdicts for n={ctx.n} k={ctx.k}"]
+    counts = dict.fromkeys(("smooth", "singular", "unknown"), 0)
+    for lbl in labels:
+        v = verdict(ctx, lbl)
+        lines.append(
+            f"  {format_label(lbl)}  dim={dimension(ctx, lbl)}  "
+            f"verdict={v.status:<8} rule={v.rule or '-':<2} witness={v.witness}"
+        )
+        counts[v.status] += 1
+    lines.append("# totals: " + " ".join(f"{status}={count}" for status, count in counts.items()))
+    return "\n".join(lines) + "\n"

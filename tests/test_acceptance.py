@@ -12,17 +12,12 @@ from fractions import Fraction
 
 from borbit.atlas import (
     Context,
-    count_involutions,
-    count_standard_tableaux,
-    count_standard_tableaux_bruteforce,
     dim_orbit,
     dim_y0,
     dimension,
     enumerate_labels,
-    is_orbital_variety,
     is_upper_label,
     label,
-    tableau,
 )
 from borbit.geometry import (
     DEFAULT_SAMPLES,
@@ -42,6 +37,13 @@ from borbit.perms import (
 )
 from borbit.poset import hasse, leq, leq_oracle, maximum, minimum
 from borbit.ratmat import RationalMatrix
+from borbit.springer import (
+    count_involutions,
+    count_standard_tableaux,
+    count_standard_tableaux_bruteforce,
+    is_orbital_variety,
+    tableau,
+)
 from borbit.tangent import (
     bk_span,
     phi_plus,

@@ -7,35 +7,37 @@ import pytest
 
 from borbit.atlas import (
     Context,
-    TwoColumnTableau,
     coset_of,
-    count_involutions,
-    count_standard_tableaux,
-    count_standard_tableaux_bruteforce,
     dim_orbit,
     dim_y0,
     dimension,
     enumerate_labels,
     in_Wk,
     in_Zk,
-    involution_tau,
-    is_orbital_variety,
-    is_row_standard,
     is_upper_label,
     label,
     label_fields,
     label_from_fields,
     label_of,
     label_perm,
-    link_pattern,
     min_length_reps,
     paired_subgroup,
     rep_matrix,
-    springer_component_dim,
-    tableau,
 )
 from borbit.perms import CapExceeded, all_perms, compose, identity, length
 from borbit.ratmat import RationalMatrix
+from borbit.springer import (
+    TwoColumnTableau,
+    count_involutions,
+    count_standard_tableaux,
+    count_standard_tableaux_bruteforce,
+    involution_tau,
+    is_orbital_variety,
+    is_row_standard,
+    link_pattern,
+    springer_component_dim,
+    tableau,
+)
 
 
 def test_context_validation():
@@ -240,6 +242,15 @@ def test_upper_labels_are_the_strictly_upper_representatives():
         for lbl in enumerate_labels(ctx):
             upper = rep_matrix(ctx, lbl).is_strictly_upper_triangular()
             assert is_upper_label(ctx, lbl) == upper
+
+
+def test_is_upper_label_reads_the_tableau_rows():
+    # the direct product test against the tableau it replaced as the definition
+    for n in range(1, 8):
+        for k in range(n // 2 + 1):
+            ctx = Context(n, k)
+            for lbl in enumerate_labels(ctx):
+                assert is_upper_label(ctx, lbl) == is_row_standard(tableau(ctx, lbl)), (ctx, lbl)
 
 
 def test_involution_bijection():

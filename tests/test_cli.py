@@ -39,6 +39,10 @@ def test_parse_label_arg():
         parse_label_arg(ctx, "sigma=2,4,1,3 beta=id")
     with pytest.raises(ValueError):
         parse_label_arg(ctx, "sigma")
+    with pytest.raises(ValueError, match="repeated label key 'sigma'"):
+        parse_label_arg(ctx, "sigma=id sigma=2,4,1,3")
+    with pytest.raises(ValueError, match="repeated label key 'alpha'"):
+        parse_label_arg(ctx, "sigma=id alpha=id alpha=s1")
 
 
 def test_enumerate_table(capsys):
@@ -273,6 +277,11 @@ def test_exit_code_bad_input(capsys):
     assert "error:" in err
     code, _, err = run(capsys, "--n", "4", "--k", "3", "enumerate")
     assert code == EXIT_BAD_INPUT
+    code, out, err = run(
+        capsys, "--n", "4", "--k", "2", "order", "sigma=id sigma=2,4,1,3", "sigma=2,4,1,3"
+    )
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == "error: repeated label key 'sigma'\n"
     code, _, err = run(
         capsys, "--n", "4", "--k", "2",
         "blueprint", "sigma=3,4,1,2 alpha=id", "s2.s2.s1.s3",

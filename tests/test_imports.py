@@ -23,6 +23,7 @@ COMMANDS = {
     "enumerate": ["--n", "5", "--k", "2", "enumerate"],
     "order": ["--n", "10", "--k", "3", "order", "sigma=id", "sigma=s3"],
     "hasse": ["--n", "5", "--k", "1", "hasse"],
+    "hasse-json": ["--n", "5", "--k", "1", "--format", "json", "hasse"],
     "tangent": ["--n", "6", "--k", "3", "tangent", "sigma=2,4,6,1,3,5"],
     "smooth": ["--n", "5", "--k", "2", "smooth"],
     "springer": ["--n", "5", "--k", "2", "springer"],
@@ -53,6 +54,35 @@ def loaded() -> dict[str, set[str]]:
 def test_order_loads_no_tangent_geometry_or_matrices(loaded):
     assert {"borbit.atlas", "borbit.poset", "borbit.perms"} <= loaded["order"]
     assert not {"borbit.tangent", "borbit.geometry", "borbit.ratmat"} & loaded["order"]
+
+
+#: ``borbit`` source lines that ``order`` compiles: 1041 when set, 1296
+#: while ``atlas`` held the Springer combinatorics and ``cli`` every
+#: command's text.
+ORDER_LINE_BUDGET = 1090
+
+
+def test_order_compiles_within_its_line_budget(loaded):
+    files = [
+        SRC / "borbit" / ("__init__.py" if name == "borbit" else name.split(".")[1] + ".py")
+        for name in loaded["order"]
+        if name == "borbit" or name.startswith("borbit.")
+    ]
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in files)
+    assert lines <= ORDER_LINE_BUDGET, lines
+
+
+def test_json_loads_only_for_json_output(loaded):
+    assert {name for name, mods in loaded.items() if "json" in mods} == {"hasse-json"}
+
+
+def test_springer_layer_loads_for_its_commands_only(loaded):
+    assert {name for name, mods in loaded.items() if "borbit.springer" in mods} == {
+        "enumerate",
+        "springer",
+        "verify",
+    }
+    assert "borbit.tangent" not in loaded["enumerate"]
 
 
 def test_only_verify_and_blueprint_load_geometry(loaded):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from borbit import tangent
 from borbit.atlas import (
     Context,
     dim_orbit,
@@ -25,6 +26,7 @@ from borbit.tangent import (
     MIDDLE_BOTTOM,
     TOP_MIDDLE,
     Root,
+    _insert,
     base_orbit_tangent_positions,
     bk_span,
     borel_stabiliser_basis,
@@ -328,6 +330,51 @@ def test_bk_span_matches_the_dense_reference():
             assert bk_span(ctx, lbl) == dense_bracket_span(ctx, lbl)
             checked += 1
     assert checked == 8
+
+
+def unindexed_bracket_span(ctx, lbl):
+    """Reference for the basis index of ``bk_span``: the same integer
+    closure, bracketing each queued vector with every basis element; the
+    span and the nonzero brackets in the order they arose."""
+    seeds = [{pos: 1} for pos in base_orbit_tangent_positions(ctx)]
+    seeds += [root_tangent(ctx, rt) for rt in t_k_set(ctx, lbl)]
+    pivots, nonzero = {}, []
+    queue = [m for m in seeds if _insert(pivots, m)]
+    borel = borel_stabiliser_basis(ctx)
+    while queue:
+        v = queue.pop()
+        for b in borel:
+            w = bracket(b, v)
+            nonzero += [w] if w else []
+            if _insert(pivots, w):
+                queue.append(w)
+    return len(pivots), nonzero
+
+
+def test_indexed_bk_span_matches_the_unindexed_closure(monkeypatch):
+    # the index may skip only zero brackets, so the same nonzero brackets
+    # arise in the same order, not just the same span
+    nonzero = []
+
+    def recording(x, y):
+        w = bracket(x, y)
+        nonzero.extend([w] if w else [])
+        return w
+
+    monkeypatch.setattr(tangent, "bracket", recording)
+
+    def agrees(ctx, lbl):
+        nonzero.clear()
+        return (bk_span(ctx, lbl), nonzero) == unindexed_bracket_span(ctx, lbl)
+
+    for n in range(1, 7):
+        for k in range(n // 2 + 1):
+            ctx = Context(n, k)
+            assert all(agrees(ctx, lbl) for lbl in enumerate_labels(ctx)), ctx
+    ctx, rng = Context(16, 4), random.Random(16)
+    for _ in range(4):
+        lbl = label_of(ctx, tuple(rng.sample(range(1, 17), 16)))
+        assert agrees(ctx, lbl), lbl
 
 
 def test_bk_span_frozen_values():
