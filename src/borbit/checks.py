@@ -135,11 +135,12 @@ def run_suites(
     return suites, singular_orbital
 
 
-def report(ctx: Context, cap: int, samples_arg: str) -> tuple[bool, str]:
+def report(ctx: Context, cap: int, samples_arg: str | None) -> tuple[bool, str]:
     """Whether every suite passed, and the ``verify`` text: one line per
     suite, then the tangent report of each singular orbital variety.
-    ``samples_arg`` is the ``--samples`` list."""
-    samples = tuple(Fraction(part) for part in samples_arg.split(",") if part)
+    ``samples_arg`` is the ``--samples`` list, None for the defaults."""
+    parts = geometry.DEFAULT_SAMPLES if samples_arg is None else samples_arg.split(",")
+    samples = tuple(Fraction(part) for part in parts if part)
     if not any(samples):
         raise ValueError(f"--samples needs a nonzero value: got {samples_arg!r}")
     suites, singular_orbital = run_suites(ctx, cap, samples)

@@ -133,17 +133,17 @@ def cmd_verify(ctx: Context, args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK if ok else EXIT_VERIFICATION, text
 
 
-#: Subcommand name -> (positional arguments, handler of the context and the
-#: parsed arguments).
+#: Subcommand name -> (positional arguments, the formats it writes with the
+#: default first, handler of the context and the parsed arguments).
 COMMANDS = {
-    "enumerate": ((), cmd_enumerate),
-    "order": (("a", "b"), cmd_order),
-    "hasse": ((), cmd_hasse),
-    "tangent": (("label",), cmd_tangent),
-    "smooth": ((), cmd_smooth),
-    "verify": ((), cmd_verify),
-    "springer": ((), cmd_springer),
-    "blueprint": (("label", "word"), cmd_blueprint),
+    "enumerate": ((), ("table", "json"), cmd_enumerate),
+    "order": (("a", "b"), ("table",), cmd_order),
+    "hasse": ((), ("dot", "json"), cmd_hasse),
+    "tangent": (("label",), ("table",), cmd_tangent),
+    "smooth": ((), ("table", "json"), cmd_smooth),
+    "verify": ((), ("table",), cmd_verify),
+    "springer": ((), ("table",), cmd_springer),
+    "blueprint": (("label", "word"), ("table", "json"), cmd_blueprint),
 }
 
 
@@ -158,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="write output to a file")
     parser.add_argument("--cap", type=int, default=atlas.ENUMERATION_CAP, help="enumeration size cap")
     # parsed by ``verify``, the only command that reads it
-    parser.add_argument("--samples", default="1,-1,2,1/3", help="comma-separated rational curve samples")
+    parser.add_argument("--samples", default=None, help="comma-separated rational curve samples")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (positionals, _) in COMMANDS.items():
+    for name, (positionals, _, _) in COMMANDS.items():
         command = sub.add_parser(name)
         for arg in positionals:
             command.add_argument(arg)
@@ -169,12 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    args.fmt = args.fmt or ("dot" if args.command == "hasse" else "table")
+    _, formats, handler = COMMANDS[args.command]
+    args.fmt = args.fmt or formats[0]
     try:
+        if args.fmt not in formats:
+            raise ValueError(f"--format {args.fmt}: {args.command} writes only {', '.join(formats)}")
         ctx = Context(args.n, args.k)
         if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ValueError(f"cannot write {args.out}: no such directory")
-        _, handler = COMMANDS[args.command]
         code, text = handler(ctx, args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .atlas import Context, OrbitLabel, format_label, label_perm
-from .perms import Perm, evaluate_word, format_word, is_reduced, length, transposition
+from .perms import Perm, evaluate_word, format_word, length, transposition
 from .ratmat import RationalMatrix, exact
-from .tangent import DELTA, Root, full_corner_positions, phi_plus, root_tangent
+from .tangent import DELTA, Root, _insert, full_corner_positions, phi_plus, root_tangent
 
 
 class CurveSpec(NamedTuple):
@@ -190,12 +190,8 @@ class CurveReport(NamedTuple):
         return not self.failures
 
 
-DEFAULT_SAMPLES: tuple[Fraction, ...] = (
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(1, 3),
-)
+#: The curve samples of ``verify`` when ``--samples`` is not given.
+DEFAULT_SAMPLES: tuple[Fraction, ...] = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3))
 
 
 def verify_curve(
@@ -251,14 +247,12 @@ def verify_curve(
 
 
 def tangent_stack_rank(ctx: Context) -> int:
-    """Rank of all corner-block positions stacked with all curve tangents."""
-    n = ctx.n
-    E = RationalMatrix.elementary
-    rows = [E(n, r, s).flatten() for (r, s) in full_corner_positions(ctx)]
-    rows += [curve(ctx, rt).linear.flatten() for rt in phi_plus(ctx)]
-    if not rows:
-        return 0
-    return RationalMatrix(rows).rank()
+    """Rank of all corner-block positions stacked with all curve tangents,
+    on ``tangent``'s integer echelon: the curve tangents are integral."""
+    stack = [{pos: 1} for pos in full_corner_positions(ctx)]
+    stack += [curve(ctx, rt).linear.entries for rt in phi_plus(ctx)]
+    pivots: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    return sum(_insert(pivots, vec) for vec in stack)
 
 
 class ResolutionBlueprint(NamedTuple):
@@ -293,7 +287,7 @@ def resolution_blueprint(
         raise ValueError(
             f"word does not evaluate to the label product {tau}"
         )
-    if not is_reduced(n, word) or len(word) != length(tau):
+    if len(word) != length(tau):  # a word for tau is reduced iff it has tau's length
         raise ValueError("word is not reduced")
 
     names = []

@@ -102,10 +102,6 @@ def evaluate_word(n: int, word: Sequence[int]) -> Perm:
     return tuple(acc)
 
 
-def is_reduced(n: int, word: Sequence[int]) -> bool:
-    return length(evaluate_word(n, word)) == len(word)
-
-
 def left_descents(p: Perm) -> tuple[int, ...]:
     """Indices ``i`` with ``length(s_i p) < length(p)``."""
     pos = inverse(p)

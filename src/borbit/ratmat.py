@@ -8,16 +8,17 @@ ever stored, so equal matrices have equal dicts.  The matrices of the
 curve and geometry checks (base points, curve coefficients, ``I + t E_ji``,
 reflections, representatives) have O(n) nonzero entries, mostly 0 and ±1,
 and products, sums, the triangularity tests and rank touch only those, in
-integer arithmetic until a truly rational entry appears.  Rank is computed
-by Gaussian elimination on the sparse rows, dividing through ``Fraction``,
-so no floating point appears anywhere.  Constructors for elementary
-matrices use the usual 1-indexed convention: ``elementary(n, r, s)`` is
-the matrix with a single 1 in row ``r``, column ``s``.
+integer arithmetic until a truly rational entry appears.  Rank scales the
+rows to integers for the fraction-free echelon ``tangent._insert``, so no
+floating point appears anywhere.  Constructors for elementary matrices use
+the usual 1-indexed convention: ``elementary(n, r, s)`` is the matrix with
+a single 1 in row ``r``, column ``s``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -40,8 +41,8 @@ def exact(x: Scalar) -> Scalar:
 class RationalMatrix:
     """A rectangular rational matrix, hashable and immutable, stored as
     ``entries``, the read-only dict of its nonzero entries in :func:`exact`
-    form, which arithmetic and ``rank`` read; ``rows`` is a dense view
-    built on demand.
+    form, which arithmetic reads and ``rank`` scales to integer rows for
+    the shared echelon; ``rows`` is a dense view built on demand.
 
     >>> a = RationalMatrix([[0, 1], [1, 0]])
     >>> (a * a) == RationalMatrix.matrix_identity(2)
@@ -229,37 +230,23 @@ class RationalMatrix:
         return tuple(a for row in self.rows for a in row)
 
     def rank(self) -> int:
-        """Exact rank by Gaussian elimination over the rationals on the
-        stored entries.  Each row, a dict of its nonzero entries, is reduced
-        against the echelon rows kept by leading (smallest) column, scaled
-        to a leading 1 by dividing through ``Fraction`` (``int / int``
-        would be a float): subtracting ``row[lead]`` times the kept row
-        clears the lead and adds nothing left of it, so the lead strictly
-        rises.  A row that keeps an entry joins the echelon; the rank is its
-        size.
+        """Exact rank over the rationals, on ``tangent``'s integer row
+        echelon: each stored row is scaled to integers by the lcm of its
+        entries' denominators, and the rank is the number of rows that
+        ``_insert`` accepts.  Scaling a row by a nonzero rational keeps its
+        span, so the rank over Q is unchanged; ``_insert`` multiplies and
+        divides only by gcds, so no float can appear.
         """
+        from .tangent import _insert  # the one echelon; ``ratmat`` alone loads no layer
+
         rows: dict[int, dict[int, Scalar]] = {}
         for (r, s), a in self.entries.items():
             rows.setdefault(r, {})[s] = a
-        echelon: dict[int, dict[int, Scalar]] = {}
+        pivots: dict[int, dict[int, int]] = {}
         for row in rows.values():
-            while row:
-                lead = min(row)
-                kept = echelon.get(lead)
-                if kept is None:
-                    pivot = row[lead]
-                    if pivot != 1:
-                        row = {s: exact(Fraction(a) / pivot) for s, a in row.items()}
-                    echelon[lead] = row
-                    break
-                factor = row[lead]
-                for s, a in kept.items():
-                    value = row.get(s, 0) - factor * a
-                    if value:
-                        row[s] = value
-                    else:
-                        del row[s]
-        return len(echelon)
+            scale = lcm(*(a.denominator for a in row.values()))
+            _insert(pivots, {s: int(a * scale) for s, a in row.items()})
+        return len(pivots)
 
 
 def format_matrix(m: RationalMatrix) -> str:

@@ -23,9 +23,10 @@ table are rendered here.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd
-from typing import Literal, NamedTuple
+from typing import Literal, NamedTuple, TypeVar
 
 from .atlas import (
     Context, OrbitLabel, dim_y0, dimension, format_label, is_upper_label, label_fields, label_of,
@@ -52,6 +53,7 @@ RANK_ONE_PATTERN: Perm = (3, 1, 4, 2)
 #: nonzero entry.  The tangent algebra lives here: its generators (matrix
 #: units, curve tangents, the stabiliser basis) have entries 0 and +-1.
 SparseMatrix = dict[tuple[int, int], int]
+Key = TypeVar("Key")  # an ordered key of ``_insert``: a position, or a column in ``ratmat``
 
 
 class Root(NamedTuple):
@@ -213,9 +215,10 @@ def bracket(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
     return {pos: val for pos, val in out.items() if val}
 
 
-def _insert(pivots: dict[tuple[int, int], SparseMatrix], vec: SparseMatrix) -> bool:
+def _insert(pivots: dict[Key, dict[Key, int]], vec: Mapping[Key, int]) -> bool:
     """Add ``vec`` to the row echelon ``pivots``, whose rows are keyed by
-    their leading (smallest) position; True if it was independent.
+    their leading (smallest) key; True if it was independent.  The one
+    integer echelon, shared by ``bracket_span`` and ``RationalMatrix.rank``.
 
     Each step cancels the leading entry of ``vec`` against the row with the
     same leading position, using integer multipliers; entries after it may

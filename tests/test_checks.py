@@ -35,6 +35,13 @@ def test_every_suite_runs_in_order_and_passes(n, k):
     assert all(ok.values())
 
 
+def test_report_without_samples_uses_the_default_samples():
+    ctx = Context(4, 2)
+    default = checks.report(ctx, 8, None)
+    assert default == checks.report(ctx, 8, ",".join(map(str, DEFAULT_SAMPLES)))
+    assert "curves: 5 roots x 4 samples" in default[1]
+
+
 @pytest.mark.parametrize("position", [0, 37, 71, 143])
 def test_a_flipped_closure_answer_fails_the_pair_suite(monkeypatch, position):
     """Any one pair of the 12^2 at (4,2), the last one included; the suite

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from borbit.cli import (
+    COMMANDS,
     EXIT_BAD_INPUT,
     EXIT_CAP,
     EXIT_OK,
@@ -287,6 +288,49 @@ def test_exit_code_bad_input(capsys):
         "blueprint", "sigma=3,4,1,2 alpha=id", "s2.s2.s1.s3",
     )
     assert code == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize(
+    "fmt, argv",
+    [
+        ("json", ["tangent", "sigma=2,4,1,3"]),
+        ("json", ["order", "sigma=id", "sigma=s2"]),
+        ("json", ["springer"]),
+        ("json", ["verify"]),
+        ("dot", ["enumerate"]),
+        ("table", ["hasse"]),
+        ("dot", ["smooth"]),
+        ("dot", ["blueprint", "sigma=3,4,1,2", "s2.s1.s3.s2"]),
+    ],
+)
+def test_a_format_the_command_does_not_write_is_bad_input(capsys, fmt, argv):
+    code, out, err = run(capsys, "--n", "4", "--k", "2", "--format", fmt, *argv)
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == f"error: --format {fmt}: {argv[0]} writes only {', '.join(COMMANDS[argv[0]][1])}\n"
+
+
+def test_a_refused_format_fails_before_the_command_runs(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(poset, "hasse", never)
+    code, out, err = run(capsys, "--n", "8", "--k", "3", "--format", "table", "hasse")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == "error: --format table: hasse writes only dot, json\n"
+
+
+def test_each_command_writes_its_default_format_when_asked_by_name(capsys):
+    """The first listed format is the default, so naming it changes nothing."""
+    for name, (positionals, formats, _) in COMMANDS.items():
+        argv = {
+            "order": ["sigma=id", "sigma=s2"],
+            "tangent": ["sigma=2,4,1,3"],
+            "blueprint": ["sigma=3,4,1,2", "s2.s1.s3.s2"],
+        }.get(name, [])
+        assert len(argv) == len(positionals)
+        default = run(capsys, "--n", "4", "--k", "2", name, *argv)
+        named = run(capsys, "--n", "4", "--k", "2", "--format", formats[0], name, *argv)
+        assert default == named and default[0] == EXIT_OK, name
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

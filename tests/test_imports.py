@@ -126,6 +126,13 @@ def test_import_tangent_loads_no_rationals():
     assert not {"borbit.ratmat", "fractions"} & mods
 
 
+def test_import_ratmat_loads_no_other_layer():
+    """``RationalMatrix.rank`` imports ``tangent``'s echelon inside the
+    method, so the matrices alone load no other ``borbit`` module."""
+    mods = modules_after("import sys, borbit.ratmat; print(*sorted(sys.modules), file=sys.stderr)")
+    assert {name for name in mods if name.startswith("borbit.")} == {"borbit.ratmat"}
+
+
 @pytest.mark.parametrize("name", borbit.__all__)
 def test_every_export_is_its_module_attribute(name):
     value = getattr(borbit, name)

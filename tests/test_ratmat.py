@@ -334,6 +334,37 @@ def test_rank_divides_exactly():
     assert RationalMatrix([[3, 1], [5, Fraction(5, 3) + Fraction(1, 10**20)]]).rank() == 2
 
 
+def test_rank_scales_each_row_by_the_lcm_of_its_denominators():
+    """Rows whose denominators have an lcm above each of them (4 and 6 give
+    12), and numerators far beyond a float's 53 bits.  Scaling a row by its
+    largest denominator, or truncating its entries, breaks these ranks."""
+    big = 10**30 + 7
+    cases = [
+        [[Fraction(1, 4), Fraction(1, 6)], [3, 2]],
+        [[Fraction(1, 4), Fraction(1, 6)], [1, 0]],
+        [[Fraction(1, 6), Fraction(1, 10), Fraction(1, 15)], [5, 3, 2], [0, 0, 1]],
+        [[Fraction(big, 4), Fraction(big, 6)], [3, 2]],
+        [[Fraction(big, 4), Fraction(big + 1, 6)], [3, 2]],
+        [[Fraction(1, 9), Fraction(1, 6), Fraction(big, 4)], [4, 6, 9 * big]],
+    ]
+    rng = random.Random(1412)
+    for _ in range(60):
+        nrows, ncols = rng.randint(2, 5), rng.randint(2, 5)
+        rows = [
+            [Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**25), rng.choice([4, 6, 9, 10, 15]))
+             for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        a, b = Fraction(rng.randint(-9, 9), rng.choice([4, 6])), Fraction(rng.randint(1, 10**20), 9)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])  # a dependent row
+        cases.append(rows)
+    expected = [gauss_rank(rows) for rows in cases]
+    assert expected[:6] == [1, 2, 2, 1, 2, 1]
+    for rows, rank in zip(cases, expected):
+        assert RationalMatrix(rows).rank() == rank
+        assert RationalMatrix(rows).transpose().rank() == rank
+
+
 def test_int_and_fraction_built_twins_are_equal():
     rng = random.Random(64)
     for _ in range(50):
