@@ -9,8 +9,8 @@ import math
 from fractions import Fraction
 
 from . import atlas, geometry, poset, springer, tangent
-from .atlas import Context, OrbitLabel
-from .perms import all_perms, length, lower_interval, reduced_word
+from .atlas import Context, OrbitCoset, OrbitLabel
+from .perms import Perm, all_perms, length, lower_interval, reduced_word
 
 #: One suite's outcome: its name, whether it passed, and what it checked.
 Suite = tuple[str, bool, str]
@@ -27,23 +27,23 @@ def run_suites(
     expected = math.factorial(ctx.n) // (
         math.factorial(ctx.k) * math.factorial(ctx.n - 2 * ctx.k)
     )
-    seen = set()
-    coset_count = 0
+    # one sweep of S_n: ``owner`` maps each permutation, swept ``p`` too, to its coset
+    cosets: list[OrbitCoset] = []
+    owner: dict[Perm, int] = {}
     for p in all_perms(ctx.n):
-        if p in seen:
-            continue
-        coset_count += 1
-        seen.update(atlas.coset_of(ctx, p).members)
+        if p not in owner:
+            cosets.append(atlas.coset_of(ctx, p))
+            owner.update(dict.fromkeys((p, *cosets[-1].members), len(cosets) - 1))
     suites.append((
         "label-count",
-        len(labels) == expected == coset_count,
-        f"{len(labels)} labels, {coset_count} cosets, formula {expected}",
+        len(labels) == expected == len(cosets),
+        f"{len(labels)} labels, {len(cosets)} cosets, formula {expected}",
     ))
 
     products = [atlas.label_perm(lbl) for lbl in labels]
-    cosets = [atlas.coset_of(ctx, w) for w in products]
     ok = True
-    for lbl, w, coset in zip(labels, products, cosets):
+    for lbl, w in zip(labels, products):
+        coset = cosets[owner[w]]
         if w not in atlas.min_length_reps(coset):
             ok = False
         if length(w) != length(lbl.sigma) + length(lbl.alpha):
@@ -83,21 +83,19 @@ def run_suites(
     generated = [{j} for j in range(len(labels))]  # the order the covers generate
     for i, j in sorted(g.covers, key=lambda cover: g.dims[cover[1]]):
         generated[j] |= generated[i]
-    # ``poset.leq_oracle`` from one coset and one subword interval per label
-    # (a reduced word has at most n(n-1)/2 letters, and ``enumerate_labels``
-    # has admitted ``n``); a witness in both sets proves the oracle's answer true
-    members = [frozenset(coset.members) for coset in cosets]
-    intervals = [lower_interval(w, ctx.n * (ctx.n - 1) // 2) for w in products]
-    # ``poset.leq_witness`` with each target's reduced word computed once
-    words = [reduced_word(w) for w in products]
-
-    def agrees(i: int, j: int) -> bool:
-        witness = poset.descend(ctx, products[i], words[j])
-        if witness is None:
-            return members[i].isdisjoint(intervals[j]) and i not in generated[j]
-        return witness in members[i] and witness in intervals[j] and i in generated[j]
-
-    ok = all(agrees(i, j) for i in range(len(labels)) for j in range(len(labels)))
+    ok = True
+    for j, w in enumerate(products):
+        # ``met``: the cosets meeting target ``j``'s subword interval (at most
+        # n(n-1)/2 letters), ``poset.leq_oracle`` for every source at once
+        interval = lower_interval(w, ctx.n * (ctx.n - 1) // 2)
+        met = {owner[m] for m in interval}
+        word = reduced_word(w)
+        for i, u in enumerate(products):
+            witness = poset.descend(ctx, u, word)
+            if witness is None:
+                ok = ok and owner[u] not in met and i not in generated[j]
+            else:
+                ok = ok and witness in interval and owner[witness] == owner[u] and i in generated[j]
     suites.append(("closure-order-oracle", ok, f"{len(labels)}^2 ordered pairs"))
 
     bad = 0
@@ -135,12 +133,21 @@ def run_suites(
     return suites, singular_orbital
 
 
+def _sample(field: str) -> Fraction:
+    """One field of the ``--samples`` list; an empty field is bad input."""
+    try:
+        return Fraction(field)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--samples field {field!r} is not a rational number") from None
+
+
 def report(ctx: Context, cap: int, samples_arg: str | None) -> tuple[bool, str]:
     """Whether every suite passed, and the ``verify`` text: one line per
     suite, then the tangent report of each singular orbital variety.
     ``samples_arg`` is the ``--samples`` list, None for the defaults."""
-    parts = geometry.DEFAULT_SAMPLES if samples_arg is None else samples_arg.split(",")
-    samples = tuple(Fraction(part) for part in parts if part)
+    samples = geometry.DEFAULT_SAMPLES
+    if samples_arg is not None:
+        samples = tuple(map(_sample, samples_arg.split(",")))
     if not any(samples):
         raise ValueError(f"--samples needs a nonzero value: got {samples_arg!r}")
     suites, singular_orbital = run_suites(ctx, cap, samples)

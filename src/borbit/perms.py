@@ -15,7 +15,6 @@ rightmost letter acts first on points.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -169,14 +168,14 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def lower_interval(w: Perm, word_cap: int = WORD_LENGTH_CAP) -> frozenset[Perm]:
     """All permutations below ``w``, by enumerating subwords of one reduced word.
 
     The set of subword evaluations of any reduced word for ``w`` is exactly
     the lower Bruhat interval of ``w``.  The running set of partial products
     is extended one letter at a time, which keeps the enumeration polynomial
-    in the interval size instead of ``2**length``.
+    in the interval size instead of ``2**length``.  Nothing is cached: a
+    caller that asks about one target repeatedly keeps its interval.
     """
     word = reduced_word(w)
     if len(word) > word_cap:

@@ -196,7 +196,7 @@ def test_criterion_4_tangent_formulas():
             assert dim_y0(ctx) + len(t_k_set(ctx, lbl)) == dimension(ctx, lbl)
 
 
-def test_criterion_5_order_oracle_equivalence():
+def test_criterion_5_order_oracle_equivalence(cached_intervals):
     with Budget("criterion 5 (order oracle equivalence)", 30.0):
         for n in (4, 5):
             for u in all_perms(n):

@@ -1,12 +1,17 @@
 """The self-check suites, called directly: each comes back in its fixed
 order and passes, and a planted fault in a checked fast path fails it."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from borbit import checks, poset
-from borbit.atlas import Context, enumerate_labels, label_perm
+from borbit import atlas, checks, poset
+from borbit.atlas import Context, OrbitCoset, enumerate_labels, label_perm
 from borbit.geometry import DEFAULT_SAMPLES
-from borbit.perms import bruhat_leq, lower_interval, reduced_word
+from borbit.perms import bruhat_leq, reduced_word
 from borbit.ratmat import RationalMatrix
 
 SUITE_NAMES = [
@@ -87,15 +92,65 @@ def test_a_witness_above_the_target_fails_the_pair_suite(monkeypatch):
     assert ok["label-count"] and ok["minimal-representatives"]
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+#: Runs ``main`` on its arguments, then prints the peak resident set in kB.
+PEAK_PROBE = (
+    "import resource, sys\n"
+    "from borbit.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
 def test_every_suite_passes_at_8_2():
     """The longest label product at (8,2) has 21 inversions; the pair
-    suite's subword intervals take the honest cap n(n-1)/2."""
-    try:
-        ok, names = outcomes(Context(8, 2))
-    finally:
-        lower_interval.cache_clear()  # 840 intervals of S_8: free them for later tests
-    assert names == SUITE_NAMES
+    suite's subword intervals take the honest cap n(n-1)/2, and it holds
+    one of them at a time, so a fresh interpreter peaks below 120 MB."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_PROBE, "--n", "8", "--k", "2", "verify"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    suites = [line.split(":")[0].split() for line in proc.stdout.splitlines()[: len(SUITE_NAMES)]]
+    assert suites == [["ok", name] for name in SUITE_NAMES]
+    assert int(proc.stderr.split()[-1]) < 120 * 1024
+
+
+@pytest.mark.parametrize("n, k, count", [(5, 2, 60), (6, 1, 30)])
+def test_the_sweep_builds_each_coset_once(monkeypatch, n, k, count):
+    calls = []
+    real = atlas.coset_of
+
+    def counted(ctx, w):
+        calls.append(w)
+        return real(ctx, w)
+
+    monkeypatch.setattr(atlas, "coset_of", counted)
+    ok, _ = outcomes(Context(n, k))
     assert all(ok.values())
+    assert len(calls) == count
+
+
+@pytest.mark.parametrize("drop", [0, -1])
+def test_a_coset_missing_a_member_fails_a_coset_suite(monkeypatch, drop):
+    """Dropping the first member, the swept permutation itself, takes some
+    label products out of their cosets, and dropping the last leaves a
+    permutation to start a coset of its own; either way a suite fails and
+    nothing raises."""
+    real = atlas.coset_of
+
+    def short(ctx, w):
+        members = list(real(ctx, w).members)
+        del members[drop]
+        return OrbitCoset(tuple(members))
+
+    monkeypatch.setattr(atlas, "coset_of", short)
+    ok, _ = outcomes(Context(4, 2))
+    assert not (ok["label-count"] and ok["minimal-representatives"])
 
 
 def test_an_off_by_one_rank_fails_the_representative_suite(monkeypatch):

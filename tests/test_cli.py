@@ -379,10 +379,11 @@ def test_custom_samples_flag(capsys):
     assert "curves: 5 roots x 4 samples" in out
 
 
-@pytest.mark.parametrize("samples", [",", "0", "0,0/5"])
+@pytest.mark.parametrize("samples", [",", "0", "0,0/5", "1,,2", "1,", ",1"])
 def test_samples_without_a_nonzero_value_are_bad_input(capsys, samples):
     """An empty list would check no curve point at all, and the sample 0
-    skips the factorisation checks, so neither passes the curves suite."""
+    skips the factorisation checks, so neither passes the curves suite; an
+    empty field is refused too, not dropped."""
     code, out, err = run(capsys, "--n", "4", "--k", "2", "--samples", samples, "verify")
     assert (code, out) == (EXIT_BAD_INPUT, "")
     assert err.startswith("error: ") and "--samples" in err
@@ -392,6 +393,6 @@ def test_only_verify_reads_the_samples_flag(capsys):
     for bad in ("abc", "1/0"):
         code, out, err = run(capsys, "--n", "4", "--k", "2", "--samples", bad, "verify")
         assert (code, out) == (EXIT_BAD_INPUT, "")
-        assert err.startswith("error: ")
+        assert err.startswith("error: --samples ") and repr(bad) in err
     code, out, _ = run(capsys, "--n", "4", "--k", "2", "--samples", "abc", "order", "sigma=id", "sigma=s2")
     assert code == EXIT_OK and out.startswith("true")

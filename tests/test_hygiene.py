@@ -1,5 +1,6 @@
 """Source hygiene: every imported name is used in the module importing it,
-and no library module imports ``dataclasses``."""
+no library module imports ``dataclasses``, and every library cache is a
+per-context table."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,53 @@ def test_the_scan_sees_every_absolute_import(tmp_path):
         encoding="utf-8",
     )
     assert imported_modules(source) == {"os", "json", "dataclasses", "typing"}
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def caches_off_context(path: Path) -> list[str]:
+    """Each use of ``functools.cache`` or ``lru_cache`` in ``path`` other
+    than as the decorator of a function whose first parameter is ``ctx``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    per_context = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = node.args.posonlyargs + node.args.args
+            if params and params[0].arg == "ctx":
+                per_context |= {id(getattr(dec, "func", dec)) for dec in node.decorator_list}
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if id(node) not in per_context
+        and (
+            (isinstance(node, ast.Name) and node.id in CACHES)
+            or (
+                isinstance(node, ast.Attribute)
+                and node.attr in CACHES
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+            )
+        )
+    ]
+
+
+def test_every_library_cache_is_per_context():
+    # a cache keyed on anything but the context grows with every query the
+    # process asks, and no command asks one query twice
+    assert len(LIBRARY) > 5
+    assert [hit for path in LIBRARY for hit in caches_off_context(path)] == []
+
+
+def test_the_scan_sees_a_cache_off_context(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef table(ctx, cap=8):\n    pass\n"
+        "@functools.cache\ndef roots(ctx):\n    pass\n"
+        "@cache\ndef interval(w, ctx):\n    pass\n"
+        "@functools.lru_cache\ndef nothing():\n    pass\n"
+        "memo = lru_cache(maxsize=8)(len)\n",
+        encoding="utf-8",
+    )
+    assert caches_off_context(source) == ["sample.py:9", "sample.py:12", "sample.py:15"]

@@ -134,7 +134,7 @@ def test_subword_oracle_agrees_exhaustively_small():
                 assert bruhat_leq(u, w) == bruhat_leq_oracle(u, w)
 
 
-def test_bruhat_leq_matches_the_subword_oracle_on_all_of_s5():
+def test_bruhat_leq_matches_the_subword_oracle_on_all_of_s5(cached_intervals):
     perms5 = list(all_perms(5))
     pairs = [(u, w) for u in perms5 for w in perms5]
     assert len(pairs) == 14400

@@ -206,7 +206,7 @@ def test_alpha_descent_flags():
     assert g.alpha_descents
 
 
-def test_covers_generate_the_subword_oracle_order():
+def test_covers_generate_the_subword_oracle_order(cached_intervals):
     for n, k in [(4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (6, 3), (7, 1)]:
         ctx = Context(n, k)
         g = hasse(ctx)
