@@ -1,5 +1,14 @@
 """Command-line interface.
 
+Options take one value each, as --name VALUE or --name=VALUE, before or
+after the command; the last of repeated values wins:
+  --n N           matrix size (required)
+  --k K           orbit rank (required)
+  --format F      table, dot or json; each command writes its first by default
+  --out FILE      write the output to FILE instead of stdout
+  --cap C         enumeration size cap
+  --samples LIST  comma-separated rational curve samples, read by verify
+
 Subcommands:
   enumerate   list all labels with dimensions, tableaux and link patterns
   order A B   closure-order test with a Bruhat witness
@@ -17,9 +26,9 @@ failure, 2 bad input, 3 cap exceeded.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 # Every command but ``order`` and ``hasse`` renders its text in the layer it
 # runs (``springer``, ``tangent``, ``geometry``, ``checks``), imported inside
@@ -66,7 +75,7 @@ def _json(data) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def cmd_enumerate(ctx: Context, args: argparse.Namespace) -> tuple[int, str]:
+def cmd_enumerate(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
     from . import springer
 
     rows = springer.label_rows(ctx, args.cap)
@@ -75,7 +84,7 @@ def cmd_enumerate(ctx: Context, args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, springer.label_table(ctx, rows)
 
 
-def cmd_order(ctx: Context, args: argparse.Namespace) -> tuple[int, str]:
+def cmd_order(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
     a, b = parse_label_arg(ctx, args.a), parse_label_arg(ctx, args.b)
     witness = poset.leq_witness(ctx, a, b)
     if witness is None:
@@ -83,7 +92,7 @@ def cmd_order(ctx: Context, args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, f"true  witness={format_perm(witness)}\n"
 
 
-def cmd_hasse(ctx: Context, args: argparse.Namespace) -> tuple[int, str]:
+def cmd_hasse(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
     from . import tangent
 
     g = poset.hasse(ctx, args.cap)
@@ -94,13 +103,13 @@ def cmd_hasse(ctx: Context, args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, export(g, singular)
 
 
-def cmd_tangent(ctx: Context, args: argparse.Namespace) -> tuple[int, str]:
+def cmd_tangent(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
     from . import tangent
 
     return EXIT_OK, tangent.report(ctx, parse_label_arg(ctx, args.label))
 
 
-def cmd_smooth(ctx: Context, args: argparse.Namespace) -> tuple[int, str]:
+def cmd_smooth(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
     from . import tangent
 
     labels = atlas.enumerate_labels(ctx, args.cap)
@@ -109,13 +118,13 @@ def cmd_smooth(ctx: Context, args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, tangent.smooth_table(ctx, labels)
 
 
-def cmd_springer(ctx: Context, args: argparse.Namespace) -> tuple[int, str]:
+def cmd_springer(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
     from . import springer
 
     return EXIT_OK, springer.report(ctx, args.cap)
 
 
-def cmd_blueprint(ctx: Context, args: argparse.Namespace) -> tuple[int, str]:
+def cmd_blueprint(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
     from . import geometry
 
     lbl = parse_label_arg(ctx, args.label)
@@ -125,7 +134,7 @@ def cmd_blueprint(ctx: Context, args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, geometry.blueprint_text(lbl, bp)
 
 
-def cmd_verify(ctx: Context, args: argparse.Namespace) -> tuple[int, str]:
+def cmd_verify(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
     """Self-check suites for one context; any failure exits nonzero."""
     from . import checks
 
@@ -147,32 +156,79 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="borbit",
-        description="Borel orbits of 2-nilpotent matrices: labels, order, tangents.",
-    )
-    parser.add_argument("--n", type=int, required=True, help="matrix size")
-    parser.add_argument("--k", type=int, required=True, help="orbit rank")
-    parser.add_argument("--format", choices=("table", "dot", "json"), default=None, dest="fmt")
-    parser.add_argument("--out", default=None, help="write output to a file")
-    parser.add_argument("--cap", type=int, default=atlas.ENUMERATION_CAP, help="enumeration size cap")
-    # parsed by ``verify``, the only command that reads it
-    parser.add_argument("--samples", default=None, help="comma-separated rational curve samples")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (positionals, _, _) in COMMANDS.items():
-        command = sub.add_parser(name)
-        for arg in positionals:
-            command.add_argument(arg)
-    return parser
+USAGE = (
+    "usage: borbit --n N --k K [--format table|dot|json] [--out FILE] [--cap C]"
+    " [--samples LIST] <command> [args]"
+)
+
+#: Option -> (attribute, type, default).
+OPTIONS = {
+    "--n": ("n", int, None),
+    "--k": ("k", int, None),
+    "--format": ("fmt", str, None),
+    "--out": ("out", str, None),
+    "--cap": ("cap", int, atlas.ENUMERATION_CAP),
+    "--samples": ("samples", str, None),
+}
+
+
+class UsageError(ValueError):
+    """An argv outside the grammar; ``main`` writes the usage line first."""
+
+
+def parse_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The options, the command and its positionals, or None for ``-h``.
+
+    A token that starts with ``-`` is an option wherever it stands: labels
+    and words never do.  An option's value is the next token unless it is
+    attached with ``=``; a next token that starts with ``--`` is not taken
+    as a value.
+    """
+    values = {attr: default for attr, _, default in OPTIONS.values()}
+    words = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        name, attached, value = token.partition("=")
+        if name not in OPTIONS:
+            raise UsageError(f"unknown option {name}")
+        if not attached:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"{name} expects a value")
+        attr, kind, _ = OPTIONS[name]
+        try:
+            values[attr] = kind(value)
+        except ValueError:
+            raise UsageError(f"{name}: not an integer: {value!r}") from None
+    missing = [f"--{attr}" for attr in ("n", "k") if values[attr] is None]
+    if missing:
+        raise UsageError(f"{' and '.join(missing)} required")
+    if not words or words[0] not in COMMANDS:
+        got = f"unknown command {words[0]!r}" if words else "no command"
+        raise UsageError(f"{got}; choose from {', '.join(COMMANDS)}")
+    command, *given = words
+    positionals = COMMANDS[command][0]
+    if len(given) != len(positionals):
+        wanted = " ".join(name.upper() for name in positionals) or "no arguments"
+        raise UsageError(f"{command} takes {wanted}, got {len(given)} argument(s)")
+    return SimpleNamespace(command=command, **values, **dict(zip(positionals, given)))
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    _, formats, handler = COMMANDS[args.command]
-    args.fmt = args.fmt or formats[0]
     try:
-        if args.fmt not in formats:
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(f"{USAGE}\n\n{__doc__}")
+            return EXIT_OK
+        _, formats, handler = COMMANDS[args.command]
+        if args.fmt is None:
+            args.fmt = formats[0]
+        elif args.fmt not in formats:
             raise ValueError(f"--format {args.fmt}: {args.command} writes only {', '.join(formats)}")
         ctx = Context(args.n, args.k)
         if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
@@ -182,6 +238,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, ZeroDivisionError) as exc:
+        if isinstance(exc, UsageError):
+            print(USAGE, file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

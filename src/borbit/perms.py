@@ -227,10 +227,6 @@ def all_perms(n: int) -> Iterator[Perm]:
     return itertools.permutations(range(1, n + 1))
 
 
-def longest_element(n: int) -> Perm:
-    return tuple(range(n, 0, -1))
-
-
 def format_perm(p: Perm) -> str:
     """One-line serialisation: ``(2, 4, 1, 3)`` -> ``"2,4,1,3"``."""
     return ",".join(str(v) for v in p)

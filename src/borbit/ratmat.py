@@ -231,11 +231,12 @@ class RationalMatrix:
 
     def rank(self) -> int:
         """Exact rank over the rationals, on ``tangent``'s integer row
-        echelon: each stored row is scaled to integers by the lcm of its
-        entries' denominators, and the rank is the number of rows that
-        ``_insert`` accepts.  Scaling a row by a nonzero rational keeps its
-        span, so the rank over Q is unchanged; ``_insert`` multiplies and
-        divides only by gcds, so no float can appear.
+        echelon: a stored row with a ``Fraction`` entry is scaled to integers
+        by the lcm of its entries' denominators, a row of ints goes in as it
+        is, and the rank is the number of rows that ``_insert`` accepts.
+        Scaling a row by a nonzero rational keeps its span, so the rank over
+        Q is unchanged; ``_insert`` multiplies and divides only by gcds, so
+        no float can appear.
         """
         from .tangent import _insert  # the one echelon; ``ratmat`` alone loads no layer
 
@@ -244,8 +245,10 @@ class RationalMatrix:
             rows.setdefault(r, {})[s] = a
         pivots: dict[int, dict[int, int]] = {}
         for row in rows.values():
-            scale = lcm(*(a.denominator for a in row.values()))
-            _insert(pivots, {s: int(a * scale) for s, a in row.items()})
+            if Fraction in map(type, row.values()):
+                scale = lcm(*(a.denominator for a in row.values()))
+                row = {s: int(a * scale) for s, a in row.items()}
+            _insert(pivots, row)
         return len(pivots)
 
 

@@ -57,11 +57,6 @@ def tableau(ctx: Context, lbl: OrbitLabel) -> TwoColumnTableau:
     return TwoColumnTableau(left=tau[: n - k], right=tau[n - k :])
 
 
-def is_row_standard(t: TwoColumnTableau) -> bool:
-    """Do all paired rows increase left to right?"""
-    return all(a < b for a, b in zip(t.left, t.right))
-
-
 def involution_tau(ctx: Context, lbl: OrbitLabel) -> Perm:
     """The involution with two-cycles (sigma alpha(i), sigma(n-k+i)).
 

@@ -33,11 +33,15 @@ from borbit.springer import (
     count_standard_tableaux_bruteforce,
     involution_tau,
     is_orbital_variety,
-    is_row_standard,
     link_pattern,
     springer_component_dim,
     tableau,
 )
+
+
+def is_row_standard(t: TwoColumnTableau) -> bool:
+    """Do all paired rows increase left to right?"""
+    return all(a < b for a, b in zip(t.left, t.right))
 
 
 def test_context_validation():

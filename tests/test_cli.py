@@ -10,6 +10,7 @@ from borbit.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAP,
     EXIT_OK,
+    OPTIONS,
     main,
     parse_label_arg,
 )
@@ -334,10 +335,55 @@ def test_each_command_writes_its_default_format_when_asked_by_name(capsys):
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--n", "4", "--k", "2"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, out, err = run(capsys, "--n", "4", "--k", "2")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("usage: borbit ") and "\nerror: " in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--k", "2", "enumerate"],
+        ["--n", "x", "--k", "2", "enumerate"],
+        ["--nn", "4", "--k", "2", "enumerate"],
+        ["--n", "4", "--k", "2", "enumerate", "--format"],
+        ["--n", "4", "--k", "2", "--format", "xml", "enumerate"],
+        ["--n", "4", "--k", "2", "--for", "json", "enumerate"],
+        ["--n", "4", "--k", "2", "frobnicate"],
+        ["--n", "4", "--k", "2", "order", "sigma=id"],
+        ["--n", "4", "--k", "2", "tangent", "sigma=id", "sigma=s2"],
+    ],
+    ids=[
+        "n-missing", "n-not-int", "unknown-option", "format-no-value", "format-xml",
+        "abbreviation", "unknown-command", "order-one-label", "tangent-two-labels",
+    ],
+)
+def test_usage_errors_exit_2_with_an_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+def test_help_names_every_command_and_option(capsys):
+    for flag in ("--help", "-h"):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("usage: borbit ")
+        for word in [*COMMANDS, *OPTIONS]:
+            assert word in out, word
+    assert set(OPTIONS) == {"--n", "--k", "--format", "--out", "--cap", "--samples"}
+
+
+def test_attached_option_values_read_like_separate_ones(capsys):
+    spaced = run(capsys, "--n", "4", "--k", "2", "--format", "json", "hasse")
+    attached = run(capsys, "--n=4", "--k=2", "--format=json", "hasse")
+    assert spaced == attached and spaced[0] == EXIT_OK
+
+
+def test_options_may_follow_the_command_and_the_last_repeat_wins(capsys):
+    before = run(capsys, "--n", "4", "--k", "2", "--format", "json", "smooth")
+    after = run(capsys, "--n", "5", "smooth", "--k", "2", "--format", "table", "--n", "4", "--format=json")
+    assert before == after and before[0] == EXIT_OK
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

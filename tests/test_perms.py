@@ -21,7 +21,6 @@ from borbit.perms import (
     inverse,
     left_descents,
     length,
-    longest_element,
     lower_interval,
     parse_perm,
     parse_word,
@@ -29,6 +28,11 @@ from borbit.perms import (
     reduced_word,
     simple,
 )
+
+
+def longest_element(n: int) -> tuple[int, ...]:
+    """``w_0 = n, n-1, ..., 1``, the longest permutation of ``S_n``."""
+    return tuple(range(n, 0, -1))
 
 
 def test_doctests():
