@@ -15,11 +15,7 @@ _EXPORTS = {
         "enumerate_labels", "is_upper_label", "label", "label_of", "label_perm",
         "min_length_reps", "rep_matrix",
     ),
-    "geometry": (
-        "CurveSpec", "Flag", "compatible", "curve", "flag_in_schubert", "in_Ck",
-        "incidence_member", "resolution_blueprint", "schubert_conditions",
-        "verify_curve", "witness_flag",
-    ),
+    "geometry": ("CurveSpec", "curve", "resolution_blueprint", "verify_curve"),
     "perms": (
         "CapExceeded", "Perm", "bruhat_leq", "bruhat_leq_oracle", "compose",
         "evaluate_word", "inverse", "length", "reduced_word",

@@ -231,6 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.fmt not in formats:
             raise ValueError(f"--format {args.fmt}: {args.command} writes only {', '.join(formats)}")
         ctx = Context(args.n, args.k)
+        if args.out is not None and os.path.isdir(args.out):
+            raise ValueError(f"cannot write {args.out}: it is a directory")
         if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ValueError(f"cannot write {args.out}: no such directory")
         code, text = handler(ctx, args)

@@ -1,12 +1,10 @@
-"""Exact flag geometry: membership tests and identity verification.
+"""Exact curve geometry: identity verification and resolution blueprints.
 
-Everything here reduces to exact ranks of concatenated column blocks over
-the rationals: complete-flag compatibility with a square-zero matrix,
-Schubert rank conditions, membership in labelled incidence sets, the
-explicit rational curves of the stabiliser roots with the curve and
-factorisation identities that certify ``tangent``'s integer bookkeeping,
-and blueprints for the Bott-Samelson-style resolutions read off a reduced
-word, with the ``blueprint`` command's text.
+The explicit rational curves of the stabiliser roots, with the curve and
+factorisation identities and the stacked tangent rank that certify
+``tangent``'s integer bookkeeping, and blueprints for the
+Bott-Samelson-style resolutions read off a reduced word, with the
+``blueprint`` command's text.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .atlas import Context, OrbitLabel, format_label, label_perm
-from .perms import Perm, evaluate_word, format_word, length, transposition
+from .perms import evaluate_word, format_word, length, transposition
 from .ratmat import RationalMatrix, exact
 from .tangent import DELTA, Root, _insert, full_corner_positions, phi_plus, root_tangent
 
@@ -53,129 +51,6 @@ def curve(ctx: Context, rt: Root) -> CurveSpec:
 
 def is_two_nilpotent_of_rank(m: RationalMatrix, k: int) -> bool:
     return (m * m).is_zero() and m.rank() == k
-
-
-def in_Ck(ctx: Context, g: RationalMatrix) -> bool:
-    """Membership in the base point's stabiliser group.
-
-    Runs both characterisations - the block shape (upper block-triangular
-    with equal outer corner blocks) and the commutation test - and insists
-    they agree.  ``g`` must be invertible.
-    """
-    n, k = ctx.n, ctx.k
-    if g.nrows != n or g.ncols != n:
-        raise ValueError(f"expected a {n}x{n} matrix")
-    if g.rank() != n:
-        raise ValueError("matrix is singular")
-    by_blocks = not any(
-        (r > k and c <= k) or (r > n - k and k < c <= n - k)
-        for r, c in g.entries
-    ) and all(
-        g.entry(r, c) == g.entry(r + n - k, c + n - k)
-        for r in range(1, k + 1)
-        for c in range(1, k + 1)
-    )
-    x = base_point(ctx)
-    by_commutation = (g * x) == (x * g)
-    if by_blocks != by_commutation:
-        raise AssertionError(
-            "stabiliser characterisations disagree; this is a bug"
-        )
-    return by_blocks
-
-
-class _FlagFields(NamedTuple):
-    basis: RationalMatrix
-
-
-class Flag(_FlagFields):
-    """A complete flag: V^i is the span of the first i columns of ``basis``."""
-
-    __slots__ = ()
-
-    def __new__(cls, basis: RationalMatrix):
-        if basis.nrows != basis.ncols:
-            raise ValueError("flag basis must be square")
-        if basis.rank() != basis.nrows:
-            raise ValueError("flag basis is singular")
-        return super().__new__(cls, basis)
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace validates too
-        return cls(*iterable)
-
-    @property
-    def n(self) -> int:
-        return self.basis.nrows
-
-    def subspace(self, i: int) -> RationalMatrix:
-        return self.basis.take_columns(i)
-
-
-def standard_flag(n: int) -> Flag:
-    return Flag(RationalMatrix.matrix_identity(n))
-
-
-def permutation_flag(p: Perm) -> Flag:
-    return Flag(RationalMatrix.permutation(p))
-
-
-def compatible(ctx: Context, u: RationalMatrix, f: Flag) -> bool:
-    """Does ``u`` kill V^i for i <= n-k and drop each later V^i into
-    V^{i-(n-k)}?  Containments are exact rank comparisons."""
-    n, k = ctx.n, ctx.k
-    if f.n != n or u.nrows != n or u.ncols != n:
-        raise ValueError(f"expected size {n}")
-    if not (u * f.subspace(n - k)).is_zero():
-        return False
-    for i in range(n - k + 1, n + 1):
-        small = f.subspace(i - (n - k))
-        if small.augment(u * f.subspace(i)).rank() != i - (n - k):
-            return False
-    return True
-
-
-class RankConditionSet(NamedTuple):
-    """Schubert conditions: dim(V^i + K^j) <= bound for each (i, j)."""
-
-    tau: Perm
-    conditions: tuple[tuple[int, int, int], ...]
-
-
-def schubert_conditions(tau: Perm) -> RankConditionSet:
-    """All n^2 rank bounds ``i + j - #{a <= i : tau(a) <= j}``."""
-    n = len(tau)
-    conds = tuple(
-        (i, j, i + j - sum(1 for a in range(i) if tau[a] <= j))
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
-    return RankConditionSet(tau, conds)
-
-
-def flag_in_schubert(f: Flag, tau: Perm) -> bool:
-    """Is the flag in the Schubert variety of ``tau`` (standard reference
-    flag)?  dim(V^i + K^j) is the rank of the augmented column block."""
-    n = len(tau)
-    if f.n != n:
-        raise ValueError(f"expected a flag in dimension {n}")
-    ident = RationalMatrix.matrix_identity(n)
-    for i, j, bound in schubert_conditions(tau).conditions:
-        if f.subspace(i).augment(ident.take_columns(j)).rank() > bound:
-            return False
-    return True
-
-
-def incidence_member(ctx: Context, u: RationalMatrix, f: Flag, lbl: OrbitLabel) -> bool:
-    """Is (u, f) in the labelled incidence set: u compatible with f and
-    f inside the Schubert variety of the label's product permutation?"""
-    return compatible(ctx, u, f) and flag_in_schubert(f, label_perm(lbl))
-
-
-def witness_flag(lbl: OrbitLabel) -> Flag:
-    """The permutation flag of the label's product; together with
-    ``rep_matrix`` it always passes ``incidence_member``."""
-    return permutation_flag(label_perm(lbl))
 
 
 class CurveReport(NamedTuple):

@@ -4,15 +4,17 @@ A matrix is its shape plus a read-only dict of its nonzero entries, keyed
 by 1-indexed ``(row, column)`` like :data:`borbit.tangent.SparseMatrix`.
 Each value is nonzero and in its :func:`exact` form: an ``int`` when it is
 integral, a :class:`fractions.Fraction` only when it is not.  No zero is
-ever stored, so equal matrices have equal dicts.  The matrices of the
-curve and geometry checks (base points, curve coefficients, ``I + t E_ji``,
-reflections, representatives) have O(n) nonzero entries, mostly 0 and ±1,
-and products, sums, the triangularity tests and rank touch only those, in
-integer arithmetic until a truly rational entry appears.  Rank scales the
-rows to integers for the fraction-free echelon ``tangent._insert``, so no
-floating point appears anywhere.  Constructors for elementary matrices use
-the usual 1-indexed convention: ``elementary(n, r, s)`` is the matrix with
-a single 1 in row ``r``, column ``s``.
+ever stored, so equal matrices have equal dicts, and nothing reads a
+matrix back as dense rows.  The matrices of the ``verify`` checks (base
+points, curve coefficients, ``I + t E_ji``, reflections, representatives)
+have O(n) nonzero entries, mostly 0 and ±1, and products, sums, the
+triangularity tests and rank touch only those, in integer arithmetic until
+a truly rational entry appears.  Rank scales the rows to integers for the
+fraction-free echelon ``tangent._insert``, so no floating point appears
+anywhere.  Constructors for elementary matrices use the usual 1-indexed
+convention: ``elementary(n, r, s)`` is the matrix with a single 1 in row
+``r``, column ``s``; ``RationalMatrix(rows)`` builds one from literal
+dense rows.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class RationalMatrix:
     """A rectangular rational matrix, hashable and immutable, stored as
     ``entries``, the read-only dict of its nonzero entries in :func:`exact`
     form, which arithmetic reads and ``rank`` scales to integer rows for
-    the shared echelon; ``rows`` is a dense view built on demand.
+    the shared echelon.  The constructor takes dense rows.
 
     >>> a = RationalMatrix([[0, 1], [1, 0]])
     >>> (a * a) == RationalMatrix.matrix_identity(2)
@@ -85,14 +87,6 @@ class RationalMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
-
-    @property
-    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        """Dense row-major view, built on each access."""
-        return tuple(
-            tuple(self.entries.get((r, s), 0) for s in range(1, self.ncols + 1))
-            for r in range(1, self.nrows + 1)
-        )
 
     @classmethod
     def zero(cls, nrows: int, ncols: int | None = None) -> "RationalMatrix":
@@ -195,11 +189,6 @@ class RationalMatrix:
     def __rmul__(self, other: Scalar) -> "RationalMatrix":
         return self.__mul__(other)
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._of(
-            self.ncols, self.nrows, {(s, r): a for (r, s), a in self.entries.items()}
-        )
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -208,26 +197,6 @@ class RationalMatrix:
 
     def is_strictly_upper_triangular(self) -> bool:
         return all(r < s for r, s in self.entries)
-
-    def take_columns(self, j: int) -> "RationalMatrix":
-        """Submatrix of the first ``j`` columns."""
-        if not 1 <= j <= self.ncols:
-            raise ValueError(f"column count out of range: {j}")
-        return RationalMatrix._of(
-            self.nrows, j, {pos: a for pos, a in self.entries.items() if pos[1] <= j}
-        )
-
-    def augment(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Columnwise concatenation ``[self | other]``."""
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch in augment")
-        out = dict(self.entries)
-        out.update(((r, s + self.ncols), b) for (r, s), b in other.entries.items())
-        return RationalMatrix._of(self.nrows, self.ncols + other.ncols, out)
-
-    def flatten(self) -> tuple[Scalar, ...]:
-        """Row-major vector of all entries."""
-        return tuple(a for row in self.rows for a in row)
 
     def rank(self) -> int:
         """Exact rank over the rationals, on ``tangent``'s integer row
@@ -251,18 +220,3 @@ class RationalMatrix:
             _insert(pivots, row)
         return len(pivots)
 
-
-def format_matrix(m: RationalMatrix) -> str:
-    """Row-major rational serialisation: ``"0,1/2;1,0"``."""
-    return ";".join(",".join(str(a) for a in row) for row in m.rows)
-
-
-def parse_matrix(text: str) -> RationalMatrix:
-    """Inverse of :func:`format_matrix`."""
-    try:
-        return RationalMatrix(
-            [[Fraction(part) for part in row.split(",")]
-             for row in text.strip().split(";")]
-        )
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad matrix literal {text!r}: {exc}") from None

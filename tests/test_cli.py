@@ -411,10 +411,11 @@ def test_out_into_a_missing_directory_fails_before_the_command_runs(tmp_path, ca
         raise AssertionError("the command ran")
 
     monkeypatch.setattr(poset, "hasse", never)
-    target = tmp_path / "missing" / "x.json"
-    code, out, err = run(capsys, "--n", "8", "--k", "3", "--format", "json", "--out", str(target), "hasse")
-    assert (code, out) == (EXIT_BAD_INPUT, "")
-    assert err.startswith("error: ")
+    # a target that is itself a directory is refused at the same point
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(capsys, "--n", "8", "--k", "3", "--format", "json", "--out", str(target), "hasse")
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err.startswith("error: ") and str(target) in err
 
 
 def test_custom_samples_flag(capsys):

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used in the module importing it,
-no library module imports ``dataclasses``, and every library cache is a
-per-context table."""
+no library module imports ``dataclasses``, every library cache is a
+per-context table, and every library function and class is called from
+the library or named in a short allow-list."""
 
 import ast
 from pathlib import Path
@@ -129,3 +130,64 @@ def test_the_scan_sees_a_cache_off_context(tmp_path):
         encoding="utf-8",
     )
     assert caches_off_context(source) == ["sample.py:9", "sample.py:12", "sample.py:15"]
+
+
+#: Top-level library names that no library code references, each with the
+#: reader that keeps it.
+UNREFERENCED = {
+    "bruhat_leq_oracle": "a test oracle: the Bruhat order from subword enumeration",
+    "leq_oracle": "a test oracle, and perfbench's reference for the closure order",
+    "contains_pattern": "read by perfbench",
+    "weak_edges": "read by perfbench",
+    "graph_from_json": "the documented round trip of the JSON that hasse writes",
+    "leq": "the closure-order predicate of the README tour; order asks for its witness",
+    "bk_span": "the bracket span of a label, wrapped by perfbench's tracer",
+    "tangent_lower_bound": "the bound by label; verdict and report sum it from roots they hold",
+}
+
+
+def unreferenced_definitions(paths: list[Path]) -> list[str]:
+    """Top-level functions and classes of ``paths`` that no other top-level
+    statement of ``paths`` reads, as a name or an attribute.  The strings
+    of ``_EXPORTS`` do not count, and dunder hooks such as ``__getattr__``
+    are exempt."""
+    definitions, statements = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            statements.append((path.name, stmt.lineno, names))
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not stmt.name.startswith("__"):
+                    definitions.append((path.name, stmt.lineno, stmt.name))
+    return [
+        f"{name}:{line} {defined}"
+        for name, line, defined in definitions
+        if not any(
+            defined in names for other, at, names in statements if (other, at) != (name, line)
+        )
+    ]
+
+
+def test_every_library_definition_is_referenced():
+    # dead code is found when it is written, not at the next clean-up; the
+    # allow-list names no definition that the library does reference
+    assert len(LIBRARY) > 5
+    found = unreferenced_definitions(LIBRARY)
+    assert sorted(hit.split()[1] for hit in found) == sorted(UNREFERENCED), found
+
+
+def test_the_scan_sees_an_unreferenced_function(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "_EXPORTS = {'sample': ('used', 'dead', 'Shape')}\n"
+        "def used():\n    return helper()\n"
+        "def helper():\n    return Shape\n"
+        "class Shape:\n    pass\n"
+        "def dead():\n    return dead()\n"
+        "def __getattr__(name):\n    pass\n"
+        "def orphan(x):\n    return x.used\n",
+        encoding="utf-8",
+    )
+    assert unreferenced_definitions([source]) == ["sample.py:8 dead", "sample.py:12 orphan"]

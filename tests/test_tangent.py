@@ -277,6 +277,11 @@ def test_sparse_bracket_matches_dense_commutators():
             assert 0 not in sparse.values()
 
 
+def flat(m):
+    """The row-major vector of all entries of ``m``, read from ``entries``."""
+    return [m.entries.get((r, s), 0) for r in range(1, m.nrows + 1) for s in range(1, m.ncols + 1)]
+
+
 def test_borel_stabiliser_basis_spans_the_upper_centraliser():
     # The centraliser of x among upper-triangular matrices is the kernel of
     # X -> Xx - xX on the upper matrix units; its dimension comes from an
@@ -288,9 +293,9 @@ def test_borel_stabiliser_basis_spans_the_upper_centraliser():
         for b in basis:
             assert b.is_upper_triangular()
             assert b * x == x * b
-        assert RationalMatrix([b.flatten() for b in basis]).rank() == len(basis)
+        assert RationalMatrix([flat(b) for b in basis]).rank() == len(basis)
         units = [RationalMatrix.elementary(n, a, c) for a in range(1, n + 1) for c in range(a, n + 1)]
-        images = RationalMatrix([(e * x - x * e).flatten() for e in units])
+        images = RationalMatrix([flat(e * x - x * e) for e in units])
         assert len(basis) == len(units) - images.rank()
 
 
@@ -305,7 +310,7 @@ def dense_bracket_span(ctx, lbl):
     kept = []
 
     def keep(m):
-        if RationalMatrix([v.flatten() for v in kept + [m]]).rank() > len(kept):
+        if RationalMatrix([flat(v) for v in kept + [m]]).rank() > len(kept):
             kept.append(m)
             return True
         return False
