@@ -294,14 +294,6 @@ def test_criterion_7_rank_condition_reduction():
 
         cases = [((2, 4, 1, 3), direct_2413), ((3, 4, 1, 2), direct_3412)]
 
-        # the flag of a permutation lies in the Schubert variety of tau
-        # exactly when the permutation is below tau: all of S_3 and S_4
-        for n in (3, 4):
-            for tau in all_perms(n):
-                for other in all_perms(n):
-                    member = flag_in_schubert(RationalMatrix.permutation(other), tau)
-                    assert member == bruhat_leq(other, tau), (tau, other)
-
         perms4 = list(all_perms(4))
         for tau, direct in cases:
             accepted = set()

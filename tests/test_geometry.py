@@ -13,7 +13,7 @@ from borbit.geometry import (
     tangent_stack_rank,
     verify_curve,
 )
-from borbit.perms import identity, reduced_word
+from borbit.perms import all_perms, bruhat_leq, identity, reduced_word
 from borbit.ratmat import RationalMatrix
 from borbit.tangent import Root, DELTA, phi_plus, root
 
@@ -51,6 +51,33 @@ def test_witness_flags_give_incidence_members():
     assert compatible_with_permutation_flag(CTX42, base_point(CTX42), ID4)
     low = rep_matrix(CTX42, label(CTX42, (3, 4, 1, 2), ID4))
     assert not compatible_with_permutation_flag(CTX42, low, ID4)
+
+
+def permutation_flag_in_schubert(other, tau):
+    """Is the flag V^i = span(e_other(1), ..., e_other(i)) in the Schubert
+    variety of ``tau``: is dim(V^i + K^j) <= i + j - #{a <= i : tau(a) <= j}
+    for all i, j, with K^j spanned by e_1, ..., e_j?  Each dimension is the
+    rank of the unit vectors that span the sum."""
+    n = len(tau)
+
+    def unit(c):
+        return [1 if s == c else 0 for s in range(1, n + 1)]
+
+    return all(
+        RationalMatrix([unit(c) for c in other[:i]] + [unit(c) for c in range(1, j + 1)]).rank()
+        <= i + j - sum(1 for a in range(i) if tau[a] <= j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
+
+
+def test_permutation_flag_membership_is_bruhat_order():
+    # the flag of tau' lies in the Schubert variety of tau exactly when
+    # tau' is below tau - checked exhaustively in S_3 and S_4
+    for n in (3, 4):
+        for tau in all_perms(n):
+            for other in all_perms(n):
+                assert permutation_flag_in_schubert(other, tau) == bruhat_leq(other, tau), (tau, other)
 
 
 def test_verify_curve_all_roots_small_contexts():
