@@ -112,20 +112,27 @@ def hasse(ctx: Context, cap: int = ENUMERATION_CAP) -> BruhatGraph:
     ``w_a = label_perm(a)``.  Left multiplication commutes with the right
     action of ``H``, so ``s_i`` permutes the cosets; any member names one.
 
-    Closure, by increasing dimension: ``a <= b`` iff the coset of ``a``
-    meets ``[e, w_b]``, and only the base has ``w_b = e``.  Else let
-    ``s = s_i`` be the first left descent of ``w = w_b``: ``below[b]`` is
-    ``below[b']`` and its ``act[s]``-image, ``b' = act[s][b]``.  For the
-    subword property on a reduced word starting with ``s`` (as in
-    ``perms.lower_interval``) gives ``[e, w] = [e, sw] u s[e, sw]``, the
-    coset of ``a`` meets ``s[e, sw]`` iff that of ``act[s][a]`` meets
-    ``[e, sw]``, and ``sw`` is the label product of ``b'``, one dimension
-    lower: the values ``i+1, i`` appear in that order in ``w``, so not both
-    in its increasing middle or last block, and they compare alike with
-    every other value.
+    Closure: ``a <= b`` iff the coset of ``a`` meets ``[e, w_b]``; only the
+    base has ``w_b = e``.  Else let ``s = s_i`` be the first left descent of
+    ``w = w_b``, ``b' = act[s][b]``: the down-sets obey ``D_b = D_b' u s·D_b'``.
+    For the subword property on a reduced word starting with ``s`` gives
+    ``[e, w] = [e, sw] u s[e, sw]``, the coset of ``a`` meets ``s[e, sw]``
+    iff that of ``act[s][a]`` meets ``[e, sw]``, and ``sw`` is the label
+    product of ``b'``, one dimension lower: the values ``i+1, i`` appear in
+    that order in ``w``, so not both in its increasing middle or last block,
+    and they compare alike with every other value.
 
-    Covers: scanning ``below[b]`` by decreasing dimension, ``a`` is a cover
-    iff it is below no cover found so far (any ``a < c < b`` comes first).
+    Graded: a cover ``a`` of ``b`` is one dimension lower.  The ideal of the
+    boundary of ``Z_b``, the closure of ``O_b``, in ``C[Z_b]`` is nonzero and
+    ``B``-stable, so holds a ``B``-eigenvector ``f`` (Lie-Kolchin); ``V(f)``
+    is ``B``-stable, holds the boundary and misses ``O_b``, so is the
+    boundary, and its components are orbit closures of codimension one
+    (Krull's principal ideal theorem).  By semicontinuity of rank the one
+    holding ``O_a`` has rank ``k``: a label ``c``, ``a <= c < b``, so ``c = a``.
+    Level step: so the covers of ``b``, the members of ``D_b`` one dimension
+    down, are ``b'`` and each ``s·c`` with ``c`` a cover of ``b'`` that ``s``
+    raises, and no ``D_b`` is stored: ``s`` moves ``c`` in ``D_b'`` by at
+    most one dimension, only ``b'`` there has its dimension, ``s·b' = b``.
 
     Weak edges are the ``(a, act[i][a], i)`` raising the dimension by one;
     the label product has the coset's minimal length: the inversions
@@ -145,19 +152,12 @@ def hasse(ctx: Context, cap: int = ENUMERATION_CAP) -> BruhatGraph:
         for i in range(1, ctx.n)
     }
 
-    below = [{b} for b in range(len(labels))]
+    covers_of: list[tuple[int, ...]] = [()] * len(labels)
     for b in sorted(range(len(labels)), key=dims.__getitem__)[1:]:  # all but the base
         step = act[left_descents(perms[b])[0]]
-        lower = below[step[b]]
-        below[b] |= lower | {step[a] for a in lower}
-
-    covers = []
-    for b, closed in enumerate(below):
-        reach: set[int] = set()
-        for a in sorted(closed - {b}, key=dims.__getitem__, reverse=True):
-            if a not in reach:
-                covers.append((a, b))
-                reach |= below[a]
+        low = step[b]
+        covers_of[b] = (low, *(step[c] for c in covers_of[low] if dims[step[c]] == dims[c] + 1))
+    covers = [(a, b) for b in range(len(labels)) for a in covers_of[b]]
 
     prefix = [lbl.alpha[: ctx.k] for lbl in labels]
     descents = frozenset((i, j) for i, j in covers if not bruhat_leq(prefix[i], prefix[j]))

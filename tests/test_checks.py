@@ -92,13 +92,54 @@ def test_a_witness_above_the_target_fails_the_pair_suite(monkeypatch):
     assert ok["label-count"] and ok["minimal-representatives"]
 
 
+@pytest.mark.parametrize("drop", [0, 97, -1])
+def test_a_dropped_cover_fails_the_pair_suite(monkeypatch, drop):
+    """``hasse`` missing one cover generates an order without that pair, so
+    ``verify`` prints FAIL on the pair suite at (5,2); the ``hasse`` suite,
+    which checks only the diagram's own shape, may still pass."""
+    real = poset.hasse
+
+    def dropped(ctx, cap):
+        g = real(ctx, cap)
+        covers = list(g.covers)
+        del covers[drop]
+        return g._replace(covers=tuple(covers))
+
+    monkeypatch.setattr(poset, "hasse", dropped)
+    passed, text = checks.report(Context(5, 2), 8, None)
+    assert not passed
+    assert "FAIL closure-order-oracle: 60^2 ordered pairs\n" in text
+    assert "ok   label-count" in text
+
+
+def test_a_relation_that_skips_a_level_fails_the_hasse_suite(monkeypatch):
+    """Base below top is a true relation, so the pair suite still passes;
+    the order is graded, so every cover rises by one dimension and this
+    edge is no cover."""
+    real = poset.hasse
+
+    def padded(ctx, cap):
+        g = real(ctx, cap)
+        return g._replace(covers=tuple(sorted(g.covers + ((poset.minimum(g), poset.maximum(g)),))))
+
+    monkeypatch.setattr(poset, "hasse", padded)
+    passed, text = checks.report(Context(5, 2), 8, None)
+    assert not passed
+    assert "FAIL hasse: 191 covers, 120 weak edges\n" in text
+    assert "ok   closure-order-oracle: 60^2 ordered pairs\n" in text
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
-#: Runs ``main`` on its arguments, then prints the peak resident set in kB.
+#: Runs ``main`` on its arguments, then prints the peak resident set in kB:
+#: ``VmHWM``, the high-water mark of the interpreter's own address space. On
+#: Linux ``ru_maxrss`` also counts what the spawning test process held
+#: before ``exec``.
 PEAK_PROBE = (
-    "import resource, sys\n"
+    "import re, sys\n"
     "from borbit.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    "status = open('/proc/self/status').read()\n"
+    "print(re.search(r'VmHWM:\\s*(\\d+) kB', status)[1], file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 

@@ -1,8 +1,12 @@
 """Closure order on labels, Hasse diagram, weak edges, graph exports."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from borbit.atlas import (
     Context,
@@ -31,6 +35,7 @@ from borbit.poset import (
 from borbit.tangent import verdict
 
 CTX42 = Context(4, 2)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_leq_is_a_partial_order():
@@ -216,6 +221,75 @@ def test_covers_generate_the_subword_oracle_order(cached_intervals):
         for i, a in enumerate(g.labels):
             for j, b in enumerate(g.labels):
                 assert (i in generated[j]) == leq_oracle(ctx, a, b), (n, k, a, b)
+
+
+def hasse_by_down_sets(ctx):
+    """The diagram as ``hasse`` built it before its level recursion: one
+    down-set per label by the descent recursion, then a greedy scan of each
+    down-set by decreasing dimension that keeps a label iff it is below no
+    cover kept so far."""
+    labels = enumerate_labels(ctx)
+    dims = tuple(dimension(ctx, lbl) for lbl in labels)
+    index = {lbl: pos for pos, lbl in enumerate(labels)}
+    perms = [label_perm(lbl) for lbl in labels]
+    act = {
+        i: [index[label_of(ctx, compose(simple(ctx.n, i), w))] for w in perms]
+        for i in range(1, ctx.n)
+    }
+    below = [{b} for b in range(len(labels))]
+    for b in sorted(range(len(labels)), key=dims.__getitem__)[1:]:
+        step = act[left_descents(perms[b])[0]]
+        lower = below[step[b]]
+        below[b] |= lower | {step[a] for a in lower}
+    covers = []
+    for b, closed in enumerate(below):
+        reach = set()
+        for a in sorted(closed - {b}, key=dims.__getitem__, reverse=True):
+            if a not in reach:
+                covers.append((a, b))
+                reach |= below[a]
+    prefix = [lbl.alpha[: ctx.k] for lbl in labels]
+    descents = frozenset((i, j) for i, j in covers if not bruhat_leq(prefix[i], prefix[j]))
+    weak = sorted(
+        (a, c, i) for i, step in act.items() for a, c in enumerate(step) if dims[c] == dims[a] + 1
+    )
+    return (labels, dims, tuple(sorted(covers)), descents, tuple(weak))
+
+
+def test_level_recursion_matches_the_down_set_scan_up_to_n_8():
+    for n in range(1, 9):
+        for k in range(n // 2 + 1):
+            ctx = Context(n, k)
+            g = hasse(ctx)
+            graph = (g.labels, g.dims, g.covers, g.alpha_descents, g.weak)
+            assert graph == hasse_by_down_sets(ctx), (n, k)
+
+
+def test_hasse_at_9_4_peaks_under_100_mb():
+    """15,120 labels, 9!/(4!·1!): one tuple of covers per label and no
+    down-sets keep a fresh interpreter small.  The peak is ``VmHWM``, the
+    high-water mark of the interpreter's own address space: on Linux
+    ``ru_maxrss`` also counts the address space the spawning test process
+    held before ``exec``."""
+    probe = (
+        "import re\n"
+        "from borbit import poset\n"
+        "from borbit.atlas import Context\n"
+        "g = poset.hasse(Context(9, 4), 9)\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(len(g.labels), re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, peak_kb = map(int, proc.stdout.split())
+    assert count == 15120
+    assert peak_kb < 100 * 1024
 
 
 def test_weak_edges_step_by_one_and_refine_covers():
