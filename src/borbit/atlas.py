@@ -114,18 +114,11 @@ def paired_subgroup(ctx: Context) -> tuple[Perm, ...]:
     ``k! * (n - 2k)!``.
     """
     n, k = ctx.n, ctx.k
-    mid = list(range(k + 1, n - k + 1))
-    out = []
-    for a in itertools.permutations(range(1, k + 1)):
-        for b in itertools.permutations(mid):
-            w = list(range(1, n + 1))
-            for j in range(k):
-                w[j] = a[j]
-                w[n - k + j] = a[j] + n - k
-            for j, v in enumerate(b):
-                w[k + j] = v
-            out.append(tuple(w))
-    return tuple(sorted(out))
+    return tuple(sorted(
+        a + b + tuple(v + n - k for v in a)
+        for a in itertools.permutations(range(1, k + 1))
+        for b in itertools.permutations(range(k + 1, n - k + 1))
+    ))
 
 
 def coset_of(ctx: Context, w: Perm) -> OrbitCoset:
@@ -175,16 +168,9 @@ def enumerate_labels(ctx: Context, cap: int = ENUMERATION_CAP) -> tuple[OrbitLab
         rest = [v for v in values if v not in first]
         for last in itertools.combinations(rest, k):
             mid = [v for v in rest if v not in last]
-            sigmas.append(tuple(first) + tuple(mid) + tuple(last))
-    alphas = [
-        a + tuple(range(k + 1, n + 1))
-        for a in itertools.permutations(range(1, k + 1))
-    ]
-    return tuple(
-        OrbitLabel(s, a)
-        for s in sorted(sigmas)
-        for a in sorted(alphas)
-    )
+            sigmas.append(first + tuple(mid) + last)
+    alphas = sorted(a + tuple(range(k + 1, n + 1)) for a in itertools.permutations(range(1, k + 1)))
+    return tuple(OrbitLabel(s, a) for s in sorted(sigmas) for a in alphas)
 
 
 def dim_y0(ctx: Context) -> int:

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import os
 import sys
+from collections.abc import Iterable
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 # Every command but ``order`` and ``hasse`` renders its text in the layer it
@@ -75,24 +77,24 @@ def _json(data) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def cmd_enumerate(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
+def cmd_enumerate(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     from . import springer
 
     rows = springer.label_rows(ctx, args.cap)
     if args.fmt == "json":
-        return EXIT_OK, _json({"n": ctx.n, "k": ctx.k, "labels": rows})
-    return EXIT_OK, springer.label_table(ctx, rows)
+        return EXIT_OK, [_json({"n": ctx.n, "k": ctx.k, "labels": rows})]
+    return EXIT_OK, [springer.label_table(ctx, rows)]
 
 
-def cmd_order(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
+def cmd_order(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     a, b = parse_label_arg(ctx, args.a), parse_label_arg(ctx, args.b)
     witness = poset.leq_witness(ctx, a, b)
     if witness is None:
-        return EXIT_OK, "false\n"
-    return EXIT_OK, f"true  witness={format_perm(witness)}\n"
+        return EXIT_OK, ["false\n"]
+    return EXIT_OK, [f"true  witness={format_perm(witness)}\n"]
 
 
-def cmd_hasse(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
+def cmd_hasse(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     from . import tangent
 
     g = poset.hasse(ctx, args.cap)
@@ -103,43 +105,43 @@ def cmd_hasse(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
     return EXIT_OK, export(g, singular)
 
 
-def cmd_tangent(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
+def cmd_tangent(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     from . import tangent
 
-    return EXIT_OK, tangent.report(ctx, parse_label_arg(ctx, args.label))
+    return EXIT_OK, [tangent.report(ctx, parse_label_arg(ctx, args.label))]
 
 
-def cmd_smooth(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
+def cmd_smooth(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     from . import tangent
 
     labels = atlas.enumerate_labels(ctx, args.cap)
     if args.fmt == "json":
-        return EXIT_OK, _json([tangent.verdict_json(ctx, lbl) for lbl in labels])
-    return EXIT_OK, tangent.smooth_table(ctx, labels)
+        return EXIT_OK, [_json([tangent.verdict_json(ctx, lbl) for lbl in labels])]
+    return EXIT_OK, [tangent.smooth_table(ctx, labels)]
 
 
-def cmd_springer(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
+def cmd_springer(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     from . import springer
 
-    return EXIT_OK, springer.report(ctx, args.cap)
+    return EXIT_OK, [springer.report(ctx, args.cap)]
 
 
-def cmd_blueprint(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
+def cmd_blueprint(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     from . import geometry
 
     lbl = parse_label_arg(ctx, args.label)
     bp = geometry.resolution_blueprint(ctx, lbl, parse_word(args.word))
     if args.fmt == "json":
-        return EXIT_OK, geometry.blueprint_to_json(bp) + "\n"
-    return EXIT_OK, geometry.blueprint_text(lbl, bp)
+        return EXIT_OK, [geometry.blueprint_to_json(bp) + "\n"]
+    return EXIT_OK, [geometry.blueprint_text(lbl, bp)]
 
 
-def cmd_verify(ctx: Context, args: SimpleNamespace) -> tuple[int, str]:
+def cmd_verify(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     """Self-check suites for one context; any failure exits nonzero."""
     from . import checks
 
     ok, text = checks.report(ctx, args.cap, args.samples)
-    return EXIT_OK if ok else EXIT_VERIFICATION, text
+    return EXIT_OK if ok else EXIT_VERIFICATION, [text]
 
 
 #: Subcommand name -> (positional arguments, the formats it writes with the
@@ -219,6 +221,19 @@ def parse_argv(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=command, **values, **dict(zip(positionals, given)))
 
 
+def write(handle, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` as they arrive, joined into writes of at least 64 KB
+    but the last: unbuffered, each write is a system call."""
+    batch, size = [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= 1 << 16:
+            handle.write("".join(batch))
+            batch, size = [], 0
+    handle.write("".join(batch))
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_argv(sys.argv[1:] if argv is None else argv)
@@ -235,23 +250,16 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"cannot write {args.out}: it is a directory")
         if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ValueError(f"cannot write {args.out}: no such directory")
-        code, text = handler(ctx, args)
+        code, chunks = handler(ctx, args)
+        sink = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+        with sink as handle:
+            write(handle, chunks)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         if isinstance(exc, UsageError):
             print(USAGE, file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    if args.out is None:
-        sys.stdout.write(text)
-        return code
-    try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     return code

@@ -202,20 +202,35 @@ def pattern_positions(w: Perm, pattern: Perm) -> tuple[int, ...] | None:
 
     Returns ``None`` when ``w`` avoids the pattern.  A pattern embeds at
     positions ``i_1 < ... < i_m`` when the values ``w(i_1), ..., w(i_m)``
-    are in the same relative order as the pattern.
+    are in the same relative order as the pattern.  Position prefixes grow
+    in increasing order, each new value only in the ``gap`` among the values
+    taken so far that the pattern puts it in, and backtrack: the first
+    embedding found is the lexicographically first.
 
     >>> pattern_positions((3, 1, 4, 2), (3, 1, 4, 2))
     (1, 2, 3, 4)
     >>> pattern_positions((2, 1, 4, 3), (3, 4, 1, 2)) is None
     True
     """
-    m = len(pattern)
-    for combo in itertools.combinations(range(len(w)), m):
-        vals = [w[i] for i in combo]
-        order = sorted(vals)
-        if all(order[pattern[t] - 1] == vals[t] for t in range(m)):
-            return tuple(i + 1 for i in combo)
-    return None
+    m, n = len(pattern), len(w)
+    gap = [sorted(pattern[: t + 1]).index(v) for t, v in enumerate(pattern)]
+    taken, pos = [0, n + 1], [0] * m  # the values taken, sorted, between two sentinels
+    t = p = 0
+    while t < m:
+        a, b, end = taken[gap[t]], taken[gap[t] + 1], n - m + t
+        while p <= end and not a < w[p] < b:
+            p += 1
+        if p <= end:
+            pos[t] = p
+            taken.insert(gap[t] + 1, w[p])
+            t, p = t + 1, p + 1
+        elif t:
+            t -= 1
+            p = pos[t] + 1
+            del taken[gap[t] + 1]
+        else:
+            return None
+    return tuple([q + 1 for q in pos])
 
 
 def contains_pattern(w: Perm, pattern: Perm) -> bool:

@@ -13,7 +13,7 @@ the ``alpha`` part fails to be Bruhat-monotone along it, and the weak edges.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .atlas import (
     Context, ENUMERATION_CAP, OrbitLabel, coset_of, dimension, enumerate_labels, label_fields,
@@ -147,10 +147,8 @@ def hasse(ctx: Context, cap: int = ENUMERATION_CAP) -> BruhatGraph:
     dims = tuple(dimension(ctx, lbl) for lbl in labels)
     index = {lbl: pos for pos, lbl in enumerate(labels)}
     perms = [label_perm(lbl) for lbl in labels]
-    act = {
-        i: [index[label_of(ctx, compose(simple(ctx.n, i), w))] for w in perms]
-        for i in range(1, ctx.n)
-    }
+    act = {i: [index[label_of(ctx, compose(s, w))] for w in perms]
+           for i in range(1, ctx.n) for s in [simple(ctx.n, i)]}
 
     covers_of: list[tuple[int, ...]] = [()] * len(labels)
     for b in sorted(range(len(labels)), key=dims.__getitem__)[1:]:  # all but the base
@@ -189,52 +187,46 @@ def maximum(g: BruhatGraph) -> int:
     return top
 
 
-def export_dot(g: BruhatGraph, singular: frozenset[int] | set[int] = frozenset()) -> str:
-    """Graphviz text: nodes ranked by dimension, dashed alpha-descent covers,
-    singular nodes drawn red."""
-    lines = [
-        "digraph closure_order {",
-        "  rankdir=BT;",
-        '  node [shape=box, fontname="monospace"];',
-    ]
+def export_dot(g: BruhatGraph, singular: frozenset[int] | set[int] = frozenset()) -> Iterator[str]:
+    """Graphviz text, a line at a time: nodes ranked by dimension, dashed
+    alpha-descent covers, singular nodes drawn red."""
+    yield 'digraph closure_order {\n  rankdir=BT;\n  node [shape=box, fontname="monospace"];\n'
     for i, lbl in enumerate(g.labels):
-        text = f"{format_perm(label_perm(lbl))} | dim {g.dims[i]}"
-        attrs = [f'label="{text}"']
-        if i in singular:
-            attrs.append("color=red")
-        lines.append(f"  n{i} [{', '.join(attrs)}];")
+        red = ", color=red" if i in singular else ""
+        yield f'  n{i} [label="{format_perm(label_perm(lbl))} | dim {g.dims[i]}"{red}];\n'
     for d in sorted(set(g.dims)):
-        same = " ".join(f"n{i};" for i, dd in enumerate(g.dims) if dd == d)
-        lines.append(f"  {{ rank=same; {same} }}")
-    for (i, j) in g.covers:
-        style = " [style=dashed]" if (i, j) in g.alpha_descents else ""
-        lines.append(f"  n{i} -> n{j}{style};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  {{ rank=same; {' '.join(f'n{i};' for i, dd in enumerate(g.dims) if dd == d)} }}\n"
+    for i, j in g.covers:
+        yield f"  n{i} -> n{j}{' [style=dashed]' if (i, j) in g.alpha_descents else ''};\n"
+    yield "}\n"
 
 
-def export_json(g: BruhatGraph, singular: frozenset[int] | set[int] = frozenset()) -> str:
-    import json  # only JSON output loads it
-
-    data = {
-        "n": g.ctx.n,
-        "k": g.ctx.k,
-        "nodes": [
-            {
-                "id": i,
-                **label_fields(lbl),
-                "dim": g.dims[i],
-                "singular": i in singular,
-            }
+def export_json(g: BruhatGraph, singular: frozenset[int] | set[int] = frozenset()) -> Iterator[str]:
+    """The text of ``json.dumps(document, indent=2) + "\\n"``, an item at a
+    time, for the document that ``graph_from_json`` reads.  Every value is
+    an integer, a boolean or digits and commas, so nothing needs escaping."""
+    flag = ("false", "true")
+    node = (
+        '    {{\n      "id": {},\n      "sigma": "{sigma}",\n      "alpha": "{alpha}",\n'
+        '      "dim": {},\n      "singular": {}\n    }}'
+    )
+    cover = '    [\n      {},\n      {},\n      {{\n        "alpha_descent": {}\n      }}\n    ]'
+    arrays = {
+        "nodes": (
+            node.format(i, g.dims[i], flag[i in singular], **label_fields(lbl))
             for i, lbl in enumerate(g.labels)
-        ],
-        "covers": [
-            [i, j, {"alpha_descent": (i, j) in g.alpha_descents}]
-            for (i, j) in g.covers
-        ],
-        "weak": [list(edge) for edge in g.weak],
+        ),
+        "covers": (cover.format(i, j, flag[(i, j) in g.alpha_descents]) for i, j in g.covers),
+        "weak": (f"    [\n      {a},\n      {b},\n      {s}\n    ]" for a, b, s in g.weak),
     }
-    return json.dumps(data, indent=2) + "\n"
+    yield f'{{\n  "n": {g.ctx.n},\n  "k": {g.ctx.k}'
+    for key, items in arrays.items():
+        head = f',\n  "{key}": [\n'
+        for item in items:
+            yield head + item
+            head = ",\n"
+        yield "\n  ]" if head == ",\n" else f',\n  "{key}": []'
+    yield "\n}\n"
 
 
 def graph_from_json(text: str) -> tuple[BruhatGraph, frozenset[int]]:

@@ -1,6 +1,8 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import io
 import json
+import sys
 import time
 
 import pytest
@@ -396,6 +398,28 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert captured.out == ""
     g, singular = graph_from_json(target.read_text())
     assert len(g.labels) == 12 and len(singular) == 3
+
+
+@pytest.mark.parametrize("n,k", [(7, 1), (7, 3)])
+def test_hasse_json_makes_at_most_one_write_per_64_kb(monkeypatch, n, k):
+    """Unbuffered, every write to stdout is a system call: the streamed
+    lines reach it in batches, never one at a time."""
+    sizes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["--n", str(n), "--k", str(k), "--format", "json", "hasse"]) == EXIT_OK
+    total = len(out.getvalue())
+    assert sum(sizes) == total > 10_000
+    assert len(sizes) <= total // 65536 + 1
+    assert min(sizes[:-1], default=65536) >= 65536
+    g, _ = graph_from_json(out.getvalue())
+    assert (g.ctx.n, g.ctx.k) == (n, k)
 
 
 def test_out_into_a_missing_directory_is_bad_input(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Permutation engine: conventions, reduced words, Bruhat order, patterns."""
 
 import doctest
+import itertools
 import random
 from bisect import insort
 
@@ -188,6 +189,43 @@ def test_lower_interval_cap():
     with pytest.raises(CapExceeded):
         lower_interval(longest_element(7))  # length 21 exceeds the cap of 20
     assert len(lower_interval(longest_element(7), word_cap=21)) == 5040
+
+
+#: Each sequence of four distinct values in ``1..8`` -> the pattern it forms.
+STANDARD = {
+    vals: tuple(sorted(vals).index(v) + 1 for v in vals)
+    for vals in itertools.permutations(range(1, 9), 4)
+}
+
+
+def first_embeddings_by_scan(w):
+    """Oracle, the scan ``pattern_positions`` ran before it backtracked:
+    every four positions in lexicographic order, each pattern of length
+    four keeping the first positions whose values form it."""
+    first = {}
+    positions = itertools.combinations(range(1, len(w) + 1), 4)
+    for combo, vals in zip(positions, itertools.combinations(w, 4)):
+        first.setdefault(STANDARD[vals], combo)
+    return first
+
+
+def test_pattern_search_matches_the_scan_on_s_n_up_to_8():
+    patterns = ((3, 1, 4, 2), (4, 2, 3, 1), (3, 4, 1, 2))
+    for n in range(9):
+        for w in all_perms(n):
+            first = first_embeddings_by_scan(w)
+            for pattern in patterns:
+                assert pattern_positions(w, pattern) == first.get(pattern), (w, pattern)
+
+
+def test_pattern_search_edge_cases():
+    assert pattern_positions((2, 1, 3), ()) == ()
+    assert pattern_positions((1, 2), (2, 1, 3)) is None
+    assert pattern_positions((3, 1, 2), (1,)) == (1,)
+    w = tuple(range(1, 65))
+    for pattern in ((3, 1, 4, 2), (4, 2, 3, 1), (3, 4, 1, 2)):
+        assert pattern_positions(w, pattern) is None
+    assert pattern_positions(w, (1, 2, 3)) == (1, 2, 3)
 
 
 def test_pattern_positions():

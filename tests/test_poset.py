@@ -1,6 +1,7 @@
 """Closure order on labels, Hasse diagram, weak edges, graph exports."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -8,17 +9,20 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from borbit.atlas import (
     Context,
     coset_of,
     dimension,
     enumerate_labels,
     label,
+    label_fields,
     label_of,
     label_perm,
     min_length_reps,
 )
-from borbit.perms import bruhat_leq, compose, identity, left_descents, length, simple
+from borbit.perms import bruhat_leq, compose, format_perm, identity, left_descents, length, simple
 from borbit.poset import (
     descend,
     export_dot,
@@ -266,16 +270,20 @@ def test_level_recursion_matches_the_down_set_scan_up_to_n_8():
 
 
 def test_hasse_at_9_4_peaks_under_100_mb():
-    """15,120 labels, 9!/(4!·1!): one tuple of covers per label and no
-    down-sets keep a fresh interpreter small.  The peak is ``VmHWM``, the
-    high-water mark of the interpreter's own address space: on Linux
-    ``ru_maxrss`` also counts the address space the spawning test process
-    held before ``exec``."""
+    """15,120 labels, 9!/(4!·1!): one tuple of covers per label, no
+    down-sets, and writers that stream a line at a time keep a fresh
+    interpreter small.  The peak is ``VmHWM``, the high-water mark of the
+    interpreter's own address space: on Linux ``ru_maxrss`` also counts the
+    address space the spawning test process held before ``exec``."""
     probe = (
-        "import re\n"
+        "import os, re\n"
         "from borbit import poset\n"
         "from borbit.atlas import Context\n"
         "g = poset.hasse(Context(9, 4), 9)\n"
+        "singular = frozenset(range(0, len(g.labels), 2))\n"
+        "with open(os.devnull, 'w') as sink:\n"
+        "    sink.writelines(poset.export_dot(g, singular))\n"
+        "    sink.writelines(poset.export_json(g, singular))\n"
         "status = open('/proc/self/status').read()\n"
         "print(len(g.labels), re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n"
     )
@@ -363,7 +371,7 @@ def test_unique_extrema_requires_connected_poset():
 
 def test_export_dot():
     g = hasse(CTX42)
-    text = export_dot(g, singular={0, 3})
+    text = "".join(export_dot(g, singular={0, 3}))
     assert text.startswith("digraph closure_order {")
     assert "rankdir=BT" in text
     assert "rank=same" in text
@@ -375,7 +383,7 @@ def test_export_dot():
 def test_export_json_round_trip():
     g = hasse(CTX42)
     singular = frozenset({1, 5, 7})
-    text = export_json(g, singular)
+    text = "".join(export_json(g, singular))
     g2, singular2 = graph_from_json(text)
     assert g2 == g
     assert singular2 == singular
@@ -387,4 +395,62 @@ def test_export_json_round_trips_hasse_with_verdict_singulars():
         singular = frozenset(
             i for i, lbl in enumerate(g.labels) if verdict(g.ctx, lbl).status == "singular"
         )
-        assert graph_from_json(export_json(g, singular)) == (g, singular)
+        assert graph_from_json("".join(export_json(g, singular))) == (g, singular)
+
+
+def json_reference(g, singular) -> str:
+    """The whole document, built as dicts and lists, through ``json.dumps``:
+    how ``export_json`` wrote it before it streamed."""
+    data = {
+        "n": g.ctx.n,
+        "k": g.ctx.k,
+        "nodes": [
+            {"id": i, **label_fields(lbl), "dim": g.dims[i], "singular": i in singular}
+            for i, lbl in enumerate(g.labels)
+        ],
+        "covers": [[i, j, {"alpha_descent": (i, j) in g.alpha_descents}] for i, j in g.covers],
+        "weak": [list(edge) for edge in g.weak],
+    }
+    return json.dumps(data, indent=2) + "\n"
+
+
+def dot_reference(g, singular) -> str:
+    """The line builder ``export_dot`` used before it streamed."""
+    lines = [
+        "digraph closure_order {",
+        "  rankdir=BT;",
+        '  node [shape=box, fontname="monospace"];',
+    ]
+    for i, lbl in enumerate(g.labels):
+        text = f"{format_perm(label_perm(lbl))} | dim {g.dims[i]}"
+        attrs = [f'label="{text}"']
+        if i in singular:
+            attrs.append("color=red")
+        lines.append(f"  n{i} [{', '.join(attrs)}];")
+    for d in sorted(set(g.dims)):
+        same = " ".join(f"n{i};" for i, dd in enumerate(g.dims) if dd == d)
+        lines.append(f"  {{ rank=same; {same} }}")
+    for (i, j) in g.covers:
+        style = " [style=dashed]" if (i, j) in g.alpha_descents else ""
+        lines.append(f"  n{i} -> n{j}{style};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+WRITER_CONTEXTS = [(n, k) for n in range(1, 8) for k in range(n // 2 + 1)] + [(8, 3)]
+
+
+@pytest.mark.parametrize("n,k", WRITER_CONTEXTS)
+def test_streamed_exports_match_the_whole_document_writers(n, k):
+    g = hasse(Context(n, k))
+    for singular in (frozenset(), frozenset(range(0, len(g.labels), 3))):
+        assert "".join(export_json(g, singular)) == json_reference(g, singular)
+        assert "".join(export_dot(g, singular)) == dot_reference(g, singular)
+
+
+def test_the_reference_contexts_include_empty_covers_and_weak_edges():
+    empty = [(n, k) for n, k in WRITER_CONTEXTS if not hasse(Context(n, k)).covers]
+    assert empty == [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0)]
+    g = hasse(Context(1, 0))
+    assert g.weak == ()
+    assert '"covers": [],\n  "weak": []\n}' in "".join(export_json(g))
