@@ -2,8 +2,8 @@
 
 Labels and representatives for the orbits, their closure order with a
 Bruhat-theoretic certificate, exact tangent-space bookkeeping with a
-rule-based smoothness verdict, and rational-arithmetic verification of
-every identity the bookkeeping rests on.
+rule-based smoothness verdict, and exact verification of every identity
+the bookkeeping rests on.
 
 The namespace is lazy (PEP 562): ``import borbit`` loads no submodule,
 and a public name imports its module on first use.
@@ -15,7 +15,7 @@ _EXPORTS = {
         "enumerate_labels", "is_upper_label", "label", "label_of", "label_perm",
         "min_length_reps", "rep_matrix",
     ),
-    "geometry": ("CurveSpec", "curve", "resolution_blueprint", "verify_curve"),
+    "geometry": ("resolution_blueprint", "verify_curve"),
     "perms": (
         "CapExceeded", "Perm", "bruhat_leq", "bruhat_leq_oracle", "compose",
         "evaluate_word", "inverse", "length", "reduced_word",

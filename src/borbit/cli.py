@@ -7,7 +7,6 @@ after the command; the last of repeated values wins:
   --format F      table, dot or json; each command writes its first by default
   --out FILE      write the output to FILE instead of stdout
   --cap C         enumeration size cap
-  --samples LIST  comma-separated rational curve samples, read by verify
 
 Subcommands:
   enumerate   list all labels with dimensions, tableaux and link patterns
@@ -140,7 +139,7 @@ def cmd_verify(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]
     """Self-check suites for one context; any failure exits nonzero."""
     from . import checks
 
-    ok, text = checks.report(ctx, args.cap, args.samples)
+    ok, text = checks.report(ctx, args.cap)
     return EXIT_OK if ok else EXIT_VERIFICATION, [text]
 
 
@@ -160,7 +159,7 @@ COMMANDS = {
 
 USAGE = (
     "usage: borbit --n N --k K [--format table|dot|json] [--out FILE] [--cap C]"
-    " [--samples LIST] <command> [args]"
+    " <command> [args]"
 )
 
 #: Option -> (attribute, type, default).
@@ -170,7 +169,6 @@ OPTIONS = {
     "--format": ("fmt", str, None),
     "--out": ("out", str, None),
     "--cap": ("cap", int, atlas.ENUMERATION_CAP),
-    "--samples": ("samples", str, None),
 }
 
 

@@ -1,131 +1,108 @@
 """Exact curve geometry: identity verification and resolution blueprints.
 
-The explicit rational curves of the stabiliser roots, with the curve and
-factorisation identities and the stacked tangent rank that certify
-``tangent``'s integer bookkeeping, and blueprints for the
+The explicit curve of each stabiliser root, checked as identities between
+matrices over ``Z[t]``, and the stacked tangent rank, which together
+certify ``tangent``'s integer bookkeeping; and blueprints for the
 Bott-Samelson-style resolutions read off a reduced word, with the
 ``blueprint`` command's text.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .atlas import Context, OrbitLabel, format_label, label_perm
 from .perms import evaluate_word, format_word, length, transposition
-from .ratmat import RationalMatrix, exact
-from .tangent import DELTA, Root, _insert, full_corner_positions, phi_plus, root_tangent
+from .tangent import DELTA, Root, SparseMatrix, _insert, full_corner_positions, phi_plus, root_tangent
+
+#: A matrix over ``Z[t]``: 1-indexed ``(row, column, degree)`` to a nonzero
+#: integer coefficient.
+PolyMatrix = dict[tuple[int, int, int], int]
 
 
-class CurveSpec(NamedTuple):
-    """A curve ``t -> constant + t*linear + t^2*quadratic`` in the closure."""
-
-    root: Root
-    constant: RationalMatrix
-    linear: RationalMatrix
-    quadratic: RationalMatrix
-
-    def point(self, t: Fraction | int) -> RationalMatrix:
-        t = exact(t)
-        return self.constant + t * self.linear + (t * t) * self.quadratic
+def _at(m: SparseMatrix, degree: int) -> PolyMatrix:
+    """``t^degree * m``."""
+    return {(r, c, degree): v for (r, c), v in m.items()}
 
 
-def base_point(ctx: Context) -> RationalMatrix:
-    """The base matrix ``sum_{r<=k} E_{r, r+n-k}``."""
-    n, k = ctx.n, ctx.k
-    return RationalMatrix.from_entries(n, {(r, r + n - k): 1 for r in range(1, k + 1)})
+def _add(*terms: PolyMatrix) -> PolyMatrix:
+    out: PolyMatrix = {}
+    for m in terms:
+        for key, v in m.items():
+            out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
 
 
-def curve(ctx: Context, rt: Root) -> CurveSpec:
-    """The explicit curve attached to a stabiliser root: linear coefficient
-    from ``tangent.root_tangent``, plus a quadratic term for the DELTA
-    family."""
-    n, k = ctx.n, ctx.k
-    linear = RationalMatrix.from_entries(n, root_tangent(ctx, rt))
-    quadratic = RationalMatrix.zero(n)
-    if rt.family == DELTA:
-        quadratic = -RationalMatrix.elementary(n, rt.i + n - k, rt.i)
-    return CurveSpec(rt, base_point(ctx), linear, quadratic)
-
-
-def is_two_nilpotent_of_rank(m: RationalMatrix, k: int) -> bool:
-    return (m * m).is_zero() and m.rank() == k
+def _mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """The product, pairing each term ``(r, m, d)`` of ``a`` with the
+    terms of row ``m`` of ``b``."""
+    by_row: dict[int, list[tuple[int, int, int]]] = {}
+    for (r, c, e), v in b.items():
+        by_row.setdefault(r, []).append((c, e, v))
+    out: PolyMatrix = {}
+    for (r, m, d), u in a.items():
+        for c, e, v in by_row.get(m, ()):
+            out[(r, c, d + e)] = out.get((r, c, d + e), 0) + u * v
+    return {key: v for key, v in out.items() if v}
 
 
 class CurveReport(NamedTuple):
-    """Outcome of the per-sample curve identities; empty failures = pass."""
+    """The curve identities of a root that fail; none failing = pass."""
 
     root: Root
-    samples: tuple[Fraction, ...]
-    failures: tuple[tuple[str, str], ...]
+    failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-#: The curve samples of ``verify`` when ``--samples`` is not given.
-DEFAULT_SAMPLES: tuple[Fraction, ...] = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3))
+def verify_curve(ctx: Context, rt: Root) -> CurveReport:
+    """Check the curve of a root as identities over ``Z[t]``, coefficient
+    by coefficient, so that each holds for every ``t``.
 
-
-def verify_curve(
-    ctx: Context, rt: Root, samples: tuple[Fraction, ...] = DEFAULT_SAMPLES
-) -> CurveReport:
-    """Check the curve of a root pointwise, with exact arithmetic.
-
-    Per sample t != 0:
-      * the curve point is square-zero of rank k;
-      * it equals the conjugate of the base point by I + t E_{j,i};
-      * I + t E_{j,i} factors as (upper triangular, invertible) *
-        (reflection permutation matrix) * (I + t^{-1} E_{i,j}), certifying
-        which Borel double coset the conjugator lives in;
-      * subtracting the base point and the quadratic term leaves exactly
-        t times the tabulated tangent vector.
+    With ``x`` the base point, ``g = I + t E_{j,i}`` and the curve
+    ``x + t root_tangent + t^2 Q``, where ``Q = -E_{i+n-k,i}`` for a DELTA
+    root and 0 otherwise:
+      * ``g (I - t E_{j,i}) = I``;
+      * ``g x g^{-1}`` is the curve, so each of its points is conjugate to
+        ``x``: square-zero of rank k, with tangent ``root_tangent`` at 0;
+      * the curve squares to zero;
+      * ``t^2 g = (tU) R (t I + E_{i,j})``, with ``R`` the reflection's
+        permutation matrix and ``tU`` upper triangular with one monomial
+        on each diagonal entry.  For ``t != 0``, ``U`` and
+        ``I + t^{-1} E_{i,j}`` are invertible upper triangular, so ``g``
+        lies in the Borel double coset of the reflection.
     """
     n, k = ctx.n, ctx.k
-    spec = curve(ctx, rt)
-    E = RationalMatrix.elementary
-    ident = RationalMatrix.matrix_identity(n)
     i, j = rt.i, rt.j
-    x = base_point(ctx)
-    failures: list[tuple[str, str]] = []
-
-    if spec.point(0) != x:
-        failures.append(("0", "constant-term"))
-
-    for t in samples:
-        t = exact(t)  # an integral sample keeps every product in ints
-        tag = str(t)
-        p = spec.point(t)
-        if not (p * p).is_zero() or p.rank() != k:
-            failures.append((tag, "square-zero-rank"))
-        lower = ident + t * E(n, j, i)
-        lower_inv = ident - t * E(n, j, i)
-        if p != lower * x * lower_inv:
-            failures.append((tag, "conjugation"))
-        reconstructed = p - x - (t * t) * spec.quadratic
-        if reconstructed != t * spec.linear:
-            failures.append((tag, "linear-coefficient"))
-        if t == 0:
-            continue
-        inv = Fraction(1, t)
-        refl = RationalMatrix.permutation(transposition(n, i, j))
-        upper = refl + t * E(n, j, j) - inv * E(n, i, i) - E(n, j, i)
-        if not upper.is_upper_triangular() or any(
-            upper.entry(d, d) == 0 for d in range(1, n + 1)
-        ):
-            failures.append((tag, "factor-not-borel"))
-        if upper * refl * (ident + inv * E(n, i, j)) != lower:
-            failures.append((tag, "factorisation"))
-    return CurveReport(rt, tuple(Fraction(t) for t in samples), tuple(failures))
+    one = {(d, d): 1 for d in range(1, n + 1)}
+    x = _at({(r, r + n - k): 1 for r in range(1, k + 1)}, 0)
+    g = _add(_at(one, 0), _at({(j, i): 1}, 1))
+    g_inv = _add(_at(one, 0), _at({(j, i): -1}, 1))
+    quadratic = {(i + n - k, i): -1} if rt.family == DELTA else {}
+    point = _add(x, _at(root_tangent(ctx, rt), 1), _at(quadratic, 2))
+    refl = {(v, c): 1 for c, v in enumerate(transposition(n, i, j), 1)}
+    # tU = t R + t^2 E_jj - E_ii - t E_ji: the last term cancels R's entry
+    # (j, i), and the diagonal reads t but -1 at i and t^2 at j
+    borel = _add(_at(refl, 1), _at({(j, j): 1}, 2), _at({(i, i): -1}, 0), _at({(j, i): -1}, 1))
+    diagonal = sorted(r for r, c, _ in borel if r == c)
+    right = _add(_at(one, 1), _at({(i, j): 1}, 0))
+    identities = {
+        "inverse": _mul(g, g_inv) == _at(one, 0),
+        "conjugation": _mul(_mul(g, x), g_inv) == point,
+        "square-zero": not _mul(point, point),
+        "factor-not-borel": all(r <= c for r, c, _ in borel) and diagonal == list(range(1, n + 1)),
+        "factorisation": _mul(_mul(borel, _at(refl, 0)), right) == _mul(_at(one, 2), g),
+    }
+    return CurveReport(rt, tuple(name for name, holds in identities.items() if not holds))
 
 
 def tangent_stack_rank(ctx: Context) -> int:
     """Rank of all corner-block positions stacked with all curve tangents,
     on ``tangent``'s integer echelon: the curve tangents are integral."""
     stack = [{pos: 1} for pos in full_corner_positions(ctx)]
-    stack += [curve(ctx, rt).linear.entries for rt in phi_plus(ctx)]
+    stack += [root_tangent(ctx, rt) for rt in phi_plus(ctx)]
     pivots: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     return sum(_insert(pivots, vec) for vec in stack)
 

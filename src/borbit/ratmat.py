@@ -5,11 +5,11 @@ by 1-indexed ``(row, column)`` like :data:`borbit.tangent.SparseMatrix`.
 Each value is nonzero and in its :func:`exact` form: an ``int`` when it is
 integral, a :class:`fractions.Fraction` only when it is not.  No zero is
 ever stored, so equal matrices have equal dicts, and nothing reads a
-matrix back as dense rows.  The matrices of the ``verify`` checks (base
-points, curve coefficients, ``I + t E_ji``, reflections, representatives)
-have O(n) nonzero entries, mostly 0 and ±1, and products, sums, the
-triangularity tests and rank touch only those, in integer arithmetic until
-a truly rational entry appears.  Rank scales the rows to integers for the
+matrix back as dense rows.  Its one library caller is
+``atlas.rep_matrix``, whose representatives the ``verify`` suite squares
+and ranks: they have k entries equal to 1, and products, sums, the
+triangularity tests and rank touch only the stored entries, in integer
+arithmetic until a truly rational entry appears.  Rank scales the rows to integers for the
 fraction-free echelon ``tangent._insert``, so no floating point appears
 anywhere.  Constructors for elementary matrices use the usual 1-indexed
 convention: ``elementary(n, r, s)`` is the matrix with a single 1 in row

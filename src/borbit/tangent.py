@@ -11,8 +11,8 @@ base-point Borel stabiliser sharpens the lower bound.
 
 All of this is integer data: roots, ``t_k`` counts, and sparse integer
 matrices with entries 0 and +-1 for the tangents and the bracket span.
-The rational curves themselves, and the identities that certify their
-tangents, live in ``geometry``.
+The curves themselves, and the identities over ``Z[t]`` that certify
+their tangents, live in ``geometry``.
 
 The verdict engine applies six rules in order: a pattern criterion for
 rank one, fibration criteria when ``alpha`` is longest or ``sigma`` is
@@ -125,8 +125,8 @@ def root_tangent(ctx: Context, rt: Root) -> SparseMatrix:
 
     Conjugating the base point by the one-parameter subgroup of the
     negative root gives, per family, this linear coefficient.  It is the
-    one definition of the curve tangents: ``geometry.curve`` builds its
-    linear coefficient from it and ``bk_span`` brackets it directly.
+    one definition of the curve tangents: ``geometry.verify_curve`` checks
+    it as the curve's linear coefficient and ``bk_span`` brackets it.
     """
     n, k = ctx.n, ctx.k
     if classify_root(ctx, rt.i, rt.j) != rt.family:

@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from borbit import atlas, checks, poset
+from borbit import atlas, checks, geometry, poset
 from borbit.atlas import Context, OrbitCoset, enumerate_labels, label_perm
-from borbit.geometry import DEFAULT_SAMPLES
-from borbit.perms import bruhat_leq, reduced_word
+from borbit.perms import bruhat_leq, identity, reduced_word
 from borbit.ratmat import RationalMatrix
+from borbit.tangent import CROSS_FAR
 
 SUITE_NAMES = [
     "label-count",
@@ -29,7 +29,7 @@ SUITE_NAMES = [
 
 
 def outcomes(ctx):
-    suites, _ = checks.run_suites(ctx, 8, DEFAULT_SAMPLES)
+    suites, _ = checks.run_suites(ctx, 8)
     return {name: ok for name, ok, _ in suites}, [name for name, _, _ in suites]
 
 
@@ -40,11 +40,38 @@ def test_every_suite_runs_in_order_and_passes(n, k):
     assert all(ok.values())
 
 
-def test_report_without_samples_uses_the_default_samples():
-    ctx = Context(4, 2)
-    default = checks.report(ctx, 8, None)
-    assert default == checks.report(ctx, 8, ",".join(map(str, DEFAULT_SAMPLES)))
-    assert "curves: 5 roots x 4 samples" in default[1]
+def test_report_names_the_roots_whose_curves_it_checks():
+    passed, text = checks.report(Context(4, 2), 8)
+    assert passed
+    assert "ok   curves: 5 roots, identities in Z[t]\n" in text
+
+
+def flip_cross_far(real):
+    def flipped(ctx, rt):
+        tangent = real(ctx, rt)
+        return {pos: -v for pos, v in tangent.items()} if rt.family == CROSS_FAR else tangent
+
+    return flipped
+
+
+@pytest.mark.parametrize(
+    "attr, fault",
+    [
+        ("root_tangent", flip_cross_far),  # a flipped sign in one family's tangent
+        ("DELTA", lambda real: "no family"),  # no root gets the DELTA t^2 term
+        ("transposition", lambda real: lambda n, i, j: identity(n)),  # no reflection
+    ],
+    ids=["tangent-sign", "delta-term", "reflection"],
+)
+def test_a_planted_curve_fault_fails_the_curves_suite(monkeypatch, attr, fault):
+    """(4,2) has roots of the families INSIDE_GLK, DELTA and CROSS_FAR,
+    and each fault breaks a curve identity of some root.  The other suites
+    still pass: only ``tangent-span`` reads ``geometry.root_tangent``, and
+    a flipped sign keeps the span."""
+    monkeypatch.setattr(geometry, attr, fault(getattr(geometry, attr)))
+    ok, _ = outcomes(Context(4, 2))
+    assert not ok["curves"]
+    assert all(passed for name, passed in ok.items() if name != "curves")
 
 
 @pytest.mark.parametrize("position", [0, 37, 71, 143])
@@ -106,7 +133,7 @@ def test_a_dropped_cover_fails_the_pair_suite(monkeypatch, drop):
         return g._replace(covers=tuple(covers))
 
     monkeypatch.setattr(poset, "hasse", dropped)
-    passed, text = checks.report(Context(5, 2), 8, None)
+    passed, text = checks.report(Context(5, 2), 8)
     assert not passed
     assert "FAIL closure-order-oracle: 60^2 ordered pairs\n" in text
     assert "ok   label-count" in text
@@ -123,7 +150,7 @@ def test_a_relation_that_skips_a_level_fails_the_hasse_suite(monkeypatch):
         return g._replace(covers=tuple(sorted(g.covers + ((poset.minimum(g), poset.maximum(g)),))))
 
     monkeypatch.setattr(poset, "hasse", padded)
-    passed, text = checks.report(Context(5, 2), 8, None)
+    passed, text = checks.report(Context(5, 2), 8)
     assert not passed
     assert "FAIL hasse: 191 covers, 120 weak edges\n" in text
     assert "ok   closure-order-oracle: 60^2 ordered pairs\n" in text

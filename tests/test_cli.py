@@ -13,6 +13,7 @@ from borbit.cli import (
     EXIT_CAP,
     EXIT_OK,
     OPTIONS,
+    USAGE,
     main,
     parse_label_arg,
 )
@@ -373,7 +374,7 @@ def test_help_names_every_command_and_option(capsys):
         assert out.startswith("usage: borbit ")
         for word in [*COMMANDS, *OPTIONS]:
             assert word in out, word
-    assert set(OPTIONS) == {"--n", "--k", "--format", "--out", "--cap", "--samples"}
+    assert set(OPTIONS) == {"--n", "--k", "--format", "--out", "--cap"}
 
 
 def test_attached_option_values_read_like_separate_ones(capsys):
@@ -442,28 +443,10 @@ def test_out_into_a_missing_directory_fails_before_the_command_runs(tmp_path, ca
         assert err.startswith("error: ") and str(target) in err
 
 
-def test_custom_samples_flag(capsys):
-    code, out, _ = run(
-        capsys, "--n", "4", "--k", "2", "--samples", "1,5,-7,2/9", "verify"
-    )
-    assert code == EXIT_OK
-    assert "curves: 5 roots x 4 samples" in out
-
-
-@pytest.mark.parametrize("samples", [",", "0", "0,0/5", "1,,2", "1,", ",1"])
-def test_samples_without_a_nonzero_value_are_bad_input(capsys, samples):
-    """An empty list would check no curve point at all, and the sample 0
-    skips the factorisation checks, so neither passes the curves suite; an
-    empty field is refused too, not dropped."""
-    code, out, err = run(capsys, "--n", "4", "--k", "2", "--samples", samples, "verify")
-    assert (code, out) == (EXIT_BAD_INPUT, "")
-    assert err.startswith("error: ") and "--samples" in err
-
-
-def test_only_verify_reads_the_samples_flag(capsys):
-    for bad in ("abc", "1/0"):
-        code, out, err = run(capsys, "--n", "4", "--k", "2", "--samples", bad, "verify")
+def test_samples_is_an_unknown_option(capsys):
+    """``verify`` checks its curve identities over Z[t], for every ``t``
+    at once, so it reads no curve samples."""
+    for argv in (["--samples", "1,2", "verify"], ["--samples=1", "order", "sigma=id", "sigma=s2"]):
+        code, out, err = run(capsys, "--n", "4", "--k", "2", *argv)
         assert (code, out) == (EXIT_BAD_INPUT, "")
-        assert err.startswith("error: --samples ") and repr(bad) in err
-    code, out, _ = run(capsys, "--n", "4", "--k", "2", "--samples", "abc", "order", "sigma=id", "sigma=s2")
-    assert code == EXIT_OK and out.startswith("true")
+        assert err.splitlines() == [USAGE, "error: unknown option --samples"]

@@ -1,13 +1,9 @@
 """Curve geometry, the incidence of representatives and label flags, blueprints."""
 
-from fractions import Fraction
-
 import pytest
 
 from borbit.atlas import Context, dim_orbit, enumerate_labels, label, label_perm, rep_matrix
 from borbit.geometry import (
-    DEFAULT_SAMPLES,
-    base_point,
     blueprint_to_json,
     resolution_blueprint,
     tangent_stack_rank,
@@ -19,6 +15,12 @@ from borbit.tangent import Root, DELTA, phi_plus, root
 
 CTX42 = Context(4, 2)
 ID4 = identity(4)
+
+
+def base_point(ctx):
+    """The representative of the base label ``sigma = alpha = id``."""
+    ident = identity(ctx.n)
+    return rep_matrix(ctx, label(ctx, ident, ident))
 
 
 def test_base_matrix():
@@ -86,10 +88,7 @@ def test_verify_curve_all_roots_small_contexts():
         for rt in phi_plus(ctx):
             report = verify_curve(ctx, rt)
             assert report.ok, report.failures
-            assert report.samples == DEFAULT_SAMPLES
-    # t = 0 is a legal sample: the factorisation step is skipped
-    report = verify_curve(CTX42, root(CTX42, 1, 3), samples=(Fraction(0),))
-    assert report.ok
+            assert report.root == rt
 
 
 def test_verify_curve_rejects_foreign_roots():

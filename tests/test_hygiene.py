@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used in the module importing it,
-no library module imports ``dataclasses``, every library cache is a
-per-context table, and every library function and class is called from
-the library or named in a short allow-list."""
+no library module imports ``dataclasses`` and only ``ratmat`` imports
+``fractions``, every library cache is a per-context table, and every
+library function and class is called from the library or named in a
+short allow-list."""
 
 import ast
 from pathlib import Path
@@ -70,6 +71,13 @@ def test_no_library_module_imports_dataclasses():
     # its classes costs every command tens of milliseconds at start-up
     assert len(LIBRARY) > 5
     assert [path.name for path in LIBRARY if "dataclasses" in imported_modules(path)] == []
+
+
+def test_only_ratmat_imports_fractions():
+    # the curve identities are checked over Z[t] in integers, and every
+    # other layer computes in integers too; ``ratmat`` alone holds rationals
+    assert len(LIBRARY) > 5
+    assert [path.name for path in LIBRARY if "fractions" in imported_modules(path)] == ["ratmat.py"]
 
 
 def test_the_scan_sees_every_absolute_import(tmp_path):

@@ -14,8 +14,8 @@ from borbit.atlas import (
     label,
     label_of,
     label_perm,
+    rep_matrix,
 )
-from borbit.geometry import base_point, curve
 from borbit.perms import bruhat_leq, identity
 from borbit.poset import leq, leq_witness
 from borbit.ratmat import RationalMatrix
@@ -106,7 +106,30 @@ def test_root_constructor_rejects_non_roots():
     with pytest.raises(ValueError):
         root(CTX42, 2, 2)
     with pytest.raises(ValueError):
-        curve(CTX42, Root(1, 2, DELTA))  # family does not match the context
+        root_tangent(CTX42, Root(1, 2, DELTA))  # family does not match the context
+
+
+def base_point(ctx):
+    """The representative of the base label ``sigma = alpha = id``."""
+    ident = identity(ctx.n)
+    return rep_matrix(ctx, label(ctx, ident, ident))
+
+
+def conjugated_base_point(ctx, rt, t):
+    """``g x g^-1`` for ``g = I + t E_ji``, whose inverse is ``I - t E_ji``."""
+    n, E = ctx.n, RationalMatrix.elementary
+    ident = RationalMatrix.matrix_identity(n)
+    return (ident + t * E(n, rt.j, rt.i)) * base_point(ctx) * (ident - t * E(n, rt.j, rt.i))
+
+
+def curve_point(ctx, rt, t):
+    """``x + t root_tangent + t^2 Q``, with ``Q = -E_{i+n-k,i}`` for a
+    DELTA root and 0 otherwise."""
+    n, k = ctx.n, ctx.k
+    point = base_point(ctx) + t * RationalMatrix.from_entries(n, root_tangent(ctx, rt))
+    if rt.family == DELTA:
+        point = point - (t * t) * RationalMatrix.elementary(n, rt.i + n - k, rt.i)
+    return point
 
 
 def test_base_point():
@@ -119,21 +142,22 @@ def test_base_point():
 
 
 def test_curve_coefficients_by_family():
+    # frozen linear and quadratic coefficients; both sides of the curve
+    # identity have degree at most 2 in t, so three values of t prove it
     E = RationalMatrix.elementary
     z4 = RationalMatrix.zero(4)
-    spec = curve(CTX41, root(CTX41, 1, 4))  # delta family
-    assert spec.linear == E(4, 4, 4) - E(4, 1, 1)
-    assert spec.quadratic == -E(4, 4, 1)
-    spec = curve(CTX41, root(CTX41, 1, 2))  # top-middle
-    assert spec.linear == E(4, 2, 4)
-    assert spec.quadratic == z4
-    spec = curve(CTX41, root(CTX41, 2, 4))  # middle-bottom
-    assert spec.linear == -E(4, 1, 2)
-    spec = curve(CTX42, root(CTX42, 1, 2))  # inside the invertible corner
-    assert spec.linear == E(4, 2, 3)
-    spec = curve(CTX42, root(CTX42, 1, 4))  # cross pairing far blocks
-    assert spec.linear == E(4, 4, 3) - E(4, 2, 1)
-    assert spec.point(0) == base_point(CTX42)
+    cases = [
+        (CTX41, 1, 4, E(4, 4, 4) - E(4, 1, 1), -E(4, 4, 1)),  # delta family
+        (CTX41, 1, 2, E(4, 2, 4), z4),  # top-middle
+        (CTX41, 2, 4, -E(4, 1, 2), z4),  # middle-bottom
+        (CTX42, 1, 2, E(4, 2, 3), z4),  # inside the invertible corner
+        (CTX42, 1, 4, E(4, 4, 3) - E(4, 2, 1), z4),  # cross pairing far blocks
+    ]
+    for ctx, i, j, linear, quadratic in cases:
+        rt = root(ctx, i, j)
+        assert RationalMatrix.from_entries(4, root_tangent(ctx, rt)) == linear
+        for t in (1, -1, 2):
+            assert conjugated_base_point(ctx, rt, t) == base_point(ctx) + t * linear + t * t * quadratic
 
 
 def test_curve_points_stay_in_the_closure():
@@ -142,9 +166,8 @@ def test_curve_points_stay_in_the_closure():
     for n, k in [(4, 1), (4, 2), (5, 2), (6, 2)]:
         ctx = Context(n, k)
         for rt in phi_plus(ctx):
-            spec = curve(ctx, rt)
             for t in (0, 1, -1, 2):
-                p = spec.point(t)
+                p = curve_point(ctx, rt, t)
                 assert (p * p).is_zero()
                 assert p.rank() == k
 
@@ -306,7 +329,7 @@ def dense_bracket_span(ctx, lbl):
     n = ctx.n
     borel = [RationalMatrix.from_entries(n, b) for b in borel_stabiliser_basis(ctx)]
     seeds = [RationalMatrix.elementary(n, r, s) for r, s in base_orbit_tangent_positions(ctx)]
-    seeds += [curve(ctx, rt).linear for rt in t_k_set(ctx, lbl)]
+    seeds += [RationalMatrix.from_entries(n, root_tangent(ctx, rt)) for rt in t_k_set(ctx, lbl)]
     kept = []
 
     def keep(m):
