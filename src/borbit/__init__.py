@@ -15,13 +15,14 @@ _EXPORTS = {
         "enumerate_labels", "is_upper_label", "label", "label_of", "label_perm",
         "min_length_reps", "rep_matrix",
     ),
+    "diagram": ("export_dot", "export_json", "graph_from_json"),
     "geometry": ("resolution_blueprint", "verify_curve"),
     "perms": (
         "CapExceeded", "Perm", "bruhat_leq", "bruhat_leq_oracle", "compose",
         "evaluate_word", "inverse", "length", "reduced_word",
     ),
     "poset": (
-        "BruhatGraph", "export_dot", "export_json", "hasse", "leq", "leq_oracle", "weak_edges",
+        "BruhatGraph", "CoverTable", "cover_table", "hasse", "leq", "leq_oracle", "weak_edges",
     ),
     "ratmat": ("RationalMatrix",),
     "springer": (

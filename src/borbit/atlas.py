@@ -18,12 +18,9 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .perms import CapExceeded, Perm, check_perm, compose, format_perm, length, parse_perm
-
-if TYPE_CHECKING:
-    from .ratmat import RationalMatrix
 
 #: Largest ``n`` for which full enumerations run by default.
 ENUMERATION_CAP = 8
@@ -191,13 +188,13 @@ def dimension(ctx: Context, lbl: OrbitLabel) -> int:
     return length(lbl.sigma) + length(lbl.alpha) + dim_y0(ctx)
 
 
-def rep_matrix(ctx: Context, lbl: OrbitLabel) -> RationalMatrix:
-    """The representative ``sum_j E_{sigma alpha(j), sigma(n-k+j)}``."""
-    from .ratmat import RationalMatrix  # only callers of rep_matrix need matrices
-
+def rep_matrix(ctx: Context, lbl: OrbitLabel) -> dict[tuple[int, int], int]:
+    """The representative ``sum_j E_{sigma alpha(j), sigma(n-k+j)}``, as the
+    sparse integer dict of its entries, keyed by 1-indexed ``(row,
+    column)`` like ``tangent.SparseMatrix``."""
     n, k = ctx.n, ctx.k
     tau = label_perm(lbl)
-    return RationalMatrix.from_entries(n, {(tau[j], lbl.sigma[n - k + j]): 1 for j in range(k)})
+    return {(tau[j], lbl.sigma[n - k + j]): 1 for j in range(k)}
 
 
 def is_upper_label(ctx: Context, lbl: OrbitLabel) -> bool:

@@ -9,7 +9,7 @@ import math
 
 from . import atlas, geometry, poset, springer, tangent
 from .atlas import Context, OrbitCoset, OrbitLabel
-from .perms import Perm, all_perms, length, lower_interval, reduced_word
+from .perms import Perm, all_perms, length, lower_interval, reduced_word, transposition
 
 #: One suite's outcome: its name, whether it passed, and what it checked.
 Suite = tuple[str, bool, str]
@@ -52,9 +52,15 @@ def run_suites(ctx: Context, cap: int) -> tuple[list[Suite], list[OrbitLabel]]:
     ok = True
     for lbl in labels:
         m = atlas.rep_matrix(ctx, lbl)
-        if not (m * m).is_zero() or m.rank() != ctx.k:
+        square = geometry._mul(geometry._at(m, 0), geometry._at(m, 0))  # over Z[t], in degree 0
+        rows: dict[int, dict[int, int]] = {}
+        for (r, c), v in m.items():
+            rows.setdefault(r, {})[c] = v
+        pivots: dict[int, dict[int, int]] = {}
+        rank = sum(tangent._insert(pivots, row) for row in rows.values())
+        if square or rank != ctx.k:
             ok = False
-        if atlas.is_upper_label(ctx, lbl) != m.is_strictly_upper_triangular():
+        if atlas.is_upper_label(ctx, lbl) != all(r < c for r, c in m):
             ok = False
     suites.append(("representative-matrices", ok, f"{len(labels)} labels checked"))
 
@@ -80,22 +86,32 @@ def run_suites(ctx: Context, cap: int) -> tuple[list[Suite], list[OrbitLabel]]:
     generated = [1 << j for j in range(len(labels))]  # bit i of j: i <= j, as the covers generate
     for i, j in sorted(g.covers, key=lambda cover: g.dims[cover[1]]):
         generated[j] |= generated[i]
+    table = poset.cover_table(ctx, cap)
+    masks = tangent.t_k_masks(ctx, table)
+    roots = tangent.phi_plus(ctx)
+    root_bits: dict[int, int] = {}  # a reflection's coset in ``cosets`` -> the bits of its roots
+    for bit, rt in enumerate(roots):
+        reflection = owner[transposition(ctx.n, rt.i, rt.j)]
+        root_bits[reflection] = root_bits.get(reflection, 0) | 1 << bit
     ok = True
     for j, w in enumerate(products):
         # ``met``: the cosets meeting target ``j``'s subword interval (at most
-        # n(n-1)/2 letters), ``poset.leq_oracle`` for every source at once
+        # n(n-1)/2 letters), ``poset.leq_oracle`` for every source at once;
+        # ``below``: the roots whose reflection coset descends to ``j``
         interval = lower_interval(w, ctx.n * (ctx.n - 1) // 2)
         met = {owner[m] for m in interval}
         word = reduced_word(w)
+        below = 0
         for i, u in enumerate(products):
             witness, inside = poset.descend(ctx, u, word), generated[j] >> i & 1
             if witness is None:
                 ok = ok and owner[u] not in met and not inside
             else:
                 ok = ok and witness in interval and owner[witness] == owner[u] and inside == 1
+                below |= root_bits.get(owner[u], 0)
+        ok = ok and masks[j] == below
     suites.append(("closure-order-oracle", ok, f"{len(labels)}^2 ordered pairs"))
 
-    roots = tangent.phi_plus(ctx)
     suites.append((
         "curves",
         all(geometry.verify_curve(ctx, rt).ok for rt in roots),
@@ -117,7 +133,8 @@ def run_suites(ctx: Context, cap: int) -> tuple[list[Suite], list[OrbitLabel]]:
     ok = ok and {(i, j) for i, j, _ in g.weak} <= set(g.covers)
     suites.append(("hasse", ok, f"{len(g.covers)} covers, {len(g.weak)} weak edges"))
 
-    statuses = {lbl: tangent.verdict(ctx, lbl).status for lbl in labels}
+    sweep = tangent.t_k_sweep(ctx, table)
+    statuses = {lbl: tangent.verdict(ctx, lbl, t_k).status for lbl, t_k in sweep}
     singular_orbital = [lbl for lbl in orbital if statuses[lbl] == "singular"]
     suites.append((
         "verdicts",

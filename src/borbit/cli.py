@@ -31,9 +31,10 @@ from collections.abc import Iterable
 from contextlib import nullcontext
 from types import SimpleNamespace
 
-# Every command but ``order`` and ``hasse`` renders its text in the layer it
-# runs (``springer``, ``tangent``, ``geometry``, ``checks``), imported inside
-# the command, so that a command starts without the layers it never uses.
+# Every command but ``order`` renders its text in the layer it runs
+# (``springer``, ``tangent``, ``diagram``, ``geometry``, ``checks``), imported
+# inside the command, so that a command starts without the layers it never
+# uses.
 from . import atlas, poset
 from .atlas import Context, OrbitLabel
 from .perms import CapExceeded, evaluate_word, format_perm, parse_perm, parse_word
@@ -94,14 +95,14 @@ def cmd_order(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
 
 
 def cmd_hasse(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    from . import tangent
+    from . import diagram, tangent
 
-    g = poset.hasse(ctx, args.cap)
+    sweep = enumerate(tangent.t_k_sweep(ctx, poset.cover_table(ctx, args.cap)))
     singular = frozenset(
-        i for i, lbl in enumerate(g.labels) if tangent.verdict(ctx, lbl).status == "singular"
+        b for b, (lbl, roots) in sweep if tangent.verdict(ctx, lbl, roots).status == "singular"
     )
-    export = poset.export_json if args.fmt == "json" else poset.export_dot
-    return EXIT_OK, export(g, singular)
+    export = diagram.export_json if args.fmt == "json" else diagram.export_dot
+    return EXIT_OK, export(poset.hasse(ctx, args.cap), singular)
 
 
 def cmd_tangent(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
@@ -113,10 +114,11 @@ def cmd_tangent(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]
 def cmd_smooth(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     from . import tangent
 
-    labels = atlas.enumerate_labels(ctx, args.cap)
+    table = poset.cover_table(ctx, args.cap)
     if args.fmt == "json":
-        return EXIT_OK, [_json([tangent.verdict_json(ctx, lbl) for lbl in labels])]
-    return EXIT_OK, [tangent.smooth_table(ctx, labels)]
+        sweep = tangent.t_k_sweep(ctx, table)
+        return EXIT_OK, [_json([tangent.verdict_json(ctx, lbl, roots) for lbl, roots in sweep])]
+    return EXIT_OK, tangent.smooth_table(ctx, table)
 
 
 def cmd_springer(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:

@@ -1,4 +1,4 @@
-"""Closure order on labelled orbits, its Hasse diagram, and graph exports.
+"""Closure order on labelled orbits, its cover table and Hasse diagram.
 
 One orbit closure contains another exactly when some member of the smaller
 label's coset lies below the bigger label's product permutation in Bruhat
@@ -7,20 +7,22 @@ order.  ``leq`` follows for one pair the left-descent recursion that
 recomputes it independently from subword enumeration.
 
 The Hasse graph takes all of its edges from the left action of the simple
-transpositions on cosets: the covers of the closure order, each flagged if
-the ``alpha`` part fails to be Bruhat-monotone along it, and the weak edges.
+transpositions on cosets, held once per context by ``cover_table``: the
+covers of the closure order, each flagged if the ``alpha`` part fails to be
+Bruhat-monotone along it, and the weak edges.  ``diagram`` writes it out.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from functools import lru_cache
+from math import factorial
+from typing import NamedTuple
 
 from .atlas import (
-    Context, ENUMERATION_CAP, OrbitLabel, coset_of, dimension, enumerate_labels, label_fields,
-    label_from_fields, label_of, label_perm,
+    Context, ENUMERATION_CAP, OrbitLabel, coset_of, dim_y0, enumerate_labels, label_perm,
 )
 from .perms import (
-    WORD_LENGTH_CAP, Perm, Word, bruhat_leq, compose, evaluate_word, format_perm, left_descents,
+    WORD_LENGTH_CAP, Perm, Word, bruhat_leq, compose, evaluate_word, left_descents, length,
     lower_interval, reduced_word, simple,
 )
 
@@ -106,11 +108,78 @@ class BruhatGraph(NamedTuple):
     weak: tuple[tuple[int, int, int], ...]
 
 
+class CoverTable(NamedTuple):
+    """What every sweep of one context reads, by index into ``labels``
+    (``enumerate_labels``): the dimensions, ``act[i][a]``, the label of
+    ``s_i w_a``, and ``covers[b]``, the labels that ``b`` covers."""
+
+    labels: tuple[OrbitLabel, ...]
+    dims: tuple[int, ...]
+    act: dict[int, tuple[int, ...]]
+    covers: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def cover_table(ctx: Context, cap: int = ENUMERATION_CAP) -> CoverTable:
+    """The table of ``ctx``: ``act`` by the value swap and the covers by
+    the level step, both proved in ``hasse``.  The labels list every
+    alpha, in one order, for each sigma in turn, so the swap runs once per
+    sigma and letter on a block of ``k!`` indices, each index one shared
+    int object."""
+    labels = enumerate_labels(ctx, cap)
+    n, k, last = ctx.n, ctx.k, ctx.n - ctx.k
+    size = factorial(k)
+    alphas = {lbl.alpha: a for a, lbl in enumerate(labels[:size])}
+    sigmas = {labels[start].sigma: start for start in range(0, len(labels), size)}
+    index = list(range(len(labels)))
+    swaps = {}  # the position of i in sigma -> each alpha's index after the swap
+    for p in range(1, k):
+        s = simple(n, p)
+        swaps[p] = [alphas[compose(s, alpha)] for alpha in alphas]
+        swaps[p + last] = [alphas[compose(alpha, s)] for alpha in alphas]
+    act = {}
+    for i in range(1, n):
+        row: list[int] = []
+        for sigma, start in sigmas.items():
+            p, q = sigma.index(i) + 1, sigma.index(i + 1) + 1
+            if k < p <= last and k < q <= last:
+                row += index[start : start + size]
+            elif q == p + 1 and p in swaps:  # both in the first or both in the last block
+                row += [index[start + a] for a in swaps[p]]
+            else:
+                moved = list(sigma)
+                moved[p - 1], moved[q - 1] = i + 1, i
+                start = sigmas[tuple(moved)]
+                row += index[start : start + size]
+        act[i] = tuple(row)
+    lengths = [length(alpha) for alpha in alphas]
+    dims = tuple(d + e for d in [dim_y0(ctx) + length(sigma) for sigma in sigmas] for e in lengths)
+
+    covers: list[tuple[int, ...]] = [()] * len(labels)
+    for b in sorted(range(len(labels)), key=dims.__getitem__)[1:]:  # all but the base
+        step = act[left_descents(label_perm(labels[b]))[0]]
+        low = step[b]
+        covers[b] = (low, *(step[c] for c in covers[low] if dims[step[c]] == dims[c] + 1))
+    return CoverTable(labels, dims, act, tuple(covers))
+
+
 def hasse(ctx: Context, cap: int = ENUMERATION_CAP) -> BruhatGraph:
     """Hasse diagram of the closure order, read off the left action of the
     simple transpositions: ``act[i][a]`` is the label of ``s_i w_a``,
     ``w_a = label_perm(a)``.  Left multiplication commutes with the right
     action of ``H``, so ``s_i`` permutes the cosets; any member names one.
+
+    The value swap: ``s_i`` exchanges the values ``i``, ``i+1`` of ``sigma``,
+    say at positions ``p``, ``q``.  In one block ``s_i sigma = sigma (p q)``,
+    and ``alpha`` moves only ``1..k``: in the middle ``(p q)`` lies in ``H``
+    and commutes with ``alpha``, so the label stays; in the first block
+    ``sigma (p q) alpha`` is ``sigma`` times ``alpha`` with its values ``p``,
+    ``q = p + 1`` exchanged; in the last, ``(p q)`` commutes with ``alpha``
+    and times the paired ``(p-m q-m)``, ``m = n - k``, lies in ``H``, so the
+    coset is that of ``sigma`` times ``alpha`` with its positions ``p-m``,
+    ``q-m`` exchanged.  In two blocks, exchanging consecutive values keeps
+    each block increasing: ``sigma`` with ``i``, ``i+1`` exchanged, and the
+    same ``alpha``.
 
     Closure: ``a <= b`` iff the coset of ``a`` meets ``[e, w_b]``; only the
     base has ``w_b = e``.  Else let ``s = s_i`` be the first left descent of
@@ -133,6 +202,8 @@ def hasse(ctx: Context, cap: int = ENUMERATION_CAP) -> BruhatGraph:
     down, are ``b'`` and each ``s·c`` with ``c`` a cover of ``b'`` that ``s``
     raises, and no ``D_b`` is stored: ``s`` moves ``c`` in ``D_b'`` by at
     most one dimension, only ``b'`` there has its dimension, ``s·b' = b``.
+    ``cover_table`` holds ``act`` and the covers; the covers generate the
+    order, as in any finite poset.
 
     Weak edges are the ``(a, act[i][a], i)`` raising the dimension by one;
     the label product has the coset's minimal length: the inversions
@@ -143,26 +214,15 @@ def hasse(ctx: Context, cap: int = ENUMERATION_CAP) -> BruhatGraph:
     No member of the target coset is shorter than its minimum, so ``s_i``
     lifts every minimal member of ``a`` by exactly one step.
     """
-    labels = enumerate_labels(ctx, cap)
-    dims = tuple(dimension(ctx, lbl) for lbl in labels)
-    index = {lbl: pos for pos, lbl in enumerate(labels)}
-    perms = [label_perm(lbl) for lbl in labels]
-    act = {i: [index[label_of(ctx, compose(s, w))] for w in perms]
-           for i in range(1, ctx.n) for s in [simple(ctx.n, i)]}
-
-    covers_of: list[tuple[int, ...]] = [()] * len(labels)
-    for b in sorted(range(len(labels)), key=dims.__getitem__)[1:]:  # all but the base
-        step = act[left_descents(perms[b])[0]]
-        low = step[b]
-        covers_of[b] = (low, *(step[c] for c in covers_of[low] if dims[step[c]] == dims[c] + 1))
-    covers = [(a, b) for b in range(len(labels)) for a in covers_of[b]]
-
+    table = cover_table(ctx, cap)
+    labels, dims, act = table.labels, table.dims, table.act
+    covers = sorted((a, b) for b, below in enumerate(table.covers) for a in below)
     prefix = [lbl.alpha[: ctx.k] for lbl in labels]
     descents = frozenset((i, j) for i, j in covers if not bruhat_leq(prefix[i], prefix[j]))
     weak = sorted(
         (a, c, i) for i, step in act.items() for a, c in enumerate(step) if dims[c] == dims[a] + 1
     )
-    return BruhatGraph(ctx, labels, dims, tuple(sorted(covers)), descents, tuple(weak))
+    return BruhatGraph(ctx, labels, dims, tuple(covers), descents, tuple(weak))
 
 
 def weak_edges(
@@ -185,65 +245,3 @@ def maximum(g: BruhatGraph) -> int:
     sources = {i for (i, _) in g.covers}
     (top,) = [j for j in range(len(g.labels)) if j not in sources]
     return top
-
-
-def export_dot(g: BruhatGraph, singular: frozenset[int] | set[int] = frozenset()) -> Iterator[str]:
-    """Graphviz text, a line at a time: nodes ranked by dimension, dashed
-    alpha-descent covers, singular nodes drawn red."""
-    yield 'digraph closure_order {\n  rankdir=BT;\n  node [shape=box, fontname="monospace"];\n'
-    for i, lbl in enumerate(g.labels):
-        red = ", color=red" if i in singular else ""
-        yield f'  n{i} [label="{format_perm(label_perm(lbl))} | dim {g.dims[i]}"{red}];\n'
-    for d in sorted(set(g.dims)):
-        yield f"  {{ rank=same; {' '.join(f'n{i};' for i, dd in enumerate(g.dims) if dd == d)} }}\n"
-    for i, j in g.covers:
-        yield f"  n{i} -> n{j}{' [style=dashed]' if (i, j) in g.alpha_descents else ''};\n"
-    yield "}\n"
-
-
-def export_json(g: BruhatGraph, singular: frozenset[int] | set[int] = frozenset()) -> Iterator[str]:
-    """The text of ``json.dumps(document, indent=2) + "\\n"``, an item at a
-    time, for the document that ``graph_from_json`` reads.  Every value is
-    an integer, a boolean or digits and commas, so nothing needs escaping."""
-    flag = ("false", "true")
-    node = (
-        '    {{\n      "id": {},\n      "sigma": "{sigma}",\n      "alpha": "{alpha}",\n'
-        '      "dim": {},\n      "singular": {}\n    }}'
-    )
-    cover = '    [\n      {},\n      {},\n      {{\n        "alpha_descent": {}\n      }}\n    ]'
-    arrays = {
-        "nodes": (
-            node.format(i, g.dims[i], flag[i in singular], **label_fields(lbl))
-            for i, lbl in enumerate(g.labels)
-        ),
-        "covers": (cover.format(i, j, flag[(i, j) in g.alpha_descents]) for i, j in g.covers),
-        "weak": (f"    [\n      {a},\n      {b},\n      {s}\n    ]" for a, b, s in g.weak),
-    }
-    yield f'{{\n  "n": {g.ctx.n},\n  "k": {g.ctx.k}'
-    for key, items in arrays.items():
-        head = f',\n  "{key}": [\n'
-        for item in items:
-            yield head + item
-            head = ",\n"
-        yield "\n  ]" if head == ",\n" else f',\n  "{key}": []'
-    yield "\n}\n"
-
-
-def graph_from_json(text: str) -> tuple[BruhatGraph, frozenset[int]]:
-    """Rebuild a graph (and its singular-node set) from ``export_json`` text."""
-    import json
-
-    data = json.loads(text)
-    ctx = Context(int(data["n"]), int(data["k"]))
-    nodes = sorted(data["nodes"], key=lambda node: node["id"])
-    labels = tuple(label_from_fields(ctx, node) for node in nodes)
-    dims = tuple(int(node["dim"]) for node in nodes)
-    covers = tuple((int(i), int(j)) for i, j, _ in data["covers"])
-    descents = frozenset(
-        (int(i), int(j)) for i, j, attrs in data["covers"] if attrs["alpha_descent"]
-    )
-    weak = tuple((int(i), int(j), int(s)) for i, j, s in data["weak"])
-    singular = frozenset(
-        int(node["id"]) for node in data["nodes"] if node["singular"]
-    )
-    return BruhatGraph(ctx, labels, dims, covers, descents, weak), singular

@@ -5,16 +5,17 @@ by 1-indexed ``(row, column)`` like :data:`borbit.tangent.SparseMatrix`.
 Each value is nonzero and in its :func:`exact` form: an ``int`` when it is
 integral, a :class:`fractions.Fraction` only when it is not.  No zero is
 ever stored, so equal matrices have equal dicts, and nothing reads a
-matrix back as dense rows.  Its one library caller is
-``atlas.rep_matrix``, whose representatives the ``verify`` suite squares
-and ranks: they have k entries equal to 1, and products, sums, the
-triangularity tests and rank touch only the stored entries, in integer
-arithmetic until a truly rational entry appears.  Rank scales the rows to integers for the
-fraction-free echelon ``tangent._insert``, so no floating point appears
-anywhere.  Constructors for elementary matrices use the usual 1-indexed
-convention: ``elementary(n, r, s)`` is the matrix with a single 1 in row
-``r``, column ``s``; ``RationalMatrix(rows)`` builds one from literal
-dense rows.
+matrix back as dense rows.  The library no longer calls it: the
+representative matrices are sparse integer dicts.  It stays for the
+tests' dense references, and because the benchmark's tracer imports it
+to wrap its product and rank (ROADMAP items 5 and 10).  Products, sums,
+the triangularity tests and rank touch only the stored entries, in
+integer arithmetic until a truly rational entry appears.  Rank scales the
+rows to integers for the fraction-free echelon ``tangent._insert``, so no
+floating point appears anywhere.  Constructors for elementary matrices
+use the usual 1-indexed convention: ``elementary(n, r, s)`` is the matrix
+with a single 1 in row ``r``, column ``s``; ``RationalMatrix(rows)``
+builds one from literal dense rows.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ vector, together with the tangent space of the base orbit, spans the full
 tangent space of the ambient conjugacy class.  Which curve tangents survive
 inside a given labelled closure is controlled by the closure order on the
 reflections' cosets; counting them gives exact tangent dimensions for
-upper labels and lower bounds in general.  A Lie-bracket closure under the
-base-point Borel stabiliser sharpens the lower bound.
+upper labels and lower bounds in general.  One label walks that order down
+once per root (``t_k_table``); a sweep reads every label's roots off the
+covers of ``poset.cover_table`` (``t_k_masks``).  A Lie-bracket closure
+under the base-point Borel stabiliser sharpens the lower bound.
 
 All of this is integer data: roots, ``t_k`` counts, and sparse integer
 matrices with entries 0 and +-1 for the tangents and the bracket span.
@@ -23,7 +25,8 @@ table are rendered here.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from bisect import bisect_left
+from collections.abc import Iterator, Mapping
 from functools import lru_cache
 from math import gcd
 from typing import Literal, NamedTuple, TypeVar
@@ -33,9 +36,9 @@ from .atlas import (
     label_perm,
 )
 from .perms import (
-    Perm, compose, format_perm, identity, length, pattern_positions, reduced_word, transposition,
+    Perm, compose, format_perm, identity, pattern_positions, reduced_word, transposition,
 )
-from .poset import descend
+from .poset import CoverTable, descend
 
 INSIDE_GLK = "INSIDE_GLK"
 DELTA = "DELTA"
@@ -53,7 +56,7 @@ RANK_ONE_PATTERN: Perm = (3, 1, 4, 2)
 #: nonzero entry.  The tangent algebra lives here: its generators (matrix
 #: units, curve tangents, the stabiliser basis) have entries 0 and +-1.
 SparseMatrix = dict[tuple[int, int], int]
-Key = TypeVar("Key")  # an ordered key of ``_insert``: a position, or a column in ``ratmat``
+Key = TypeVar("Key")  # an ordered key of ``_insert``: a position, or a column of a matrix row
 
 
 class Root(NamedTuple):
@@ -159,10 +162,48 @@ def t_k_set(ctx: Context, lbl: OrbitLabel) -> tuple[Root, ...]:
     return tuple(rt for rt, witness in t_k_table(ctx, lbl) if witness is not None)
 
 
-def tangent_lower_bound(ctx: Context, lbl: OrbitLabel) -> int:
+def t_k_masks(ctx: Context, table: CoverTable) -> list[int]:
+    """Every label's ``t_k`` at once: bit ``r`` of ``masks[b]`` is set iff
+    root ``r`` of ``phi_plus`` lies in ``t_k_set`` of label ``b``.
+
+    Each root's bit starts on the label ``c`` of its reflection coset;
+    then, by increasing dimension, each label ORs in the masks of its
+    covers.  The root is in ``t_k(b)`` iff ``c <= b``, and the covers
+    generate the closure order, as in any finite poset: ``c < b`` iff
+    ``c <= a`` for some cover ``a`` of ``b``.  So ``masks[b]`` collects the
+    bits of exactly the labels ``c <= b``.
+    """
+    labels, covers = table.labels, table.covers
+    masks = [0] * len(labels)
+    for bit, rt in enumerate(phi_plus(ctx)):  # ``labels`` is sorted: ``enumerate_labels``
+        masks[bisect_left(labels, root_coset_label(ctx, rt))] |= 1 << bit
+    for b in sorted(range(len(labels)), key=table.dims.__getitem__):
+        for a in covers[b]:
+            masks[b] |= masks[a]
+    return masks
+
+
+def t_k_sweep(
+    ctx: Context, table: CoverTable
+) -> Iterator[tuple[OrbitLabel, tuple[Root, ...]]]:
+    """Each label of ``table`` in turn with its ``t_k_set``, read off
+    ``t_k_masks``; labels with one mask share one tuple."""
+    phi = phi_plus(ctx)
+    seen: dict[int, tuple[Root, ...]] = {}
+    for lbl, mask in zip(table.labels, t_k_masks(ctx, table)):
+        roots = seen.get(mask)
+        if roots is None:
+            roots = seen[mask] = tuple(rt for bit, rt in enumerate(phi) if mask >> bit & 1)
+        yield lbl, roots
+
+
+def tangent_lower_bound(
+    ctx: Context, lbl: OrbitLabel, roots: tuple[Root, ...] | None = None
+) -> int:
     """k(k+1)/2 + |t_k|: a lower bound for the tangent dimension at the
-    base point of the labelled closure."""
-    return dim_y0(ctx) + len(t_k_set(ctx, lbl))
+    base point of the labelled closure.  ``roots``, when given, is the
+    label's ``t_k_set``."""
+    return dim_y0(ctx) + len(t_k_set(ctx, lbl) if roots is None else roots)
 
 
 def base_orbit_tangent_positions(ctx: Context) -> tuple[tuple[int, int], ...]:
@@ -218,7 +259,9 @@ def bracket(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
 def _insert(pivots: dict[Key, dict[Key, int]], vec: Mapping[Key, int]) -> bool:
     """Add ``vec`` to the row echelon ``pivots``, whose rows are keyed by
     their leading (smallest) key; True if it was independent.  The one
-    integer echelon, shared by ``bracket_span`` and ``RationalMatrix.rank``.
+    integer echelon: ``bracket_span``, ``geometry.tangent_stack_rank`` and
+    the ``verify`` suite that ranks the representative matrices, row by
+    row, all run on it, as does ``RationalMatrix.rank``.
 
     Each step cancels the leading entry of ``vec`` against the row with the
     same leading position, using integer multipliers; entries after it may
@@ -317,8 +360,10 @@ def _pattern_verdict(rule: str, w: Perm, patterns: tuple[Perm, ...]) -> Verdict:
     )
 
 
-def verdict(ctx: Context, lbl: OrbitLabel) -> Verdict:
-    """First matching rule decides; falls through to ``unknown``.
+def verdict(ctx: Context, lbl: OrbitLabel, roots: tuple[Root, ...] | None = None) -> Verdict:
+    """First matching rule decides; falls through to ``unknown``.  A sweep
+    passes the label's ``t_k_set`` as ``roots`` (``t_k_sweep``); without
+    it R4-R6 compute it.
 
     R1: rank one - singular exactly on one pattern in sigma.
     R2: alpha longest - smoothness of a Grassmannian Schubert variety.
@@ -336,13 +381,14 @@ def verdict(ctx: Context, lbl: OrbitLabel) -> Verdict:
     if lbl.sigma == identity(ctx.n):
         return _pattern_verdict("R3", lbl.alpha[: ctx.k], SINGULAR_PATTERNS)
     dim = dimension(ctx, lbl)
-    roots = t_k_set(ctx, lbl)
+    if roots is None:
+        roots = t_k_set(ctx, lbl)
     count = len(roots)
-    moved = length(lbl.sigma) + length(lbl.alpha)
+    moved = dim - dim_y0(ctx)  # length(sigma) + length(alpha)
     if is_upper_label(ctx, lbl):
         status = "smooth" if count == moved else "singular"
         return Verdict(status, "R4", {"t_k": count, "length": moved})
-    bound = dim_y0(ctx) + count
+    bound = tangent_lower_bound(ctx, lbl, roots)
     if bound > dim:
         return Verdict(
             "singular", "R5", {"tangent_lower_bound": bound, "dimension": dim}
@@ -353,8 +399,8 @@ def verdict(ctx: Context, lbl: OrbitLabel) -> Verdict:
     return Verdict("unknown", None, {"tangent_lower_bound": bound, "bk_span": span, "dimension": dim})
 
 
-def verdict_json(ctx: Context, lbl: OrbitLabel) -> dict:
-    v = verdict(ctx, lbl)
+def verdict_json(ctx: Context, lbl: OrbitLabel, roots: tuple[Root, ...] | None = None) -> dict:
+    v = verdict(ctx, lbl, roots)
     return {
         "label": {"n": ctx.n, "k": ctx.k, **label_fields(lbl)},
         "verdict": v.status,
@@ -375,7 +421,7 @@ def report(ctx: Context, lbl: OrbitLabel) -> str:
             f"  ({rt.i},{rt.j})  {rt.family:<13} phi_n={phi_n} t_k={status}  witness={wit}"
         )
     roots = tuple(rt for rt, witness in table if witness is not None)
-    bound = dim_y0(ctx) + len(roots)
+    bound = tangent_lower_bound(ctx, lbl, roots)
     lines.append(f"  |t_k| = {len(roots)} of {len(table)} roots")
     lines.append(f"  tangent lower bound = {bound}")
     lines.append(f"  dimension = {dimension(ctx, lbl)}")
@@ -385,16 +431,16 @@ def report(ctx: Context, lbl: OrbitLabel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def smooth_table(ctx: Context, labels: tuple[OrbitLabel, ...]) -> str:
-    """The ``smooth`` table: one verdict line per label, then the totals."""
-    lines = [f"# verdicts for n={ctx.n} k={ctx.k}"]
+def smooth_table(ctx: Context, table: CoverTable) -> Iterator[str]:
+    """The ``smooth`` table, a line at a time: one verdict line per label,
+    then the totals."""
+    yield f"# verdicts for n={ctx.n} k={ctx.k}\n"
     counts = dict.fromkeys(("smooth", "singular", "unknown"), 0)
-    for lbl in labels:
-        v = verdict(ctx, lbl)
-        lines.append(
-            f"  {format_label(lbl)}  dim={dimension(ctx, lbl)}  "
-            f"verdict={v.status:<8} rule={v.rule or '-':<2} witness={v.witness}"
+    for (lbl, roots), dim in zip(t_k_sweep(ctx, table), table.dims):
+        v = verdict(ctx, lbl, roots)
+        yield (
+            f"  {format_label(lbl)}  dim={dim}  "
+            f"verdict={v.status:<8} rule={v.rule or '-':<2} witness={v.witness}\n"
         )
         counts[v.status] += 1
-    lines.append("# totals: " + " ".join(f"{status}={count}" for status, count in counts.items()))
-    return "\n".join(lines) + "\n"
+    yield "# totals: " + " ".join(f"{status}={count}" for status, count in counts.items()) + "\n"

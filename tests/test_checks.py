@@ -8,10 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from borbit import atlas, checks, geometry, poset
+from borbit import atlas, checks, geometry, poset, tangent
 from borbit.atlas import Context, OrbitCoset, enumerate_labels, label_perm
 from borbit.perms import bruhat_leq, identity, reduced_word
-from borbit.ratmat import RationalMatrix
 from borbit.tangent import CROSS_FAR
 
 SUITE_NAMES = [
@@ -139,6 +138,34 @@ def test_a_dropped_cover_fails_the_pair_suite(monkeypatch, drop):
     assert "ok   label-count" in text
 
 
+def test_a_mask_missing_one_cover_fails_the_pair_suite(monkeypatch):
+    """``t_k_masks`` on a table short of one cover loses the roots that
+    only that cover brought in; the pair suite compares each target's mask
+    with the walks it makes anyway and prints FAIL, and ``hasse``, built
+    from the whole table, still passes."""
+    ctx = Context(5, 2)
+    real = tangent.t_k_masks
+    table = poset.cover_table(ctx, 8)
+
+    def without(b, a):
+        covers = list(table.covers)
+        covers[b] = tuple(c for c in covers[b] if c != a)
+        return table._replace(covers=tuple(covers))
+
+    whole = real(ctx, table)
+    b, a = next(
+        (b, a)
+        for b, below in enumerate(table.covers)
+        for a in below
+        if real(ctx, without(b, a)) != whole
+    )
+    monkeypatch.setattr(tangent, "t_k_masks", lambda ctx, t: real(ctx, without(b, a)))
+    passed, text = checks.report(ctx, 8)
+    assert not passed
+    assert "FAIL closure-order-oracle: 60^2 ordered pairs\n" in text
+    assert "ok   hasse: 190 covers, 120 weak edges\n" in text
+
+
 def test_a_relation_that_skips_a_level_fails_the_hasse_suite(monkeypatch):
     """Base below top is a true relation, so the pair suite still passes;
     the order is graded, so every cover rises by one dimension and this
@@ -222,7 +249,16 @@ def test_a_coset_missing_a_member_fails_a_coset_suite(monkeypatch, drop):
 
 
 def test_an_off_by_one_rank_fails_the_representative_suite(monkeypatch):
-    real = RationalMatrix.rank
-    monkeypatch.setattr(RationalMatrix, "rank", lambda self: real(self) + 1)
+    """Each representative loses one entry: still square-zero, but of rank
+    ``k - 1``, which the suite's echelon counts."""
+    real = atlas.rep_matrix
+
+    def dropped(ctx, lbl):
+        m = real(ctx, lbl)
+        del m[min(m)]
+        return m
+
+    monkeypatch.setattr(atlas, "rep_matrix", dropped)
     ok, _ = outcomes(Context(4, 2))
     assert not ok["representative-matrices"]
+    assert all(passed for name, passed in ok.items() if name != "representative-matrices")

@@ -19,8 +19,8 @@ from borbit.cli import (
 )
 from borbit import poset, tangent
 from borbit.atlas import Context, label
+from borbit.diagram import graph_from_json
 from borbit.perms import identity
-from borbit.poset import graph_from_json
 
 
 def run(capsys, *argv):
@@ -201,6 +201,36 @@ def test_smooth_command(capsys):
     assert len(data) == 12
     singular = [row for row in data if row["verdict"] == "singular"]
     assert {row["rule"] for row in singular} == {"R2", "R5", "R6"}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hasse_and_smooth_at_rank_zero(capsys, n):
+    """At ``k = 0`` the zero matrix is the one orbit: a single node and no
+    edges, smooth by R2 (``alpha = id`` is the longest element of ``W_0``),
+    byte for byte in each format."""
+    ident = ",".join(map(str, range(1, n + 1)))
+    tested = list(range(n, 0, -1))
+    witness = {"avoids": [[4, 2, 3, 1], [3, 4, 1, 2]], "tested": tested}
+    node = {"id": 0, "sigma": ident, "alpha": ident, "dim": 0, "singular": False}
+    row = {"label": {"n": n, "k": 0, "sigma": ident, "alpha": ident}, "verdict": "smooth"}
+    expected = {
+        ("hasse",): (
+            'digraph closure_order {\n  rankdir=BT;\n  node [shape=box, fontname="monospace"];\n'
+            f'  n0 [label="{ident} | dim 0"];\n  {{ rank=same; n0; }}\n}}\n'
+        ),
+        ("--format", "json", "hasse"): json.dumps(
+            {"n": n, "k": 0, "nodes": [node], "covers": [], "weak": []}, indent=2
+        ) + "\n",
+        ("smooth",): (
+            f"# verdicts for n={n} k=0\n  sigma={ident} alpha={ident}  dim=0  "
+            f"verdict=smooth   rule=R2 witness={witness}\n# totals: smooth=1 singular=0 unknown=0\n"
+        ),
+        ("--format", "json", "smooth"): json.dumps(
+            [{**row, "rule": "R2", "witness": witness}], indent=2
+        ) + "\n",
+    }
+    for argv, text in expected.items():
+        assert run(capsys, "--n", str(n), "--k", "0", *argv) == (EXIT_OK, text, ""), argv
 
 
 def test_springer_command(capsys):

@@ -24,8 +24,8 @@ def base_point(ctx):
 
 
 def test_base_matrix():
-    assert base_point(CTX42) == RationalMatrix([[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
-    x62 = base_point(Context(6, 2))
+    assert base_point(CTX42) == {(1, 3): 1, (2, 4): 1}
+    x62 = RationalMatrix.from_entries(6, base_point(Context(6, 2)))
     assert (x62 * x62).is_zero()
     assert x62.rank() == 2
 
@@ -38,7 +38,7 @@ def compatible_with_permutation_flag(ctx, u, tau):
     pos(r) <= pos(c) - (n-k)."""
     m = ctx.n - ctx.k
     pos = {value: a for a, value in enumerate(tau, 1)}
-    return all(pos[c] > m and pos[r] <= pos[c] - m for r, c in u.entries)
+    return all(pos[c] > m and pos[r] <= pos[c] - m for r, c in u)
 
 
 def test_witness_flags_give_incidence_members():

@@ -150,7 +150,7 @@ UNREFERENCED = {
     "graph_from_json": "the documented round trip of the JSON that hasse writes",
     "leq": "the closure-order predicate of the README tour; order asks for its witness",
     "bk_span": "the bracket span of a label, wrapped by perfbench's tracer",
-    "tangent_lower_bound": "the bound by label; verdict and report sum it from roots they hold",
+    "RationalMatrix": "wrapped by perfbench's tracer; goes with ROADMAP items 5 and 10",
 }
 
 

@@ -54,14 +54,23 @@ def loaded() -> dict[str, set[str]]:
 
 def test_order_loads_no_tangent_geometry_or_matrices(loaded):
     assert {"borbit.atlas", "borbit.poset", "borbit.perms"} <= loaded["order"]
-    assert not {"borbit.tangent", "borbit.geometry", "borbit.ratmat"} & loaded["order"]
+    layers = {"borbit.tangent", "borbit.geometry", "borbit.ratmat", "borbit.diagram"}
+    assert not layers & loaded["order"]
 
 
-#: ``borbit`` source lines that ``order`` compiles: 1086 since ``cli`` lost
+def test_only_hasse_loads_the_diagram_writers(loaded):
+    assert {name for name, mods in loaded.items() if "borbit.diagram" in mods} == {
+        "hasse",
+        "hasse-json",
+    }
+
+
+#: ``borbit`` source lines that ``order`` compiles: 1084 since ``poset`` holds
+#: the cover table and ``diagram`` the Hasse writers, 1086 after ``cli`` lost
 #: the ``--samples`` option, 1089 after ``cli`` took over argv parsing from
 #: ``argparse`` (1035 before), and 1296 while ``atlas`` held the Springer
 #: combinatorics and ``cli`` every command's text.
-ORDER_LINE_BUDGET = 1086
+ORDER_LINE_BUDGET = 1084
 
 
 def test_order_compiles_within_its_line_budget(loaded):
@@ -90,14 +99,15 @@ def test_springer_layer_loads_for_its_commands_only(loaded):
 
 
 def test_only_verify_and_blueprint_load_geometry(loaded):
-    """``geometry`` checks its curves over Z[t] in integers, so of the two
-    only ``verify`` loads ``ratmat``, for its representative matrices."""
+    """``geometry`` checks its curves over Z[t] in integers, and ``verify``
+    squares and ranks the representative matrices as sparse integer dicts,
+    so neither loads ``ratmat``."""
     assert {name for name, mods in loaded.items() if "borbit.geometry" in mods} == {
         "verify",
         "blueprint",
     }
-    for module in ("borbit.ratmat", "borbit.checks"):
-        assert {name for name, mods in loaded.items() if module in mods} == {"verify"}, module
+    assert {name for name, mods in loaded.items() if "borbit.checks" in mods} == {"verify"}
+    assert {name for name, mods in loaded.items() if "borbit.ratmat" in mods} == set()
 
 
 def test_no_command_loads_dataclasses(loaded):
@@ -120,23 +130,21 @@ def test_import_borbit_loads_no_submodule():
 
 
 def test_cli_order_and_enumerate_load_no_fractions(loaded):
-    """Nor does any command but ``verify``, whose representative matrices
-    are ``ratmat``'s."""
+    """Nor does any other command: every one computes in integers."""
     mods = modules_after("import sys, borbit.cli; print(*sorted(sys.modules), file=sys.stderr)")
-    assert not {"fractions", "decimal", "numbers"} & mods
-    assert {name for name, mods in loaded.items() if {"fractions", "decimal", "numbers"} & mods} == {
-        "verify"
-    }
-    assert "fractions" in loaded["verify"]
+    rationals = {"fractions", "decimal", "numbers"}
+    assert not rationals & mods
+    assert {name for name, mods in loaded.items() if rationals & mods} == set()
 
 
 RATIONALS = {"borbit.ratmat", "fractions", "decimal", "numbers"}
 
 
 def test_tangent_layer_commands_load_no_rationals(loaded):
-    for name in ("hasse", "smooth", "tangent", "springer"):
+    for name in ("hasse", "smooth", "tangent", "springer", "verify"):
         assert "borbit.tangent" in loaded[name]
         assert not RATIONALS & loaded[name], name
+    assert {name for name, mods in loaded.items() if RATIONALS & mods} == set()
 
 
 def test_import_tangent_loads_no_rationals():

@@ -22,12 +22,11 @@ from borbit.atlas import (
     label_perm,
     min_length_reps,
 )
+from borbit.diagram import export_dot, export_json, graph_from_json
 from borbit.perms import bruhat_leq, compose, format_perm, identity, left_descents, length, simple
 from borbit.poset import (
+    cover_table,
     descend,
-    export_dot,
-    export_json,
-    graph_from_json,
     hasse,
     leq,
     leq_oracle,
@@ -269,6 +268,20 @@ def test_level_recursion_matches_the_down_set_scan_up_to_n_8():
             assert graph == hasse_by_down_sets(ctx), (n, k)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_value_swap_is_left_multiplication(n):
+    """``cover_table``'s ``act`` names the label of ``s_i w`` for every
+    label and letter, ``k = 0`` included, and its dims are ``dimension``."""
+    for k in range(n // 2 + 1):
+        ctx = Context(n, k)
+        table = cover_table(ctx)
+        assert table.dims == tuple(dimension(ctx, lbl) for lbl in table.labels)
+        for i, row in table.act.items():
+            s = simple(n, i)
+            expected = [label_of(ctx, compose(s, label_perm(lbl))) for lbl in table.labels]
+            assert [table.labels[c] for c in row] == expected, (ctx, i)
+
+
 def test_hasse_at_9_4_peaks_under_100_mb():
     """15,120 labels, 9!/(4!·1!): one tuple of covers per label, no
     down-sets, and writers that stream a line at a time keep a fresh
@@ -277,13 +290,13 @@ def test_hasse_at_9_4_peaks_under_100_mb():
     address space the spawning test process held before ``exec``."""
     probe = (
         "import os, re\n"
-        "from borbit import poset\n"
+        "from borbit import diagram, poset\n"
         "from borbit.atlas import Context\n"
         "g = poset.hasse(Context(9, 4), 9)\n"
         "singular = frozenset(range(0, len(g.labels), 2))\n"
         "with open(os.devnull, 'w') as sink:\n"
-        "    sink.writelines(poset.export_dot(g, singular))\n"
-        "    sink.writelines(poset.export_json(g, singular))\n"
+        "    sink.writelines(diagram.export_dot(g, singular))\n"
+        "    sink.writelines(diagram.export_json(g, singular))\n"
         "status = open('/proc/self/status').read()\n"
         "print(len(g.labels), re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n"
     )

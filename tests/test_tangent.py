@@ -17,7 +17,7 @@ from borbit.atlas import (
     rep_matrix,
 )
 from borbit.perms import bruhat_leq, identity
-from borbit.poset import leq, leq_witness
+from borbit.poset import cover_table, leq, leq_witness
 from borbit.ratmat import RationalMatrix
 from borbit.tangent import (
     CROSS_FAR,
@@ -41,6 +41,7 @@ from borbit.tangent import (
     root_coset_label,
     root_tangent,
     t_k_set,
+    t_k_sweep,
     t_k_table,
     tangent_lower_bound,
     verdict,
@@ -110,9 +111,10 @@ def test_root_constructor_rejects_non_roots():
 
 
 def base_point(ctx):
-    """The representative of the base label ``sigma = alpha = id``."""
+    """The representative of the base label ``sigma = alpha = id``, as a
+    dense reference matrix."""
     ident = identity(ctx.n)
-    return rep_matrix(ctx, label(ctx, ident, ident))
+    return RationalMatrix.from_entries(ctx.n, rep_matrix(ctx, label(ctx, ident, ident)))
 
 
 def conjugated_base_point(ctx, rt, t):
@@ -133,6 +135,7 @@ def curve_point(ctx, rt, t):
 
 
 def test_base_point():
+    assert rep_matrix(CTX42, label(CTX42, ID4, ID4)) == {(1, 3): 1, (2, 4): 1}
     x = base_point(CTX42)
     assert x == RationalMatrix.elementary(4, 1, 3) + RationalMatrix.elementary(
         4, 2, 4
@@ -240,6 +243,16 @@ def test_t_k_table_matches_the_pairwise_query_at_64(n, k):
             if witness is not None:
                 assert label_of(ctx, witness) == coset
                 assert bruhat_leq(witness, label_perm(lbl))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_cover_masks_give_t_k_set(n):
+    """Each root's bit, ORed up the covers, gives ``t_k_set`` on every label."""
+    for k in range(n // 2 + 1):
+        ctx = Context(n, k)
+        table = cover_table(ctx)
+        expected = [(lbl, t_k_set(ctx, lbl)) for lbl in table.labels]
+        assert list(t_k_sweep(ctx, table)) == expected, ctx
 
 
 def test_t_k_is_monotone_in_the_closure_order():
