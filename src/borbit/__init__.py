@@ -24,7 +24,6 @@ _EXPORTS = {
     "poset": (
         "BruhatGraph", "CoverTable", "cover_table", "hasse", "leq", "leq_oracle", "weak_edges",
     ),
-    "ratmat": ("RationalMatrix",),
     "springer": (
         "OrientedLinkPattern", "TwoColumnTableau", "involution_tau", "is_orbital_variety",
         "link_pattern", "tableau",

@@ -153,7 +153,6 @@ def label_of(ctx: Context, w: Perm) -> OrbitLabel:
     return OrbitLabel(sigma, alpha)
 
 
-@lru_cache(maxsize=None)
 def enumerate_labels(ctx: Context, cap: int = ENUMERATION_CAP) -> tuple[OrbitLabel, ...]:
     """All labels, sorted by (sigma, alpha); there are n!/(k!(n-2k)!)."""
     if ctx.n > cap:

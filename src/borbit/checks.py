@@ -19,7 +19,8 @@ def run_suites(ctx: Context, cap: int) -> tuple[list[Suite], list[OrbitLabel]]:
     """The suites in their fixed order, and the orbital varieties whose
     verdict is singular."""
     suites: list[Suite] = []
-    labels = atlas.enumerate_labels(ctx, cap)
+    table = poset.cover_table(ctx, cap)
+    labels = table.labels
 
     expected = math.factorial(ctx.n) // (
         math.factorial(ctx.k) * math.factorial(ctx.n - 2 * ctx.k)
@@ -86,7 +87,6 @@ def run_suites(ctx: Context, cap: int) -> tuple[list[Suite], list[OrbitLabel]]:
     generated = [1 << j for j in range(len(labels))]  # bit i of j: i <= j, as the covers generate
     for i, j in sorted(g.covers, key=lambda cover: g.dims[cover[1]]):
         generated[j] |= generated[i]
-    table = poset.cover_table(ctx, cap)
     masks = tangent.t_k_masks(ctx, table)
     roots = tangent.phi_plus(ctx)
     root_bits: dict[int, int] = {}  # a reflection's coset in ``cosets`` -> the bits of its roots

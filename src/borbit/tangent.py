@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator, Mapping
-from functools import lru_cache
 from math import gcd
 from typing import Literal, NamedTuple, TypeVar
 
@@ -92,24 +91,17 @@ def root(ctx: Context, i: int, j: int) -> Root:
     return Root(i, j, family)
 
 
-@lru_cache(maxsize=None)
-def _roots(ctx: Context) -> tuple[tuple[Root, Perm], ...]:
-    """Each positive stabiliser root with the label product of its
-    reflection coset, built once per context."""
+def phi_plus(ctx: Context) -> tuple[Root, ...]:
+    """All positive stabiliser roots; count 2k(n-k) - k(k+1)/2."""
     n, k = ctx.n, ctx.k
-    roots = [
+    roots = tuple(
         Root(i, j, family)
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
         if (family := classify_root(ctx, i, j)) is not None
-    ]
+    )
     assert len(roots) == 2 * k * (n - k) - k * (k + 1) // 2
-    return tuple((rt, label_perm(root_coset_label(ctx, rt))) for rt in roots)
-
-
-def phi_plus(ctx: Context) -> tuple[Root, ...]:
-    """All positive stabiliser roots; count 2k(n-k) - k(k+1)/2."""
-    return tuple(rt for rt, _ in _roots(ctx))
+    return roots
 
 
 def phi_plus_restricted(ctx: Context) -> tuple[Root, ...]:
@@ -154,7 +146,9 @@ def t_k_table(ctx: Context, lbl: OrbitLabel) -> tuple[tuple[Root, Perm | None], 
     product, or None: one reduced word of the product, walked down from
     every root's coset (``poset.leq_witness``)."""
     word = reduced_word(label_perm(lbl))
-    return tuple((rt, descend(ctx, u, word)) for rt, u in _roots(ctx))
+    return tuple(
+        (rt, descend(ctx, label_perm(root_coset_label(ctx, rt)), word)) for rt in phi_plus(ctx)
+    )
 
 
 def t_k_set(ctx: Context, lbl: OrbitLabel) -> tuple[Root, ...]:
@@ -261,7 +255,7 @@ def _insert(pivots: dict[Key, dict[Key, int]], vec: Mapping[Key, int]) -> bool:
     their leading (smallest) key; True if it was independent.  The one
     integer echelon: ``bracket_span``, ``geometry.tangent_stack_rank`` and
     the ``verify`` suite that ranks the representative matrices, row by
-    row, all run on it, as does ``RationalMatrix.rank``.
+    row, all run on it.
 
     Each step cancels the leading entry of ``vec`` against the row with the
     same leading position, using integer multipliers; entries after it may

@@ -29,7 +29,6 @@ from borbit.perms import (
     length,
 )
 from borbit.poset import hasse, leq, leq_oracle, maximum, minimum
-from borbit.ratmat import RationalMatrix
 from borbit.springer import (
     count_involutions,
     count_standard_tableaux,
@@ -47,6 +46,7 @@ from borbit.tangent import (
     tangent_lower_bound,
     verdict,
 )
+from dense import columns, mul, permutation, span_rank
 
 ID4 = identity(4)
 ID6 = identity(6)
@@ -218,17 +218,6 @@ def test_criterion_6_curve_and_span_identities():
                 assert tangent_stack_rank(ctx) == dim_orbit(ctx), (n, k)
 
 
-def columns(m: RationalMatrix, j: int) -> list[list]:
-    """The first ``j`` columns of ``m``, as dense rows."""
-    return [[m.entry(r, s) for s in range(1, j + 1)] for r in range(1, m.nrows + 1)]
-
-
-def span_rank(*blocks: list[list]) -> int:
-    """The dimension of the sum of the column spans of ``blocks``: the rank
-    of the matrix that sets them side by side."""
-    return RationalMatrix([sum(rows, []) for rows in zip(*blocks)]).rank()
-
-
 def subspace_leq(inner: list[list], outer: list[list]) -> bool:
     """Column-span containment via one exact rank comparison."""
     return span_rank(outer, inner) == span_rank(outer)
@@ -239,12 +228,12 @@ def schubert_bound(tau, i: int, j: int) -> int:
     return i + j - sum(1 for a in range(i) if tau[a] <= j)
 
 
-def flag_in_schubert(basis: RationalMatrix, tau) -> bool:
+def flag_in_schubert(basis: list[list], tau) -> bool:
     """Is the flag whose V^i spans the first i columns of the square
     ``basis`` in the Schubert variety of ``tau``?  K^j spans the first j
     standard basis vectors."""
     n = len(tau)
-    ident = RationalMatrix.matrix_identity(n)
+    ident = permutation(identity(n))
     return all(
         span_rank(columns(basis, i), columns(ident, j)) <= schubert_bound(tau, i, j)
         for i in range(1, n + 1)
@@ -252,7 +241,7 @@ def flag_in_schubert(basis: RationalMatrix, tau) -> bool:
     )
 
 
-def random_borel_flag(rng: random.Random, w) -> RationalMatrix:
+def random_borel_flag(rng: random.Random, w) -> list[list]:
     """The basis of a random point of the cell of ``w``: unit
     upper-triangular times the permutation basis."""
     n = len(w)
@@ -269,12 +258,12 @@ def random_borel_flag(rng: random.Random, w) -> RationalMatrix:
         )
         for r in range(n)
     )
-    return RationalMatrix(rows) * RationalMatrix.permutation(w)
+    return mul(rows, permutation(w))
 
 
 def test_criterion_7_rank_condition_reduction():
     with Budget("criterion 7 (rank-condition reduction)", 5.0):
-        ident = RationalMatrix.matrix_identity(4)
+        ident = permutation(identity(4))
 
         def direct_2413(f):
             return subspace_leq(columns(f, 1), columns(ident, 2)) and (
@@ -292,7 +281,7 @@ def test_criterion_7_rank_condition_reduction():
         for tau, direct in cases:
             accepted = set()
             for other in perms4:
-                f = RationalMatrix.permutation(other)
+                f = permutation(other)
                 member = flag_in_schubert(f, tau)
                 assert member == direct(f), (tau, other)
                 assert member == bruhat_leq(other, tau)

@@ -36,7 +36,7 @@ from borbit.springer import (
     springer_component_dim,
     tableau,
 )
-from borbit.tangent import _insert
+from dense import dense, flat, gauss_rank, mul
 
 
 def is_row_standard(t: TwoColumnTableau) -> bool:
@@ -196,26 +196,14 @@ def test_rep_matrix_values():
     assert low == {(3, 1): 1, (4, 2): 1}
 
 
-def dense(m, n):
-    """The rows of the sparse matrix ``m`` as ``n`` lists of ``n`` integers."""
-    return [[m.get((r, c), 0) for c in range(1, n + 1)] for r in range(1, n + 1)]
-
-
-def dense_rank(rows):
-    """Rank of integer rows on the shared echelon, each row keyed by column."""
-    pivots = {}
-    return sum(_insert(pivots, {c: v for c, v in enumerate(row) if v}) for row in rows)
-
-
 def test_rep_matrices_are_square_zero_of_the_right_rank():
     for n, k in [(4, 1), (4, 2), (5, 2), (6, 3)]:
         ctx = Context(n, k)
         seen = set()
         for lbl in enumerate_labels(ctx):
             m = dense(rep_matrix(ctx, lbl), n)
-            square = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in m]
-            assert not any(map(any, square))
-            assert dense_rank(m) == k
+            assert not any(flat(mul(m, m)))
+            assert gauss_rank(m) == k
             seen.add(tuple(map(tuple, m)))
         # distinct labels give distinct representatives
         assert len(seen) == len(enumerate_labels(ctx))

@@ -10,8 +10,8 @@ from borbit.geometry import (
     verify_curve,
 )
 from borbit.perms import all_perms, bruhat_leq, identity, reduced_word
-from borbit.ratmat import RationalMatrix
 from borbit.tangent import Root, DELTA, phi_plus, root
+from dense import dense, flat, gauss_rank, mul, permutation
 
 CTX42 = Context(4, 2)
 ID4 = identity(4)
@@ -25,9 +25,9 @@ def base_point(ctx):
 
 def test_base_matrix():
     assert base_point(CTX42) == {(1, 3): 1, (2, 4): 1}
-    x62 = RationalMatrix.from_entries(6, base_point(Context(6, 2)))
-    assert (x62 * x62).is_zero()
-    assert x62.rank() == 2
+    x62 = dense(base_point(Context(6, 2)), 6)
+    assert not any(flat(mul(x62, x62)))
+    assert gauss_rank(x62) == 2
 
 
 def compatible_with_permutation_flag(ctx, u, tau):
@@ -61,12 +61,9 @@ def permutation_flag_in_schubert(other, tau):
     for all i, j, with K^j spanned by e_1, ..., e_j?  Each dimension is the
     rank of the unit vectors that span the sum."""
     n = len(tau)
-
-    def unit(c):
-        return [1 if s == c else 0 for s in range(1, n + 1)]
-
+    ident = permutation(identity(n))  # row c - 1 is the unit vector e_c
     return all(
-        RationalMatrix([unit(c) for c in other[:i]] + [unit(c) for c in range(1, j + 1)]).rank()
+        gauss_rank([ident[c - 1] for c in other[:i]] + ident[:j])
         <= i + j - sum(1 for a in range(i) if tau[a] <= j)
         for i in range(1, n + 1)
         for j in range(1, n + 1)

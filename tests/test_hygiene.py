@@ -1,8 +1,8 @@
 """Source hygiene: every imported name is used in the module importing it,
-no library module imports ``dataclasses`` and only ``ratmat`` imports
-``fractions``, every library cache is a per-context table, and every
-library function and class is called from the library or named in a
-short allow-list."""
+no library module imports ``dataclasses`` or ``fractions``, no source or
+test file imports ``borbit.ratmat``, every library cache is a per-context
+table, and every library function and class is called from the library or
+named in a short allow-list."""
 
 import ast
 from pathlib import Path
@@ -73,11 +73,11 @@ def test_no_library_module_imports_dataclasses():
     assert [path.name for path in LIBRARY if "dataclasses" in imported_modules(path)] == []
 
 
-def test_only_ratmat_imports_fractions():
+def test_no_library_module_imports_fractions():
     # the curve identities are checked over Z[t] in integers, and every
-    # other layer computes in integers too; ``ratmat`` alone holds rationals
+    # other layer computes in integers too
     assert len(LIBRARY) > 5
-    assert [path.name for path in LIBRARY if "fractions" in imported_modules(path)] == ["ratmat.py"]
+    assert [path.name for path in LIBRARY if "fractions" in imported_modules(path)] == []
 
 
 def test_the_scan_sees_every_absolute_import(tmp_path):
@@ -88,6 +88,40 @@ def test_the_scan_sees_every_absolute_import(tmp_path):
         encoding="utf-8",
     )
     assert imported_modules(source) == {"os", "json", "dataclasses", "typing"}
+
+
+def imported_names(path: Path) -> set[str]:
+    """The dotted name of each module that ``path`` imports, and of each
+    name that it imports from a module; a relative import counts from
+    ``borbit``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("borbit" if node.level else "", node.module)))
+            found |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return found
+
+
+def test_no_source_or_test_file_imports_ratmat():
+    # ``ratmat`` is an empty placeholder for perfbench's tracer; the tests'
+    # dense references live in ``tests/dense.py``
+    assert [path.name for path in CHECKED if "borbit.ratmat" in imported_names(path)] == []
+
+
+def test_the_scan_sees_every_ratmat_import(tmp_path):
+    forms = [
+        "import borbit.ratmat", "from borbit.ratmat import RationalMatrix",
+        "from borbit import ratmat", "from .ratmat import RationalMatrix", "from . import ratmat",
+    ]
+    for form in forms:
+        source = tmp_path / "sample.py"
+        source.write_text(f"{form}\nimport borbit.tangent\n", encoding="utf-8")
+        assert "borbit.ratmat" in imported_names(source), form
+    source.write_text("from borbit import tangent\nx = 'borbit.ratmat'\n", encoding="utf-8")
+    assert "borbit.ratmat" not in imported_names(source)
 
 
 CACHES = {"cache", "lru_cache"}
@@ -150,7 +184,7 @@ UNREFERENCED = {
     "graph_from_json": "the documented round trip of the JSON that hasse writes",
     "leq": "the closure-order predicate of the README tour; order asks for its witness",
     "bk_span": "the bracket span of a label, wrapped by perfbench's tracer",
-    "RationalMatrix": "wrapped by perfbench's tracer; goes with ROADMAP items 5 and 10",
+    "RationalMatrix": "placeholder imported by perfbench's tracer; goes with ROADMAP item 10",
 }
 
 

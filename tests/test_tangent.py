@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from borbit import tangent
+from borbit import geometry, tangent
 from borbit.atlas import (
     Context,
     dim_orbit,
@@ -18,7 +18,6 @@ from borbit.atlas import (
 )
 from borbit.perms import bruhat_leq, identity
 from borbit.poset import cover_table, leq, leq_witness
-from borbit.ratmat import RationalMatrix
 from borbit.tangent import (
     CROSS_FAR,
     DELTA,
@@ -47,6 +46,7 @@ from borbit.tangent import (
     verdict,
     verdict_json,
 )
+from dense import add, dense, flat, gauss_rank, mul, permutation
 
 CTX42 = Context(4, 2)
 CTX41 = Context(4, 1)
@@ -114,53 +114,51 @@ def base_point(ctx):
     """The representative of the base label ``sigma = alpha = id``, as a
     dense reference matrix."""
     ident = identity(ctx.n)
-    return RationalMatrix.from_entries(ctx.n, rep_matrix(ctx, label(ctx, ident, ident)))
+    return dense(rep_matrix(ctx, label(ctx, ident, ident)), ctx.n)
 
 
 def conjugated_base_point(ctx, rt, t):
     """``g x g^-1`` for ``g = I + t E_ji``, whose inverse is ``I - t E_ji``."""
-    n, E = ctx.n, RationalMatrix.elementary
-    ident = RationalMatrix.matrix_identity(n)
-    return (ident + t * E(n, rt.j, rt.i)) * base_point(ctx) * (ident - t * E(n, rt.j, rt.i))
+    n = ctx.n
+    ident, e_ji = permutation(identity(n)), dense({(rt.j, rt.i): 1}, n)
+    return mul(mul(add(ident, e_ji, t), base_point(ctx)), add(ident, e_ji, -t))
 
 
 def curve_point(ctx, rt, t):
     """``x + t root_tangent + t^2 Q``, with ``Q = -E_{i+n-k,i}`` for a
     DELTA root and 0 otherwise."""
     n, k = ctx.n, ctx.k
-    point = base_point(ctx) + t * RationalMatrix.from_entries(n, root_tangent(ctx, rt))
+    point = add(base_point(ctx), dense(root_tangent(ctx, rt), n), t)
     if rt.family == DELTA:
-        point = point - (t * t) * RationalMatrix.elementary(n, rt.i + n - k, rt.i)
+        point = add(point, dense({(rt.i + n - k, rt.i): 1}, n), -t * t)
     return point
 
 
 def test_base_point():
     assert rep_matrix(CTX42, label(CTX42, ID4, ID4)) == {(1, 3): 1, (2, 4): 1}
     x = base_point(CTX42)
-    assert x == RationalMatrix.elementary(4, 1, 3) + RationalMatrix.elementary(
-        4, 2, 4
-    )
-    assert (x * x).is_zero()
-    assert x.rank() == 2
+    assert x == dense({(1, 3): 1, (2, 4): 1}, 4)
+    assert not any(flat(mul(x, x)))
+    assert gauss_rank(x) == 2
 
 
 def test_curve_coefficients_by_family():
     # frozen linear and quadratic coefficients; both sides of the curve
     # identity have degree at most 2 in t, so three values of t prove it
-    E = RationalMatrix.elementary
-    z4 = RationalMatrix.zero(4)
     cases = [
-        (CTX41, 1, 4, E(4, 4, 4) - E(4, 1, 1), -E(4, 4, 1)),  # delta family
-        (CTX41, 1, 2, E(4, 2, 4), z4),  # top-middle
-        (CTX41, 2, 4, -E(4, 1, 2), z4),  # middle-bottom
-        (CTX42, 1, 2, E(4, 2, 3), z4),  # inside the invertible corner
-        (CTX42, 1, 4, E(4, 4, 3) - E(4, 2, 1), z4),  # cross pairing far blocks
+        (CTX41, 1, 4, {(4, 4): 1, (1, 1): -1}, {(4, 1): -1}),  # delta family
+        (CTX41, 1, 2, {(2, 4): 1}, {}),  # top-middle
+        (CTX41, 2, 4, {(1, 2): -1}, {}),  # middle-bottom
+        (CTX42, 1, 2, {(2, 3): 1}, {}),  # inside the invertible corner
+        (CTX42, 1, 4, {(4, 3): 1, (2, 1): -1}, {}),  # cross pairing far blocks
     ]
     for ctx, i, j, linear, quadratic in cases:
         rt = root(ctx, i, j)
-        assert RationalMatrix.from_entries(4, root_tangent(ctx, rt)) == linear
+        linear, quadratic = dense(linear, 4), dense(quadratic, 4)
+        assert dense(root_tangent(ctx, rt), 4) == linear
         for t in (1, -1, 2):
-            assert conjugated_base_point(ctx, rt, t) == base_point(ctx) + t * linear + t * t * quadratic
+            expected = add(add(base_point(ctx), linear, t), quadratic, t * t)
+            assert conjugated_base_point(ctx, rt, t) == expected
 
 
 def test_curve_points_stay_in_the_closure():
@@ -171,8 +169,8 @@ def test_curve_points_stay_in_the_closure():
         for rt in phi_plus(ctx):
             for t in (0, 1, -1, 2):
                 p = curve_point(ctx, rt, t)
-                assert (p * p).is_zero()
-                assert p.rank() == k
+                assert not any(flat(mul(p, p)))
+                assert gauss_rank(p) == k
 
 
 def test_root_coset_labels():
@@ -303,19 +301,13 @@ def test_tangent_positions():
 
 
 def test_sparse_bracket_matches_dense_commutators():
-    E = RationalMatrix.elementary
     units = [(a, b) for a in range(1, 5) for b in range(1, 5)]
     for a, b in units:
         for c, d in units:
-            dense = E(4, a, b) * E(4, c, d) - E(4, c, d) * E(4, a, b)
+            x, y = dense({(a, b): 1}, 4), dense({(c, d): 1}, 4)
             sparse = bracket({(a, b): 1}, {(c, d): 1})
-            assert RationalMatrix.from_entries(4, sparse) == dense
+            assert dense(sparse, 4) == add(mul(x, y), mul(y, x), -1)
             assert 0 not in sparse.values()
-
-
-def flat(m):
-    """The row-major vector of all entries of ``m``, read from ``entries``."""
-    return [m.entries.get((r, s), 0) for r in range(1, m.nrows + 1) for s in range(1, m.ncols + 1)]
 
 
 def test_borel_stabiliser_basis_spans_the_upper_centraliser():
@@ -325,28 +317,28 @@ def test_borel_stabiliser_basis_spans_the_upper_centraliser():
     for n, k in [(4, 1), (4, 2), (5, 2), (6, 3)]:
         ctx = Context(n, k)
         x = base_point(ctx)
-        basis = [RationalMatrix.from_entries(n, b) for b in borel_stabiliser_basis(ctx)]
+        basis = [dense(b, n) for b in borel_stabiliser_basis(ctx)]
         for b in basis:
-            assert b.is_upper_triangular()
-            assert b * x == x * b
-        assert RationalMatrix([flat(b) for b in basis]).rank() == len(basis)
-        units = [RationalMatrix.elementary(n, a, c) for a in range(1, n + 1) for c in range(a, n + 1)]
-        images = RationalMatrix([flat(e * x - x * e) for e in units])
-        assert len(basis) == len(units) - images.rank()
+            assert not any(any(row[:r]) for r, row in enumerate(b))  # upper triangular
+            assert mul(b, x) == mul(x, b)
+        assert gauss_rank([flat(b) for b in basis]) == len(basis)
+        units = [dense({(a, c): 1}, n) for a in range(1, n + 1) for c in range(a, n + 1)]
+        images = [flat(add(mul(e, x), mul(x, e), -1)) for e in units]
+        assert len(basis) == len(units) - gauss_rank(images)
 
 
 def dense_bracket_span(ctx, lbl):
     """Reference for ``bk_span``: the same closure with dense commutators,
-    a candidate kept when it raises the ``RationalMatrix.rank`` (Gaussian
+    a candidate kept when it raises the ``gauss_rank`` (Gaussian
     elimination over the rationals) of the kept ones."""
     n = ctx.n
-    borel = [RationalMatrix.from_entries(n, b) for b in borel_stabiliser_basis(ctx)]
-    seeds = [RationalMatrix.elementary(n, r, s) for r, s in base_orbit_tangent_positions(ctx)]
-    seeds += [RationalMatrix.from_entries(n, root_tangent(ctx, rt)) for rt in t_k_set(ctx, lbl)]
+    borel = [dense(b, n) for b in borel_stabiliser_basis(ctx)]
+    seeds = [dense({pos: 1}, n) for pos in base_orbit_tangent_positions(ctx)]
+    seeds += [dense(root_tangent(ctx, rt), n) for rt in t_k_set(ctx, lbl)]
     kept = []
 
     def keep(m):
-        if RationalMatrix([flat(v) for v in kept + [m]]).rank() > len(kept):
+        if gauss_rank([flat(v) for v in kept + [m]]) > len(kept):
             kept.append(m)
             return True
         return False
@@ -355,7 +347,7 @@ def dense_bracket_span(ctx, lbl):
     while queue:
         v = queue.pop()
         for b in borel:
-            w = b * v - v * b
+            w = add(mul(b, v), mul(v, b), -1)
             if keep(w):
                 queue.append(w)
     return len(kept)
@@ -371,6 +363,39 @@ def test_bk_span_matches_the_dense_reference():
             assert bk_span(ctx, lbl) == dense_bracket_span(ctx, lbl)
             checked += 1
     assert checked == 8
+
+
+def dense_stack_rank(ctx):
+    """Reference for ``geometry.tangent_stack_rank``: the ``gauss_rank`` of
+    the corner-block units stacked with the curve tangents, as dense rows."""
+    stack = [{pos: 1} for pos in full_corner_positions(ctx)]
+    stack += [root_tangent(ctx, rt) for rt in phi_plus(ctx)]
+    return gauss_rank([flat(dense(m, ctx.n)) for m in stack])
+
+
+def test_a_dependent_vector_taken_as_independent_misses_the_dense_references(monkeypatch):
+    """A planted fault in the integer echelon: in each echelon, the first
+    nonzero vector that ``_insert`` finds dependent goes in as a pivot of
+    its own.  ``bk_span`` and ``tangent_stack_rank`` then rise by one, and
+    their dense references, whose rank shares no code with ``_insert``,
+    do not."""
+    lbl = label(CTX42, (2, 4, 1, 3), ID4)
+    assert bk_span(CTX42, lbl) == dense_bracket_span(CTX42, lbl) == 7
+    assert geometry.tangent_stack_rank(CTX42) == dense_stack_rank(CTX42) == dim_orbit(CTX42) == 8
+    planted = object()  # a key that no vector leads with
+
+    def faulty(pivots, vec):
+        if _insert(pivots, vec):
+            return True
+        if vec and planted not in pivots:
+            pivots[planted] = dict(vec)
+            return True
+        return False
+
+    monkeypatch.setattr(tangent, "_insert", faulty)
+    monkeypatch.setattr(geometry, "_insert", faulty)  # ``geometry`` holds a copied binding
+    assert bk_span(CTX42, lbl) == 8 != dense_bracket_span(CTX42, lbl)
+    assert geometry.tangent_stack_rank(CTX42) == 9 != dense_stack_rank(CTX42)
 
 
 def unindexed_bracket_span(ctx, lbl):
