@@ -97,10 +97,8 @@ def cmd_order(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
 def cmd_hasse(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     from . import diagram, tangent
 
-    sweep = enumerate(tangent.t_k_sweep(ctx, poset.cover_table(ctx, args.cap)))
-    singular = frozenset(
-        b for b, (lbl, roots) in sweep if tangent.verdict(ctx, lbl, roots).status == "singular"
-    )
+    sweep = enumerate(tangent.verdicts(ctx, poset.cover_table(ctx, args.cap)))
+    singular = frozenset(b for b, v in sweep if v.status == "singular")
     export = diagram.export_json if args.fmt == "json" else diagram.export_dot
     return EXIT_OK, export(poset.hasse(ctx, args.cap), singular)
 
@@ -116,8 +114,8 @@ def cmd_smooth(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]
 
     table = poset.cover_table(ctx, args.cap)
     if args.fmt == "json":
-        sweep = tangent.t_k_sweep(ctx, table)
-        return EXIT_OK, [_json([tangent.verdict_json(ctx, lbl, roots) for lbl, roots in sweep])]
+        sweep = zip(table.labels, tangent.verdicts(ctx, table))
+        return EXIT_OK, [_json([tangent.verdict_json(ctx, lbl, v) for lbl, v in sweep])]
     return EXIT_OK, tangent.smooth_table(ctx, table)
 
 

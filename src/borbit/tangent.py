@@ -19,8 +19,10 @@ their tangents, live in ``geometry``.
 The verdict engine applies six rules in order: a pattern criterion for
 rank one, fibration criteria when ``alpha`` is longest or ``sigma`` is
 trivial, the exact tangent count for upper labels, and the two
-tangent-versus-dimension bounds.  The ``tangent`` report and the ``smooth``
-table are rendered here.
+tangent-versus-dimension bounds.  ``verdict`` decides one label;
+``verdicts`` sweeps a cover table, reading each label's dimension and
+``t_k`` off it.  The ``tangent`` report and the ``smooth`` table are
+rendered here.
 """
 
 from __future__ import annotations
@@ -82,13 +84,6 @@ def classify_root(ctx: Context, i: int, j: int) -> str | None:
     if k < i <= n - k < j:
         return MIDDLE_BOTTOM
     return None
-
-
-def root(ctx: Context, i: int, j: int) -> Root:
-    family = classify_root(ctx, i, j)
-    if family is None:
-        raise ValueError(f"({i}, {j}) is not a stabiliser root for {ctx}")
-    return Root(i, j, family)
 
 
 def phi_plus(ctx: Context) -> tuple[Root, ...]:
@@ -175,20 +170,6 @@ def t_k_masks(ctx: Context, table: CoverTable) -> list[int]:
         for a in covers[b]:
             masks[b] |= masks[a]
     return masks
-
-
-def t_k_sweep(
-    ctx: Context, table: CoverTable
-) -> Iterator[tuple[OrbitLabel, tuple[Root, ...]]]:
-    """Each label of ``table`` in turn with its ``t_k_set``, read off
-    ``t_k_masks``; labels with one mask share one tuple."""
-    phi = phi_plus(ctx)
-    seen: dict[int, tuple[Root, ...]] = {}
-    for lbl, mask in zip(table.labels, t_k_masks(ctx, table)):
-        roots = seen.get(mask)
-        if roots is None:
-            roots = seen[mask] = tuple(rt for bit, rt in enumerate(phi) if mask >> bit & 1)
-        yield lbl, roots
 
 
 def tangent_lower_bound(
@@ -354,10 +335,12 @@ def _pattern_verdict(rule: str, w: Perm, patterns: tuple[Perm, ...]) -> Verdict:
     )
 
 
-def verdict(ctx: Context, lbl: OrbitLabel, roots: tuple[Root, ...] | None = None) -> Verdict:
+def verdict(
+    ctx: Context, lbl: OrbitLabel, roots: tuple[Root, ...] | None = None, dim: int | None = None
+) -> Verdict:
     """First matching rule decides; falls through to ``unknown``.  A sweep
-    passes the label's ``t_k_set`` as ``roots`` (``t_k_sweep``); without
-    it R4-R6 compute it.
+    (``verdicts``) passes the label's ``t_k_set`` as ``roots`` and its
+    ``dimension`` as ``dim``; without them R4-R6 compute them.
 
     R1: rank one - singular exactly on one pattern in sigma.
     R2: alpha longest - smoothness of a Grassmannian Schubert variety.
@@ -374,7 +357,8 @@ def verdict(ctx: Context, lbl: OrbitLabel, roots: tuple[Root, ...] | None = None
         )
     if lbl.sigma == identity(ctx.n):
         return _pattern_verdict("R3", lbl.alpha[: ctx.k], SINGULAR_PATTERNS)
-    dim = dimension(ctx, lbl)
+    if dim is None:
+        dim = dimension(ctx, lbl)
     if roots is None:
         roots = t_k_set(ctx, lbl)
     count = len(roots)
@@ -393,8 +377,21 @@ def verdict(ctx: Context, lbl: OrbitLabel, roots: tuple[Root, ...] | None = None
     return Verdict("unknown", None, {"tangent_lower_bound": bound, "bk_span": span, "dimension": dim})
 
 
-def verdict_json(ctx: Context, lbl: OrbitLabel, roots: tuple[Root, ...] | None = None) -> dict:
-    v = verdict(ctx, lbl, roots)
+def verdicts(ctx: Context, table: CoverTable) -> Iterator[Verdict]:
+    """Each label's ``verdict``, in ``table.labels`` order: the dimension
+    comes from ``table.dims`` and ``t_k`` from ``t_k_masks``, and labels
+    with one mask share one tuple of roots."""
+    phi = phi_plus(ctx)
+    seen: dict[int, tuple[Root, ...]] = {}
+    for lbl, dim, mask in zip(table.labels, table.dims, t_k_masks(ctx, table)):
+        roots = seen.get(mask)
+        if roots is None:
+            roots = seen[mask] = tuple(rt for bit, rt in enumerate(phi) if mask >> bit & 1)
+        yield verdict(ctx, lbl, roots, dim)
+
+
+def verdict_json(ctx: Context, lbl: OrbitLabel, v: Verdict) -> dict:
+    """The JSON record of label ``lbl`` with its verdict ``v``."""
     return {
         "label": {"n": ctx.n, "k": ctx.k, **label_fields(lbl)},
         "verdict": v.status,
@@ -430,8 +427,7 @@ def smooth_table(ctx: Context, table: CoverTable) -> Iterator[str]:
     then the totals."""
     yield f"# verdicts for n={ctx.n} k={ctx.k}\n"
     counts = dict.fromkeys(("smooth", "singular", "unknown"), 0)
-    for (lbl, roots), dim in zip(t_k_sweep(ctx, table), table.dims):
-        v = verdict(ctx, lbl, roots)
+    for lbl, dim, v in zip(table.labels, table.dims, verdicts(ctx, table)):
         yield (
             f"  {format_label(lbl)}  dim={dim}  "
             f"verdict={v.status:<8} rule={v.rule or '-':<2} witness={v.witness}\n"

@@ -183,6 +183,35 @@ def test_a_relation_that_skips_a_level_fails_the_hasse_suite(monkeypatch):
     assert "ok   closure-order-oracle: 60^2 ordered pairs\n" in text
 
 
+@pytest.mark.parametrize("rule", ["R4", "R5", None])
+def test_a_dimension_off_by_one_fails_the_verdicts_suite(monkeypatch, rule):
+    """The sweep reads each label's dimension from ``table.dims``, and the
+    one-label verdict reads lengths.  R4, R5 and the fall-through all
+    write the dimension into the witness; R1-R3 never read it, so the
+    fault sits on a label that R4-R6 reach.  ``hasse`` reads the same
+    dimensions, and its suite fails too."""
+    ctx = Context(5, 2)
+    table = poset.cover_table(ctx, 8)
+    b = next(b for b, lbl in enumerate(table.labels) if tangent.verdict(ctx, lbl).rule == rule)
+    dims = list(table.dims)
+    dims[b] += 1
+    monkeypatch.setattr(poset, "cover_table", lambda ctx, cap: table._replace(dims=tuple(dims)))
+    passed, text = checks.report(ctx, 8)
+    assert not passed
+    assert "FAIL verdicts: " in text
+
+
+def test_a_bracket_span_one_too_high_fails_the_verdicts_suite(monkeypatch):
+    """Both the sweep and the one-label verdict read ``bracket_span``, so
+    they agree; on an upper label the span must equal the exact count."""
+    real = tangent.bracket_span
+    monkeypatch.setattr(tangent, "bracket_span", lambda ctx, roots: real(ctx, roots) + 1)
+    passed, text = checks.report(Context(5, 2), 8)
+    assert not passed
+    assert "FAIL verdicts: 0 singular orbital varieties\n" in text
+    assert [line[:4] for line in text.splitlines()[:len(SUITE_NAMES)]].count("FAIL") == 1
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 #: Runs ``main`` on its arguments, then prints the peak resident set in kB:
 #: ``VmHWM``, the high-water mark of the interpreter's own address space. On

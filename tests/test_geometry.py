@@ -10,7 +10,7 @@ from borbit.geometry import (
     verify_curve,
 )
 from borbit.perms import all_perms, bruhat_leq, identity, reduced_word
-from borbit.tangent import Root, DELTA, phi_plus, root
+from borbit.tangent import Root, DELTA, classify_root, phi_plus
 from dense import dense, flat, gauss_rank, mul, permutation
 
 CTX42 = Context(4, 2)
@@ -89,7 +89,7 @@ def test_verify_curve_all_roots_small_contexts():
 
 
 def test_verify_curve_rejects_foreign_roots():
-    foreign = root(Context(6, 2), 1, 5)
+    foreign = Root(1, 5, classify_root(Context(6, 2), 1, 5))
     with pytest.raises(ValueError):
         verify_curve(CTX42, foreign)
     with pytest.raises(ValueError):

@@ -188,17 +188,31 @@ UNREFERENCED = {
 }
 
 
+def own_bindings(stmt: ast.stmt) -> set[str]:
+    """The names that a top-level function binds itself: the parameters
+    and every stored name, in it or in a function nested in it."""
+    if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return set()
+    nodes = list(ast.walk(stmt))
+    return {node.arg for node in nodes if isinstance(node, ast.arg)} | {
+        node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+
+
 def unreferenced_definitions(paths: list[Path]) -> list[str]:
     """Top-level functions and classes of ``paths`` that no other top-level
-    statement of ``paths`` reads, as a name or an attribute.  The strings
-    of ``_EXPORTS`` do not count, and dunder hooks such as ``__getattr__``
-    are exempt."""
+    statement of ``paths`` reads, as a name or an attribute.  A name counts
+    only where it is loaded and the enclosing top-level function does not
+    bind it itself, so a same-named local or a class field is no reference.
+    The strings of ``_EXPORTS`` do not count, and dunder hooks such as
+    ``__getattr__`` are exempt."""
     definitions, statements = [], []
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for stmt in tree.body:
-            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
-            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            loaded = [node for node in ast.walk(stmt) if isinstance(getattr(node, "ctx", None), ast.Load)]
+            names = {node.id for node in loaded if isinstance(node, ast.Name)} - own_bindings(stmt)
+            names |= {node.attr for node in loaded if isinstance(node, ast.Attribute)}
             statements.append((path.name, stmt.lineno, names))
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not stmt.name.startswith("__"):
@@ -233,3 +247,18 @@ def test_the_scan_sees_an_unreferenced_function(tmp_path):
         encoding="utf-8",
     )
     assert unreferenced_definitions([source]) == ["sample.py:8 dead", "sample.py:12 orphan"]
+
+
+def test_the_scan_sees_through_a_shadowing_local_and_a_field(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "from typing import NamedTuple\n"
+        "def root():\n    pass\n"
+        "def minimum(nodes):\n    (root,) = nodes\n    return root\n"
+        "def walk(root):\n    return [root for root in root]\n"
+        "class Report(NamedTuple):\n    root: int\n"
+        "def used():\n    return minimum, walk, Report\n"
+        "def main():\n    return used()\n",
+        encoding="utf-8",
+    )
+    assert unreferenced_definitions([source]) == ["sample.py:2 root", "sample.py:13 main"]

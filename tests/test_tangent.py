@@ -36,15 +36,15 @@ from borbit.tangent import (
     omega_k,
     phi_plus,
     phi_plus_restricted,
-    root,
     root_coset_label,
     root_tangent,
+    t_k_masks,
     t_k_set,
-    t_k_sweep,
     t_k_table,
     tangent_lower_bound,
     verdict,
     verdict_json,
+    verdicts,
 )
 from dense import add, dense, flat, gauss_rank, mul, permutation
 
@@ -102,10 +102,8 @@ def test_restricted_roots_62():
 
 
 def test_root_constructor_rejects_non_roots():
-    with pytest.raises(ValueError):
-        root(CTX42, 3, 4)  # inside the last block
-    with pytest.raises(ValueError):
-        root(CTX42, 2, 2)
+    assert classify_root(CTX42, 3, 4) is None  # inside the last block
+    assert classify_root(CTX42, 2, 2) is None
     with pytest.raises(ValueError):
         root_tangent(CTX42, Root(1, 2, DELTA))  # family does not match the context
 
@@ -153,7 +151,7 @@ def test_curve_coefficients_by_family():
         (CTX42, 1, 4, {(4, 3): 1, (2, 1): -1}, {}),  # cross pairing far blocks
     ]
     for ctx, i, j, linear, quadratic in cases:
-        rt = root(ctx, i, j)
+        rt = Root(i, j, classify_root(ctx, i, j))
         linear, quadratic = dense(linear, 4), dense(quadratic, 4)
         assert dense(root_tangent(ctx, rt), 4) == linear
         for t in (1, -1, 2):
@@ -174,9 +172,9 @@ def test_curve_points_stay_in_the_closure():
 
 
 def test_root_coset_labels():
-    lbl = root_coset_label(CTX42, root(CTX42, 1, 2))
+    lbl = root_coset_label(CTX42, Root(1, 2, classify_root(CTX42, 1, 2)))
     assert lbl == label(CTX42, ID4, (2, 1, 3, 4))
-    lbl = root_coset_label(CTX42, root(CTX42, 2, 3))
+    lbl = root_coset_label(CTX42, Root(2, 3, classify_root(CTX42, 2, 3)))
     assert lbl == label(CTX42, (1, 3, 2, 4), ID4)
     assert label_perm(lbl) == (1, 3, 2, 4)
 
@@ -245,12 +243,31 @@ def test_t_k_table_matches_the_pairwise_query_at_64(n, k):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_the_cover_masks_give_t_k_set(n):
-    """Each root's bit, ORed up the covers, gives ``t_k_set`` on every label."""
+    """Each root's bit, ORed up the covers, gives ``t_k_set`` on every label,
+    and the sweep that reads the masks and ``table.dims`` gives every
+    label's one-label verdict."""
     for k in range(n // 2 + 1):
         ctx = Context(n, k)
         table = cover_table(ctx)
-        expected = [(lbl, t_k_set(ctx, lbl)) for lbl in table.labels]
-        assert list(t_k_sweep(ctx, table)) == expected, ctx
+        phi = phi_plus(ctx)
+        decoded = [
+            tuple(rt for bit, rt in enumerate(phi) if mask >> bit & 1)
+            for mask in t_k_masks(ctx, table)
+        ]
+        assert decoded == [t_k_set(ctx, lbl) for lbl in table.labels], ctx
+        assert list(verdicts(ctx, table)) == [verdict(ctx, lbl) for lbl in table.labels], ctx
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (6, 3)])
+def test_the_sweep_reads_every_dimension_off_the_table(monkeypatch, n, k):
+    ctx = Context(n, k)
+    table = cover_table(ctx)
+
+    def refuse(ctx, lbl):
+        raise AssertionError(f"the sweep recomputed the dimension of {lbl}")
+
+    monkeypatch.setattr(tangent, "dimension", refuse)
+    assert len(list(verdicts(ctx, table))) == len(table.labels)
 
 
 def test_t_k_is_monotone_in_the_closure_order():
@@ -591,7 +608,8 @@ def test_rules_never_contradict_each_other():
 
 
 def test_verdict_json_shape():
-    data = verdict_json(CTX42, label(CTX42, (3, 4, 1, 2), ID4))
+    lbl = label(CTX42, (3, 4, 1, 2), ID4)
+    data = verdict_json(CTX42, lbl, verdict(CTX42, lbl))
     assert data["label"] == {"n": 4, "k": 2, "sigma": "3,4,1,2", "alpha": "1,2,3,4"}
     assert data["verdict"] == "singular"
     assert data["rule"] == "R5"
