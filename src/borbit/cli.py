@@ -131,7 +131,7 @@ def cmd_blueprint(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[st
     lbl = parse_label_arg(ctx, args.label)
     bp = geometry.resolution_blueprint(ctx, lbl, parse_word(args.word))
     if args.fmt == "json":
-        return EXIT_OK, [geometry.blueprint_to_json(bp) + "\n"]
+        return EXIT_OK, [_json(geometry.blueprint_json(bp))]
     return EXIT_OK, [geometry.blueprint_text(lbl, bp)]
 
 

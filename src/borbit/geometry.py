@@ -13,7 +13,9 @@ from typing import NamedTuple
 
 from .atlas import Context, OrbitLabel, format_label, label_perm
 from .perms import evaluate_word, format_word, length, transposition
-from .tangent import DELTA, Root, SparseMatrix, _insert, full_corner_positions, phi_plus, root_tangent
+from .tangent import (
+    DELTA, Root, SparseMatrix, _insert, classify_root, full_corner_positions, phi_plus, root_tangent,
+)
 
 #: A matrix over ``Z[t]``: 1-indexed ``(row, column, degree)`` to a nonzero
 #: integer coefficient.
@@ -46,20 +48,10 @@ def _mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return {key: v for key, v in out.items() if v}
 
 
-class CurveReport(NamedTuple):
-    """The curve identities of a root that fail; none failing = pass."""
-
-    root: Root
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_curve(ctx: Context, rt: Root) -> CurveReport:
-    """Check the curve of a root as identities over ``Z[t]``, coefficient
-    by coefficient, so that each holds for every ``t``.
+def verify_curve(ctx: Context, rt: Root) -> tuple[str, ...]:
+    """The curve identities of a root that fail, by name; none = pass.  Each
+    is checked over ``Z[t]``, coefficient by coefficient, so that it holds
+    for every ``t``.
 
     With ``x`` the base point, ``g = I + t E_{j,i}`` and the curve
     ``x + t root_tangent + t^2 Q``, where ``Q = -E_{i+n-k,i}`` for a DELTA
@@ -80,7 +72,7 @@ def verify_curve(ctx: Context, rt: Root) -> CurveReport:
     x = _at({(r, r + n - k): 1 for r in range(1, k + 1)}, 0)
     g = _add(_at(one, 0), _at({(j, i): 1}, 1))
     g_inv = _add(_at(one, 0), _at({(j, i): -1}, 1))
-    quadratic = {(i + n - k, i): -1} if rt.family == DELTA else {}
+    quadratic = {(i + n - k, i): -1} if classify_root(ctx, i, j) == DELTA else {}
     point = _add(x, _at(root_tangent(ctx, rt), 1), _at(quadratic, 2))
     refl = {(v, c): 1 for c, v in enumerate(transposition(n, i, j), 1)}
     # tU = t R + t^2 E_jj - E_ii - t E_ji: the last term cancels R's entry
@@ -95,7 +87,7 @@ def verify_curve(ctx: Context, rt: Root) -> CurveReport:
         "factor-not-borel": all(r <= c for r, c, _ in borel) and diagonal == list(range(1, n + 1)),
         "factorisation": _mul(_mul(borel, _at(refl, 0)), right) == _mul(_at(one, 2), g),
     }
-    return CurveReport(rt, tuple(name for name, holds in identities.items() if not holds))
+    return tuple(name for name, holds in identities.items() if not holds)
 
 
 def tangent_stack_rank(ctx: Context) -> int:
@@ -184,16 +176,12 @@ def blueprint_text(lbl: OrbitLabel, bp: ResolutionBlueprint) -> str:
     return "\n".join(lines) + "\n"
 
 
-def blueprint_to_json(bp: ResolutionBlueprint) -> str:
-    import json  # only JSON output loads it
-
-    return json.dumps(
-        {
-            "flags": len(bp.moves),
-            "moves": list(bp.moves),
-            "compat": f"2-nilpotent rank <= {bp.k}, V_r-compatible",
-            "chain": [" < ".join(row) for row in bp.flags],
-            "relations": list(bp.relations),
-        },
-        indent=2,
-    )
+def blueprint_json(bp: ResolutionBlueprint) -> dict:
+    """The JSON document of a blueprint."""
+    return {
+        "flags": len(bp.moves),
+        "moves": list(bp.moves),
+        "compat": f"2-nilpotent rank <= {bp.k}, V_r-compatible",
+        "chain": [" < ".join(row) for row in bp.flags],
+        "relations": list(bp.relations),
+    }

@@ -35,12 +35,6 @@ class TwoColumnTableau(NamedTuple):
     left: tuple[int, ...]
     right: tuple[int, ...]
 
-    def table_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            (a, self.right[i]) if i < len(self.right) else (a,)
-            for i, a in enumerate(self.left)
-        )
-
 
 def link_pattern(ctx: Context, lbl: OrbitLabel) -> OrientedLinkPattern:
     n, k = ctx.n, ctx.k

@@ -11,8 +11,9 @@ once per root (``t_k_table``); a sweep reads every label's roots off the
 covers of ``poset.cover_table`` (``t_k_masks``).  A Lie-bracket closure
 under the base-point Borel stabiliser sharpens the lower bound.
 
-All of this is integer data: roots, ``t_k`` counts, and sparse integer
-matrices with entries 0 and +-1 for the tangents and the bracket span.
+All of this is integer data: roots, the pairs ``(i, j)``; ``t_k``
+counts; and sparse integer matrices with entries 0 and +-1 for the curve
+tangents ``[E_ji, x]`` at the base point ``x`` and for the bracket span.
 The curves themselves, and the identities over ``Z[t]`` that certify
 their tangents, live in ``geometry``.
 
@@ -61,11 +62,10 @@ Key = TypeVar("Key")  # an ordered key of ``_insert``: a position, or a column o
 
 
 class Root(NamedTuple):
-    """A positive stabiliser root, recorded as the pair ``i < j``."""
+    """A positive stabiliser root ``i < j``; ``classify_root`` gives its family."""
 
     i: int
     j: int
-    family: str
 
 
 def classify_root(ctx: Context, i: int, j: int) -> str | None:
@@ -90,10 +90,10 @@ def phi_plus(ctx: Context) -> tuple[Root, ...]:
     """All positive stabiliser roots; count 2k(n-k) - k(k+1)/2."""
     n, k = ctx.n, ctx.k
     roots = tuple(
-        Root(i, j, family)
+        Root(i, j)
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
-        if (family := classify_root(ctx, i, j)) is not None
+        if classify_root(ctx, i, j) is not None
     )
     assert len(roots) == 2 * k * (n - k) - k * (k + 1) // 2
     return roots
@@ -111,24 +111,25 @@ def phi_plus_restricted(ctx: Context) -> tuple[Root, ...]:
 
 
 def root_tangent(ctx: Context, rt: Root) -> SparseMatrix:
-    """Tangent vector at the base point of the curve of a stabiliser root.
+    """Tangent vector at the base point ``x`` of the curve of a stabiliser
+    root: the linear term of ``(I + t E_ji) x (I - t E_ji)``, which is
+    ``[E_ji, x]``.
 
-    Conjugating the base point by the one-parameter subgroup of the
-    negative root gives, per family, this linear coefficient.  It is the
-    one definition of the curve tangents: ``geometry.verify_curve`` checks
-    it as the curve's linear coefficient and ``bk_span`` brackets it.
+    With ``x = sum_{r<=k} E_{r,r+m}`` and ``m = n - k``, ``E_ji x`` is
+    ``E_{j,i+m}`` when ``i <= k`` and ``x E_ji`` is ``E_{j-m,i}`` when
+    ``j > m``; the two never meet, since ``m >= 1``.  It is the one
+    definition of the curve tangents: ``geometry.verify_curve`` checks it
+    as the curve's linear coefficient and ``bk_span`` brackets it.
     """
-    n, k = ctx.n, ctx.k
-    if classify_root(ctx, rt.i, rt.j) != rt.family:
+    i, j, m = rt.i, rt.j, ctx.n - ctx.k
+    if classify_root(ctx, i, j) is None:
         raise ValueError(f"root does not belong to {ctx}: {rt}")
-    i, j = rt.i, rt.j
-    if rt.family == DELTA:
-        return {(i + n - k, i + n - k): 1, (i, i): -1}
-    if rt.family == CROSS_FAR:
-        return {(j, i + n - k): 1, (j - n + k, i): -1}
-    if rt.family == MIDDLE_BOTTOM:
-        return {(j - n + k, i): -1}
-    return {(j, i + n - k): 1}  # INSIDE_GLK and TOP_MIDDLE
+    out: SparseMatrix = {}
+    if i <= ctx.k:
+        out[(j, i + m)] = 1
+    if j > m:
+        out[(j - m, i)] = -1
+    return out
 
 
 def root_coset_label(ctx: Context, rt: Root) -> OrbitLabel:
@@ -405,11 +406,11 @@ def report(ctx: Context, lbl: OrbitLabel) -> str:
     lines = [f"# tangent data for {format_label(lbl)}  (n={ctx.n} k={ctx.k})"]
     table = t_k_table(ctx, lbl)
     kept = set(phi_plus_restricted(ctx))
-    for rt, witness in table:
+    for (i, j), witness in table:
         status, wit = ("out", "-") if witness is None else ("in ", format_perm(witness))
-        phi_n = "yes" if rt in kept else "no "
+        phi_n = "yes" if (i, j) in kept else "no "
         lines.append(
-            f"  ({rt.i},{rt.j})  {rt.family:<13} phi_n={phi_n} t_k={status}  witness={wit}"
+            f"  ({i},{j})  {classify_root(ctx, i, j):<13} phi_n={phi_n} t_k={status}  witness={wit}"
         )
     roots = tuple(rt for rt, witness in table if witness is not None)
     bound = tangent_lower_bound(ctx, lbl, roots)

@@ -228,7 +228,6 @@ def test_tableau_values():
     t = tableau(ctx, lbl)
     assert t.left == (2, 4, 1, 6)
     assert t.right == (3, 5)
-    assert t.table_rows() == ((2, 3), (4, 5), (1,), (6,))
     assert is_row_standard(t)
     assert not is_row_standard(TwoColumnTableau(left=(3, 1, 2), right=(2,)))
 

@@ -11,7 +11,7 @@ import pytest
 from borbit import atlas, checks, geometry, poset, tangent
 from borbit.atlas import Context, OrbitCoset, enumerate_labels, label_perm
 from borbit.perms import bruhat_leq, identity, reduced_word
-from borbit.tangent import CROSS_FAR
+from borbit.tangent import CROSS_FAR, classify_root
 
 SUITE_NAMES = [
     "label-count",
@@ -48,7 +48,9 @@ def test_report_names_the_roots_whose_curves_it_checks():
 def flip_cross_far(real):
     def flipped(ctx, rt):
         tangent = real(ctx, rt)
-        return {pos: -v for pos, v in tangent.items()} if rt.family == CROSS_FAR else tangent
+        if classify_root(ctx, rt.i, rt.j) == CROSS_FAR:
+            return {pos: -v for pos, v in tangent.items()}
+        return tangent
 
     return flipped
 

@@ -4,13 +4,13 @@ import pytest
 
 from borbit.atlas import Context, dim_orbit, enumerate_labels, label, label_perm, rep_matrix
 from borbit.geometry import (
-    blueprint_to_json,
+    blueprint_json,
     resolution_blueprint,
     tangent_stack_rank,
     verify_curve,
 )
 from borbit.perms import all_perms, bruhat_leq, identity, reduced_word
-from borbit.tangent import Root, DELTA, classify_root, phi_plus
+from borbit.tangent import Root, phi_plus
 from dense import dense, flat, gauss_rank, mul, permutation
 
 CTX42 = Context(4, 2)
@@ -83,17 +83,12 @@ def test_verify_curve_all_roots_small_contexts():
     for n, k in [(4, 1), (4, 2), (5, 2)]:
         ctx = Context(n, k)
         for rt in phi_plus(ctx):
-            report = verify_curve(ctx, rt)
-            assert report.ok, report.failures
-            assert report.root == rt
+            assert verify_curve(ctx, rt) == (), rt
 
 
 def test_verify_curve_rejects_foreign_roots():
-    foreign = Root(1, 5, classify_root(Context(6, 2), 1, 5))
     with pytest.raises(ValueError):
-        verify_curve(CTX42, foreign)
-    with pytest.raises(ValueError):
-        verify_curve(CTX42, Root(1, 2, DELTA))
+        verify_curve(CTX42, Root(1, 5))  # a root of (6,2)
 
 
 def test_tangent_stack_spans_the_orbit_tangent_space():
@@ -159,9 +154,7 @@ def test_blueprint_rejects_bad_words():
 
 def test_blueprint_json():
     lbl = label(CTX42, (3, 4, 1, 2), ID4)
-    import json
-
-    data = json.loads(blueprint_to_json(resolution_blueprint(CTX42, lbl, (2, 1, 3, 2))))
+    data = blueprint_json(resolution_blueprint(CTX42, lbl, (2, 1, 3, 2)))
     assert data["flags"] == 4
     assert data["moves"] == [2, 1, 3, 2]
     assert data["chain"][-1] == "W1 < W2 < W3 < K4"

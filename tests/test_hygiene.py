@@ -1,8 +1,8 @@
 """Source hygiene: every imported name is used in the module importing it,
 no library module imports ``dataclasses`` or ``fractions``, no source or
 test file imports ``borbit.ratmat``, every library cache is a per-context
-table, and every library function and class is called from the library or
-named in a short allow-list."""
+table, and every library function, class, method and property is read by the
+library or named in a short allow-list."""
 
 import ast
 from pathlib import Path
@@ -199,29 +199,51 @@ def own_bindings(stmt: ast.stmt) -> set[str]:
     }
 
 
+def loaded_names(node: ast.AST, skip: set[int]) -> set[str]:
+    """The names and attributes that ``node`` loads outside the subtrees
+    ``skip`` (ids of nodes), less the names it binds itself."""
+    loaded = [
+        sub for sub in ast.walk(node)
+        if isinstance(getattr(sub, "ctx", None), ast.Load) and id(sub) not in skip
+    ]
+    names = {sub.id for sub in loaded if isinstance(sub, ast.Name)} - own_bindings(node)
+    return names | {sub.attr for sub in loaded if isinstance(sub, ast.Attribute)}
+
+
 def unreferenced_definitions(paths: list[Path]) -> list[str]:
-    """Top-level functions and classes of ``paths`` that no other top-level
-    statement of ``paths`` reads, as a name or an attribute.  A name counts
-    only where it is loaded and the enclosing top-level function does not
-    bind it itself, so a same-named local or a class field is no reference.
-    The strings of ``_EXPORTS`` do not count, and dunder hooks such as
+    """Top-level functions and classes of ``paths``, and public methods
+    and properties of their classes, that nothing else of ``paths`` reads,
+    as a name or an attribute.  A name counts only where it is loaded and
+    the enclosing function does not bind it itself, so a same-named local
+    or a class field is no reference.  A class's own methods do not
+    reference it, and a method's own body does not reference the method.
+    The strings of ``_EXPORTS`` do not count, and ``_``-prefixed methods
+    (``_make``, which ``_replace`` calls) and dunder hooks such as
     ``__getattr__`` are exempt."""
-    definitions, statements = [], []
+    definitions, units = [], []  # unit: (its top-level statement, itself, what it reads)
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for stmt in tree.body:
-            loaded = [node for node in ast.walk(stmt) if isinstance(getattr(node, "ctx", None), ast.Load)]
-            names = {node.id for node in loaded if isinstance(node, ast.Name)} - own_bindings(stmt)
-            names |= {node.attr for node in loaded if isinstance(node, ast.Attribute)}
-            statements.append((path.name, stmt.lineno, names))
+            home = (path.name, stmt.lineno)
+            body = stmt.body if isinstance(stmt, ast.ClassDef) else []
+            methods = [
+                node for node in body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")
+            ]
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not stmt.name.startswith("__"):
-                    definitions.append((path.name, stmt.lineno, stmt.name))
+                    definitions.append((home, stmt.name))
+            inside = {id(sub) for method in methods for sub in ast.walk(method)}
+            units.append((home, home, loaded_names(stmt, inside)))
+            for method in methods:
+                units.append((home, (path.name, method.lineno), loaded_names(method, set())))
+                definitions.append(((path.name, method.lineno), method.name))
     return [
         f"{name}:{line} {defined}"
-        for name, line, defined in definitions
+        for (name, line), defined in definitions
         if not any(
-            defined in names for other, at, names in statements if (other, at) != (name, line)
+            defined in names for home, unit, names in units if (name, line) not in (home, unit)
         )
     ]
 
@@ -262,3 +284,17 @@ def test_the_scan_sees_through_a_shadowing_local_and_a_field(tmp_path):
         encoding="utf-8",
     )
     assert unreferenced_definitions([source]) == ["sample.py:2 root", "sample.py:13 main"]
+
+
+def test_the_scan_sees_an_unread_method(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "from typing import NamedTuple\n"
+        "class Shape(NamedTuple):\n    side: int\n"
+        "    def area(self):\n        return self.side * self.side\n"
+        "    @property\n    def rows(self):\n        return self.rows\n"
+        "    @classmethod\n    def _make(cls, it):\n        return Shape(*it)\n"
+        "def main():\n    return Shape(2).area()\n",
+        encoding="utf-8",
+    )
+    assert unreferenced_definitions([source]) == ["sample.py:7 rows", "sample.py:12 main"]

@@ -30,6 +30,9 @@ COMMANDS = {
     "springer": ["--n", "5", "--k", "2", "springer"],
     "verify": ["--n", "4", "--k", "2", "verify"],
     "blueprint": ["--n", "4", "--k", "2", "blueprint", "sigma=2,4,1,3", "s1.s3.s2"],
+    "blueprint-json": [
+        "--n", "4", "--k", "2", "--format", "json", "blueprint", "sigma=2,4,1,3", "s1.s3.s2",
+    ],
 }
 
 
@@ -85,9 +88,12 @@ def test_order_compiles_within_its_line_budget(loaded):
 
 
 def test_json_loads_only_for_json_output(loaded):
-    """``hasse`` writes its JSON from line templates; ``smooth`` still
-    encodes its nested witnesses with ``json``."""
-    assert {name for name, mods in loaded.items() if "json" in mods} == {"smooth-json"}
+    """``hasse`` writes its JSON from line templates; ``smooth`` and
+    ``blueprint`` encode their documents with ``json``, through ``cli``."""
+    assert {name for name, mods in loaded.items() if "json" in mods} == {
+        "smooth-json",
+        "blueprint-json",
+    }
 
 
 def test_springer_layer_loads_for_its_commands_only(loaded):
@@ -106,6 +112,7 @@ def test_only_verify_and_blueprint_load_geometry(loaded):
     assert {name for name, mods in loaded.items() if "borbit.geometry" in mods} == {
         "verify",
         "blueprint",
+        "blueprint-json",
     }
     assert {name for name, mods in loaded.items() if "borbit.checks" in mods} == {"verify"}
     assert {name for name, mods in loaded.items() if "borbit.ratmat" in mods} == set()

@@ -65,8 +65,7 @@ def test_root_families_partition_phi_plus():
         roots = phi_plus(ctx)
         assert len(roots) == 2 * k * (n - k) - k * (k + 1) // 2
         assert len({(r.i, r.j) for r in roots}) == len(roots)
-        for r in roots:
-            assert classify_root(ctx, r.i, r.j) == r.family
+        assert all(classify_root(ctx, r.i, r.j) is not None for r in roots)
         # pairs inside the middle block never stabilise the base point
         for i in range(k + 1, n - k + 1):
             for j in range(i + 1, n - k + 1):
@@ -76,14 +75,14 @@ def test_root_families_partition_phi_plus():
 
 def test_phi_plus_41():
     assert pairs(phi_plus(CTX41)) == [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]
-    families = {(r.i, r.j): r.family for r in phi_plus(CTX41)}
+    families = {r: classify_root(CTX41, *r) for r in phi_plus(CTX41)}
     assert families[(1, 4)] == DELTA
     assert families[(1, 2)] == TOP_MIDDLE
     assert families[(3, 4)] == MIDDLE_BOTTOM
 
 
 def test_phi_plus_42():
-    families = {(r.i, r.j): r.family for r in phi_plus(CTX42)}
+    families = {r: classify_root(CTX42, *r) for r in phi_plus(CTX42)}
     assert families == {
         (1, 2): INSIDE_GLK,
         (1, 3): DELTA,
@@ -102,10 +101,12 @@ def test_restricted_roots_62():
 
 
 def test_root_constructor_rejects_non_roots():
+    assert Root._fields == ("i", "j")
     assert classify_root(CTX42, 3, 4) is None  # inside the last block
     assert classify_root(CTX42, 2, 2) is None
-    with pytest.raises(ValueError):
-        root_tangent(CTX42, Root(1, 2, DELTA))  # family does not match the context
+    for foreign in (Root(3, 4), Root(1, 5)):  # inside the last block; beyond n
+        with pytest.raises(ValueError):
+            root_tangent(CTX42, foreign)
 
 
 def base_point(ctx):
@@ -127,7 +128,7 @@ def curve_point(ctx, rt, t):
     DELTA root and 0 otherwise."""
     n, k = ctx.n, ctx.k
     point = add(base_point(ctx), dense(root_tangent(ctx, rt), n), t)
-    if rt.family == DELTA:
+    if classify_root(ctx, rt.i, rt.j) == DELTA:
         point = add(point, dense({(rt.i + n - k, rt.i): 1}, n), -t * t)
     return point
 
@@ -151,12 +152,24 @@ def test_curve_coefficients_by_family():
         (CTX42, 1, 4, {(4, 3): 1, (2, 1): -1}, {}),  # cross pairing far blocks
     ]
     for ctx, i, j, linear, quadratic in cases:
-        rt = Root(i, j, classify_root(ctx, i, j))
+        rt = Root(i, j)
         linear, quadratic = dense(linear, 4), dense(quadratic, 4)
         assert dense(root_tangent(ctx, rt), 4) == linear
         for t in (1, -1, 2):
             expected = add(add(base_point(ctx), linear, t), quadratic, t * t)
             assert conjugated_base_point(ctx, rt, t) == expected
+
+
+def test_root_tangent_is_the_bracket_with_the_base_point():
+    # [E_ji, x] = E_ji x - x E_ji, multiplied out densely, for every root
+    for n in range(1, 9):
+        for k in range(n // 2 + 1):
+            ctx = Context(n, k)
+            x = base_point(ctx)
+            for rt in phi_plus(ctx):
+                e_ji = dense({(rt.j, rt.i): 1}, n)
+                expected = add(mul(e_ji, x), mul(x, e_ji), -1)
+                assert dense(root_tangent(ctx, rt), n) == expected, (n, k, rt)
 
 
 def test_curve_points_stay_in_the_closure():
@@ -172,9 +185,9 @@ def test_curve_points_stay_in_the_closure():
 
 
 def test_root_coset_labels():
-    lbl = root_coset_label(CTX42, Root(1, 2, classify_root(CTX42, 1, 2)))
+    lbl = root_coset_label(CTX42, Root(1, 2))
     assert lbl == label(CTX42, ID4, (2, 1, 3, 4))
-    lbl = root_coset_label(CTX42, Root(2, 3, classify_root(CTX42, 2, 3)))
+    lbl = root_coset_label(CTX42, Root(2, 3))
     assert lbl == label(CTX42, (1, 3, 2, 4), ID4)
     assert label_perm(lbl) == (1, 3, 2, 4)
 
