@@ -15,7 +15,7 @@ _EXPORTS = {
         "enumerate_labels", "is_upper_label", "label", "label_of", "label_perm",
         "min_length_reps", "rep_matrix",
     ),
-    "diagram": ("export_dot", "export_json", "graph_from_json"),
+    "diagram": ("export_dot", "export_json"),
     "geometry": ("resolution_blueprint", "verify_curve"),
     "perms": (
         "CapExceeded", "Perm", "bruhat_leq", "bruhat_leq_oracle", "compose",

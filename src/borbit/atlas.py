@@ -16,11 +16,10 @@ sigma(n-k+j)}``; ``springer`` reads its tableau and link pattern.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from functools import lru_cache
 from typing import NamedTuple
 
-from .perms import CapExceeded, Perm, check_perm, compose, format_perm, length, parse_perm
+from .perms import CapExceeded, Perm, check_perm, compose, format_perm, length
 
 #: Largest ``n`` for which full enumerations run by default.
 ENUMERATION_CAP = 8
@@ -215,8 +214,3 @@ def format_label(lbl: OrbitLabel) -> str:
     """One-line ``sigma=... alpha=...`` text that ``cli.parse_label_arg``
     reads back."""
     return " ".join(f"{key}={value}" for key, value in label_fields(lbl).items())
-
-
-def label_from_fields(ctx: Context, fields: Mapping[str, str]) -> OrbitLabel:
-    """Inverse of ``label_fields``, validated by ``label``."""
-    return label(ctx, parse_perm(fields["sigma"], ctx.n), parse_perm(fields["alpha"], ctx.n))

@@ -1,5 +1,5 @@
 """The ``hasse`` command's text: the Hasse diagram of ``poset.hasse`` as
-streamed DOT and JSON, and the reader of that JSON.  ``order`` never
+streamed DOT and JSON.  Any JSON reader loads the latter.  ``order`` never
 writes a diagram, so it loads none of this.
 """
 
@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .atlas import Context, label_fields, label_from_fields, label_perm
+from .atlas import label_fields, label_perm
 from .perms import format_perm
 from .poset import BruhatGraph
 
@@ -28,8 +28,9 @@ def export_dot(g: BruhatGraph, singular: frozenset[int] | set[int] = frozenset()
 
 def export_json(g: BruhatGraph, singular: frozenset[int] | set[int] = frozenset()) -> Iterator[str]:
     """The text of ``json.dumps(document, indent=2) + "\\n"``, an item at a
-    time, for the document that ``graph_from_json`` reads.  Every value is
-    an integer, a boolean or digits and commas, so nothing needs escaping."""
+    time, for the document of ``n``, ``k`` and the nodes, covers and weak
+    edges of ``g``.  Every value is an integer, a boolean or digits and
+    commas, so nothing needs escaping."""
     flag = ("false", "true")
     node = (
         '    {{\n      "id": {},\n      "sigma": "{sigma}",\n      "alpha": "{alpha}",\n'
@@ -52,23 +53,3 @@ def export_json(g: BruhatGraph, singular: frozenset[int] | set[int] = frozenset(
             head = ",\n"
         yield "\n  ]" if head == ",\n" else f',\n  "{key}": []'
     yield "\n}\n"
-
-
-def graph_from_json(text: str) -> tuple[BruhatGraph, frozenset[int]]:
-    """Rebuild a graph (and its singular-node set) from ``export_json`` text."""
-    import json
-
-    data = json.loads(text)
-    ctx = Context(int(data["n"]), int(data["k"]))
-    nodes = sorted(data["nodes"], key=lambda node: node["id"])
-    labels = tuple(label_from_fields(ctx, node) for node in nodes)
-    dims = tuple(int(node["dim"]) for node in nodes)
-    covers = tuple((int(i), int(j)) for i, j, _ in data["covers"])
-    descents = frozenset(
-        (int(i), int(j)) for i, j, attrs in data["covers"] if attrs["alpha_descent"]
-    )
-    weak = tuple((int(i), int(j), int(s)) for i, j, s in data["weak"])
-    singular = frozenset(
-        int(node["id"]) for node in data["nodes"] if node["singular"]
-    )
-    return BruhatGraph(ctx, labels, dims, covers, descents, weak), singular

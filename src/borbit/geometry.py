@@ -114,7 +114,6 @@ class ResolutionBlueprint(NamedTuple):
     k: int
     moves: tuple[int, ...]
     flags: tuple[tuple[str, ...], ...]
-    final: tuple[str, ...]
     relations: tuple[str, ...]
 
 
@@ -155,9 +154,7 @@ def resolution_blueprint(
     for i in range(n - k + 1, n + 1):
         relations.append(f"u({final[i - 1]}) <= {final[i - (n - k) - 1]}")
 
-    return ResolutionBlueprint(
-        n, k, tuple(word), tuple(rows), final, tuple(relations)
-    )
+    return ResolutionBlueprint(n, k, tuple(word), tuple(rows), tuple(relations))
 
 
 def blueprint_text(lbl: OrbitLabel, bp: ResolutionBlueprint) -> str:

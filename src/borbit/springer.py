@@ -16,10 +16,10 @@ import math
 from typing import NamedTuple
 
 from .atlas import (
-    Context, OrbitLabel, dim_y0, dimension, enumerate_labels, format_label, is_upper_label,
+    Context, OrbitLabel, dimension, enumerate_labels, format_label, is_upper_label,
     label_fields, label_perm,
 )
-from .perms import Perm, compose, identity, length
+from .perms import Perm, compose, identity
 
 
 class OrientedLinkPattern(NamedTuple):
@@ -83,9 +83,7 @@ def count_involutions(n: int, k: int) -> int:
 def is_orbital_variety(ctx: Context, lbl: OrbitLabel) -> bool:
     """Top-dimensional upper labels: the irreducible components of the
     intersection of the orbit closure with the upper-triangular matrices."""
-    n, k = ctx.n, ctx.k
-    top = k * (n - k) - dim_y0(ctx)
-    return is_upper_label(ctx, lbl) and length(lbl.sigma) + length(lbl.alpha) == top
+    return is_upper_label(ctx, lbl) and dimension(ctx, lbl) == ctx.k * (ctx.n - ctx.k)
 
 
 def springer_component_dim(ctx: Context) -> int:
@@ -97,18 +95,13 @@ def springer_component_dim(ctx: Context) -> int:
 def count_standard_tableaux(ctx: Context) -> int:
     """Hook-length count of standard fillings of the two-column shape.
 
-    The shape has column lengths (n-k, k): k rows of width 2 above
-    n-2k rows of width 1.
+    The shape has column lengths (n-k, k): k rows of width 2 above n-2k
+    rows of width 1.  Its hook lengths multiply to
+    ``(n-k+1)! k! / (n-2k+1)``, so the count is
+    ``C(n,k) (n-2k+1) / (n-k+1) = C(n,k) - C(n,k-1)``.
     """
     n, k = ctx.n, ctx.k
-    row_widths = [2] * k + [1] * (n - 2 * k)
-    hooks = 1
-    for i, width in enumerate(row_widths):
-        for j in range(width):
-            arm = width - (j + 1)
-            leg = sum(1 for w in row_widths[i + 1 :] if w >= j + 1)
-            hooks *= arm + leg + 1
-    return math.factorial(n) // hooks
+    return math.comb(n, k) * (n - 2 * k + 1) // (n - k + 1)
 
 
 def count_standard_tableaux_bruteforce(ctx: Context) -> int:

@@ -1,6 +1,5 @@
 """Orbit labels, cosets, representative matrices, tableaux, involutions."""
 
-import json
 import math
 
 import pytest
@@ -16,8 +15,6 @@ from borbit.atlas import (
     in_Zk,
     is_upper_label,
     label,
-    label_fields,
-    label_from_fields,
     label_of,
     label_perm,
     min_length_reps,
@@ -308,18 +305,3 @@ def test_springer_component_dim():
             if is_orbital_variety(ctx, lbl):
                 assert dimension(ctx, lbl) == k * (n - k)
                 assert 2 * dimension(ctx, lbl) == dim_orbit(ctx)
-
-
-def test_json_round_trip():
-    ctx = Context(6, 2)
-    lbl = label(ctx, (2, 4, 1, 6, 3, 5), identity(6))
-    assert label_from_fields(ctx, json.loads(json.dumps(label_fields(lbl)))) == lbl
-    with pytest.raises(ValueError):
-        label_from_fields(Context(4, 2), {"sigma": "4,2,1,3", "alpha": "id"})
-
-
-def test_label_fields_round_trip_every_label():
-    for n, k in [(5, 2), (6, 3)]:
-        ctx = Context(n, k)
-        for lbl in enumerate_labels(ctx):
-            assert label_from_fields(ctx, label_fields(lbl)) == lbl

@@ -18,9 +18,8 @@ from borbit.cli import (
     parse_label_arg,
 )
 from borbit import poset, tangent
-from borbit.atlas import Context, label
-from borbit.diagram import graph_from_json
-from borbit.perms import identity
+from borbit.atlas import Context, OrbitLabel, enumerate_labels, format_label, label
+from borbit.perms import identity, parse_perm
 
 
 def run(capsys, *argv):
@@ -157,17 +156,45 @@ def test_hasse_dot_output(capsys):
 def test_hasse_json_round_trips(capsys):
     code, out, _ = run(capsys, "--n", "4", "--k", "2", "--format", "json", "hasse")
     assert code == EXIT_OK
-    g, singular = graph_from_json(out)
-    assert len(g.labels) == 12
-    assert len(singular) == 3
-    marked = {
-        (g.labels[i].sigma, g.labels[i].alpha) for i in singular
-    }
-    assert marked == {
-        ((2, 4, 1, 3), (1, 2, 3, 4)),
-        ((2, 4, 1, 3), (2, 1, 3, 4)),
-        ((3, 4, 1, 2), (1, 2, 3, 4)),
-    }
+    data = json.loads(out)
+    assert (data["n"], data["k"]) == (4, 2)
+    assert len(data["nodes"]) == 12
+    marked = {(node["sigma"], node["alpha"]) for node in data["nodes"] if node["singular"]}
+    assert marked == {("2,4,1,3", "1,2,3,4"), ("2,4,1,3", "2,1,3,4"), ("3,4,1,2", "1,2,3,4")}
+
+
+def test_hasse_json_loads_as_the_graph_and_its_verdicts(capsys):
+    for n in range(1, 8):
+        for k in range(n // 2 + 1):
+            ctx = Context(n, k)
+            code, out, _ = run(capsys, "--n", str(n), "--k", str(k), "--format", "json", "hasse")
+            assert code == EXIT_OK
+            data = json.loads(out)
+            g = poset.hasse(ctx)
+            assert (data["n"], data["k"]) == (n, k)
+            assert [node["id"] for node in data["nodes"]] == list(range(len(g.labels)))
+            assert [
+                OrbitLabel(parse_perm(node["sigma"]), parse_perm(node["alpha"]))
+                for node in data["nodes"]
+            ] == list(g.labels)
+            assert [node["dim"] for node in data["nodes"]] == list(g.dims)
+            assert [node["singular"] for node in data["nodes"]] == [
+                tangent.verdict(ctx, lbl).status == "singular" for lbl in g.labels
+            ]
+            assert [(i, j) for i, j, _ in data["covers"]] == list(g.covers)
+            assert {(i, j) for i, j, attrs in data["covers"] if attrs["alpha_descent"]} == set(
+                g.alpha_descents
+            )
+            assert [tuple(edge) for edge in data["weak"]] == list(g.weak)
+
+
+def test_every_written_label_parses_back():
+    # ``format_label`` writes what ``parse_label_arg``, the one label reader, reads
+    for n in range(1, 8):
+        for k in range(n // 2 + 1):
+            ctx = Context(n, k)
+            for lbl in enumerate_labels(ctx):
+                assert parse_label_arg(ctx, format_label(lbl)) == lbl
 
 
 def test_tangent_command(capsys):
@@ -427,8 +454,10 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == EXIT_OK
     captured = capsys.readouterr()
     assert captured.out == ""
-    g, singular = graph_from_json(target.read_text())
-    assert len(g.labels) == 12 and len(singular) == 3
+    data = json.loads(target.read_text())
+    assert (data["n"], data["k"]) == (4, 2)
+    assert len(data["nodes"]) == 12
+    assert sum(node["singular"] for node in data["nodes"]) == 3
 
 
 @pytest.mark.parametrize("n,k", [(7, 1), (7, 3)])
@@ -449,8 +478,8 @@ def test_hasse_json_makes_at_most_one_write_per_64_kb(monkeypatch, n, k):
     assert sum(sizes) == total > 10_000
     assert len(sizes) <= total // 65536 + 1
     assert min(sizes[:-1], default=65536) >= 65536
-    g, _ = graph_from_json(out.getvalue())
-    assert (g.ctx.n, g.ctx.k) == (n, k)
+    data = json.loads(out.getvalue())
+    assert (data["n"], data["k"]) == (n, k)
 
 
 def test_out_into_a_missing_directory_is_bad_input(tmp_path, capsys):

@@ -108,7 +108,7 @@ def test_blueprint_worked_example():
         ("W1", "U2", "W3", "K4"),
         ("W1", "W2", "W3", "K4"),
     )
-    assert bp.final == ("W1", "W2", "W3", "K4")
+    assert bp.flags[-1] == ("W1", "W2", "W3", "K4")
     assert bp.relations == ("W2 <= Ker(u)", "u(W3) <= W1", "u(K4) <= W2")
 
 
@@ -120,8 +120,9 @@ def test_blueprint_accepts_the_canonical_reduced_word():
             bp = resolution_blueprint(ctx, lbl, word)
             assert len(bp.flags) == len(word)
             assert len(bp.relations) == 1 + k
-            # transient symbols never appear in the final flag
-            assert all(not s.startswith("U") for s in bp.final)
+            # transient symbols never appear in the final flag (the
+            # standard flag when the word is empty)
+            assert all(not s.startswith("U") for row in bp.flags[-1:] for s in row)
 
 
 def test_blueprint_repeated_letters_get_primes():
@@ -130,7 +131,7 @@ def test_blueprint_repeated_letters_get_primes():
     # (3,4,1,2,5) = s2 s1 s3 s2: letter 2 occurs twice, first pass transient
     bp = resolution_blueprint(ctx, lbl, (2, 1, 3, 2))
     assert bp.flags[0][1] == "U2"
-    assert bp.final == ("W1", "W2", "W3", "K4", "K5")
+    assert bp.flags[-1] == ("W1", "W2", "W3", "K4", "K5")
     # the top (5,2) label: letters 1 and 2 occur three times, so their
     # second transient pass gets a prime
     top = label(ctx, (4, 5, 3, 1, 2), (2, 1, 3, 4, 5))

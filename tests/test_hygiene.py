@@ -1,8 +1,9 @@
 """Source hygiene: every imported name is used in the module importing it,
 no library module imports ``dataclasses`` or ``fractions``, no source or
 test file imports ``borbit.ratmat``, every library cache is a per-context
-table, and every library function, class, method and property is read by the
-library or named in a short allow-list."""
+table, every library function, class, method and property is read by the
+library or named in a short allow-list, and every named-tuple field is read
+by the library."""
 
 import ast
 from pathlib import Path
@@ -181,7 +182,6 @@ UNREFERENCED = {
     "leq_oracle": "a test oracle, and perfbench's reference for the closure order",
     "contains_pattern": "read by perfbench",
     "weak_edges": "read by perfbench",
-    "graph_from_json": "the documented round trip of the JSON that hasse writes",
     "leq": "the closure-order predicate of the README tour; order asks for its witness",
     "bk_span": "the bracket span of a label, wrapped by perfbench's tracer",
     "RationalMatrix": "placeholder imported by perfbench's tracer; goes with ROADMAP item 10",
@@ -298,3 +298,51 @@ def test_the_scan_sees_an_unread_method(tmp_path):
         encoding="utf-8",
     )
     assert unreferenced_definitions([source]) == ["sample.py:7 rows", "sample.py:12 main"]
+
+
+def unread_fields(paths: list[Path]) -> list[str]:
+    """Fields of the named tuples of ``paths`` that no code of ``paths``
+    reads as an attribute outside the tuple's own class.  The scan matches
+    names, so a field that shares its name with an attribute read elsewhere
+    counts as read: it cannot see that ``OrientedLinkPattern.n`` is unread
+    while ``ctx.n`` is read everywhere."""
+    fields, units = [], []  # unit: (its top-level statement, the attributes it reads)
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef) and any(
+                getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple" for base in stmt.bases
+            ):
+                fields += [
+                    (stmt, f"{path.name}:{node.lineno} {stmt.name}.{node.target.id}", node.target.id)
+                    for node in stmt.body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                ]
+            units.append((stmt, {
+                sub.attr for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+            }))
+    return [
+        hit for home, hit, field in fields
+        if not any(field in reads for stmt, reads in units if stmt is not home)
+    ]
+
+
+def test_every_named_tuple_field_is_read():
+    # a field that nothing reads is a stored copy of something else, or dead
+    assert len(LIBRARY) > 5
+    assert unread_fields(LIBRARY) == []
+
+
+def test_the_scan_sees_an_unread_field(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "import typing\nfrom typing import NamedTuple\n"
+        "class Shape(NamedTuple):\n    side: int\n    name: str\n"
+        "    def label(self):\n        return self.name\n"
+        "class Pair(typing.NamedTuple):\n    left: int\n"
+        "class Plain:\n    right: int\n"
+        "def main(pair):\n    return Shape(2, 'sq').side + pair.left\n",
+        encoding="utf-8",
+    )
+    assert unread_fields([source]) == ["sample.py:5 Shape.name"]

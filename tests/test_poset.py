@@ -22,7 +22,7 @@ from borbit.atlas import (
     label_perm,
     min_length_reps,
 )
-from borbit.diagram import export_dot, export_json, graph_from_json
+from borbit.diagram import export_dot, export_json
 from borbit.perms import bruhat_leq, compose, format_perm, identity, left_descents, length, simple
 from borbit.poset import (
     cover_table,
@@ -393,24 +393,6 @@ def test_export_dot():
     assert text.count(" -> ") == len(g.covers)
 
 
-def test_export_json_round_trip():
-    g = hasse(CTX42)
-    singular = frozenset({1, 5, 7})
-    text = "".join(export_json(g, singular))
-    g2, singular2 = graph_from_json(text)
-    assert g2 == g
-    assert singular2 == singular
-
-
-def test_export_json_round_trips_hasse_with_verdict_singulars():
-    for n, k in [(4, 2), (5, 2), (6, 3)]:
-        g = hasse(Context(n, k))
-        singular = frozenset(
-            i for i, lbl in enumerate(g.labels) if verdict(g.ctx, lbl).status == "singular"
-        )
-        assert graph_from_json("".join(export_json(g, singular))) == (g, singular)
-
-
 def json_reference(g, singular) -> str:
     """The whole document, built as dicts and lists, through ``json.dumps``:
     how ``export_json`` wrote it before it streamed."""
@@ -452,11 +434,21 @@ def dot_reference(g, singular) -> str:
 
 WRITER_CONTEXTS = [(n, k) for n in range(1, 8) for k in range(n // 2 + 1)] + [(8, 3)]
 
+#: Contexts whose verdict-singular set is one more input of the writers.
+VERDICT_CONTEXTS = [(4, 2), (5, 2), (6, 3)]
+
 
 @pytest.mark.parametrize("n,k", WRITER_CONTEXTS)
 def test_streamed_exports_match_the_whole_document_writers(n, k):
     g = hasse(Context(n, k))
-    for singular in (frozenset(), frozenset(range(0, len(g.labels), 3))):
+    singulars = [frozenset(), frozenset(range(0, len(g.labels), 3))]
+    if (n, k) in VERDICT_CONTEXTS:
+        singulars.append(
+            frozenset(
+                i for i, lbl in enumerate(g.labels) if verdict(g.ctx, lbl).status == "singular"
+            )
+        )
+    for singular in singulars:
         assert "".join(export_json(g, singular)) == json_reference(g, singular)
         assert "".join(export_dot(g, singular)) == dot_reference(g, singular)
 
