@@ -182,11 +182,9 @@ def lower_interval(w: Perm, word_cap: int = WORD_LENGTH_CAP) -> frozenset[Perm]:
         raise CapExceeded(
             f"reduced word of length {len(word)} exceeds cap {word_cap}"
         )
-    n = len(w)
-    reach: set[Perm] = {identity(n)}
-    for i in word:
-        s = simple(n, i)
-        reach |= {compose(p, s) for p in reach}
+    reach: set[Perm] = {identity(len(w))}
+    for i in word:  # right multiplication by s_i swaps positions i and i+1
+        reach |= {p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :] for p in reach}
     return frozenset(reach)
 
 

@@ -19,13 +19,12 @@ from .atlas import (
     Context, OrbitLabel, dimension, enumerate_labels, format_label, is_upper_label,
     label_fields, label_perm,
 )
-from .perms import Perm, compose, identity
+from .perms import Perm
 
 
 class OrientedLinkPattern(NamedTuple):
     """Arcs ``(source, target)``: the matrix sends e_source to e_target."""
 
-    n: int
     arcs: tuple[tuple[int, int], ...]
 
 
@@ -42,7 +41,7 @@ def link_pattern(ctx: Context, lbl: OrbitLabel) -> OrientedLinkPattern:
     arcs = tuple(
         (lbl.sigma[n - k + j - 1], tau[j - 1]) for j in range(1, k + 1)
     )
-    return OrientedLinkPattern(n, arcs)
+    return OrientedLinkPattern(arcs)
 
 
 def tableau(ctx: Context, lbl: OrbitLabel) -> TwoColumnTableau:
@@ -69,15 +68,14 @@ def involution_tau(ctx: Context, lbl: OrbitLabel) -> Perm:
 
 
 def count_involutions(n: int, k: int) -> int:
-    """Brute-force count of involutions of S_n with exactly k two-cycles."""
-    ident = identity(n)
-    count = 0
-    for p in itertools.permutations(range(1, n + 1)):
-        if compose(p, p) == ident:
-            fixed = sum(1 for i in range(n) if p[i] == i + 1)
-            if fixed == n - 2 * k:
-                count += 1
-    return count
+    """Involutions of S_n with exactly k two-cycles: ``n! / (2^k k! (n-2k)!)``.
+
+    Such an involution is its set of n-2k fixed points, ``C(n, 2k)``
+    choices, and a perfect matching of the other 2k values, ``(2k)! /
+    (2^k k!)`` of them: pair the least unmatched value with any of the
+    rest, ``(2k-1)(2k-3)...1`` in all.
+    """
+    return math.factorial(n) // (2**k * math.factorial(k) * math.factorial(n - 2 * k))
 
 
 def is_orbital_variety(ctx: Context, lbl: OrbitLabel) -> bool:

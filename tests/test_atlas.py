@@ -273,6 +273,18 @@ def test_involution_counts():
     assert count_involutions(6, 3) == 15
 
 
+def test_involution_counts_against_bruteforce():
+    """The closed form against every ``p`` of S_n with ``p p = id``,
+    counted by its ``n - 2k`` fixed points."""
+    for n in range(1, 8):
+        fixed = [0] * (n + 1)
+        for p in all_perms(n):
+            if compose(p, p) == identity(n):
+                fixed[sum(p[i] == i + 1 for i in range(n))] += 1
+        for k in range(n // 2 + 1):
+            assert count_involutions(n, k) == fixed[n - 2 * k], (n, k)
+
+
 def test_standard_tableau_counts_hook_vs_bruteforce():
     for n in range(1, 8):
         for k in range(0, n // 2 + 1):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from borbit import atlas, checks, geometry, poset, tangent
+from borbit import atlas, checks, geometry, poset, springer, tangent
 from borbit.atlas import Context, OrbitCoset, enumerate_labels, label_perm
 from borbit.perms import bruhat_leq, identity, reduced_word
 from borbit.tangent import CROSS_FAR, classify_root
@@ -277,6 +277,20 @@ def test_a_coset_missing_a_member_fails_a_coset_suite(monkeypatch, drop):
     monkeypatch.setattr(atlas, "coset_of", short)
     ok, _ = outcomes(Context(4, 2))
     assert not (ok["label-count"] and ok["minimal-representatives"])
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 1)])
+def test_an_involution_map_onto_one_image_fails_the_bijection_suite(monkeypatch, n, k):
+    """Every upper label goes to one involution with ``k`` two-cycles: the
+    upper labels still match the closed-form count, their images do not.
+    No other suite reads ``involution_tau``."""
+    ctx = Context(n, k)
+    upper = next(lbl for lbl in enumerate_labels(ctx) if atlas.is_upper_label(ctx, lbl))
+    image = springer.involution_tau(ctx, upper)
+    monkeypatch.setattr(springer, "involution_tau", lambda ctx, lbl: image)
+    ok, _ = outcomes(ctx)
+    assert not ok["involution-bijection"]
+    assert all(passed for name, passed in ok.items() if name != "involution-bijection")
 
 
 def test_an_off_by_one_rank_fails_the_representative_suite(monkeypatch):

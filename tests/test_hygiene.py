@@ -304,8 +304,8 @@ def unread_fields(paths: list[Path]) -> list[str]:
     """Fields of the named tuples of ``paths`` that no code of ``paths``
     reads as an attribute outside the tuple's own class.  The scan matches
     names, so a field that shares its name with an attribute read elsewhere
-    counts as read: it cannot see that ``OrientedLinkPattern.n`` is unread
-    while ``ctx.n`` is read everywhere."""
+    counts as read: a field ``n`` would pass unread, since ``ctx.n`` is
+    read everywhere."""
     fields, units = [], []  # unit: (its top-level statement, the attributes it reads)
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

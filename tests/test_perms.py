@@ -178,11 +178,12 @@ def test_bruhat_leq_matches_sorted_prefix_dominance_at_larger_n():
 
 
 def test_lower_interval_is_the_down_set():
-    for w in all_perms(4):
-        interval = lower_interval(w)
-        assert interval == frozenset(
-            u for u in all_perms(4) if bruhat_leq(u, w)
-        )
+    for n in (4, 5):
+        for w in all_perms(n):
+            interval = lower_interval(w)
+            assert interval == frozenset(
+                u for u in all_perms(n) if bruhat_leq(u, w)
+            ), w
 
 
 def test_lower_interval_cap():
