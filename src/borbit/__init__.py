@@ -18,15 +18,14 @@ _EXPORTS = {
     "diagram": ("export_dot", "export_json"),
     "geometry": ("resolution_blueprint", "verify_curve"),
     "perms": (
-        "CapExceeded", "Perm", "bruhat_leq", "bruhat_leq_oracle", "compose",
-        "evaluate_word", "inverse", "length", "reduced_word",
+        "CapExceeded", "Perm", "bruhat_leq", "compose", "evaluate_word", "inverse", "length",
+        "reduced_word",
     ),
     "poset": (
         "BruhatGraph", "CoverTable", "cover_table", "hasse", "leq", "leq_oracle", "weak_edges",
     ),
     "springer": (
-        "OrientedLinkPattern", "TwoColumnTableau", "involution_tau", "is_orbital_variety",
-        "link_pattern", "tableau",
+        "TwoColumnTableau", "involution_tau", "is_orbital_variety", "link_pattern", "tableau",
     ),
     "tangent": (
         "Root", "Verdict", "bk_span", "phi_plus", "phi_plus_restricted",

@@ -131,8 +131,8 @@ def cmd_blueprint(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[st
     lbl = parse_label_arg(ctx, args.label)
     bp = geometry.resolution_blueprint(ctx, lbl, parse_word(args.word))
     if args.fmt == "json":
-        return EXIT_OK, [_json(geometry.blueprint_json(bp))]
-    return EXIT_OK, [geometry.blueprint_text(lbl, bp)]
+        return EXIT_OK, [_json(geometry.blueprint_json(ctx, bp))]
+    return EXIT_OK, [geometry.blueprint_text(ctx, lbl, bp)]
 
 
 def cmd_verify(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
@@ -255,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         if isinstance(exc, UsageError):
             print(USAGE, file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

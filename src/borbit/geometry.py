@@ -110,8 +110,6 @@ class ResolutionBlueprint(NamedTuple):
     matrix to the final flag.
     """
 
-    n: int
-    k: int
     moves: tuple[int, ...]
     flags: tuple[tuple[str, ...], ...]
     relations: tuple[str, ...]
@@ -123,9 +121,6 @@ def resolution_blueprint(
     """Blueprint from a reduced word for the label's product permutation."""
     n, k = ctx.n, ctx.k
     tau = label_perm(lbl)
-    for letter in word:
-        if not 1 <= letter <= n - 1:
-            raise ValueError(f"letter out of range: s_{letter}")
     if evaluate_word(n, word) != tau:
         raise ValueError(
             f"word does not evaluate to the label product {tau}"
@@ -148,22 +143,21 @@ def resolution_blueprint(
     for s, pos in enumerate(word):
         current[pos - 1] = names[s]
         rows.append(tuple(current))
-    final = rows[-1] if rows else tuple(current)
 
-    relations = [f"{final[n - k - 1]} <= Ker(u)"]
+    relations = [f"{current[n - k - 1]} <= Ker(u)"]
     for i in range(n - k + 1, n + 1):
-        relations.append(f"u({final[i - 1]}) <= {final[i - (n - k) - 1]}")
+        relations.append(f"u({current[i - 1]}) <= {current[i - (n - k) - 1]}")
 
-    return ResolutionBlueprint(n, k, tuple(word), tuple(rows), tuple(relations))
+    return ResolutionBlueprint(tuple(word), tuple(rows), tuple(relations))
 
 
-def blueprint_text(lbl: OrbitLabel, bp: ResolutionBlueprint) -> str:
+def blueprint_text(ctx: Context, lbl: OrbitLabel, bp: ResolutionBlueprint) -> str:
     """The table form of a blueprint: one line per flag, then the relations."""
     lines = [
         f"# blueprint for {format_label(lbl)} via word {format_word(bp.moves)}",
         f"  flags: {len(bp.moves)}",
     ]
-    standard = tuple(f"K{m}" for m in range(1, bp.n + 1))
+    standard = tuple(f"K{m}" for m in range(1, ctx.n + 1))
     lines.append("  V0: " + " < ".join(standard) + "   (standard flag)")
     for s, row in enumerate(bp.flags, start=1):
         lines.append(f"  V{s}: " + " < ".join(row) + f"   (changed at {bp.moves[s - 1]})")
@@ -173,12 +167,12 @@ def blueprint_text(lbl: OrbitLabel, bp: ResolutionBlueprint) -> str:
     return "\n".join(lines) + "\n"
 
 
-def blueprint_json(bp: ResolutionBlueprint) -> dict:
+def blueprint_json(ctx: Context, bp: ResolutionBlueprint) -> dict:
     """The JSON document of a blueprint."""
     return {
         "flags": len(bp.moves),
         "moves": list(bp.moves),
-        "compat": f"2-nilpotent rank <= {bp.k}, V_r-compatible",
+        "compat": f"2-nilpotent rank <= {ctx.k}, V_r-compatible",
         "chain": [" < ".join(row) for row in bp.flags],
         "relations": list(bp.relations),
     }

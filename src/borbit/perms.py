@@ -188,13 +188,6 @@ def lower_interval(w: Perm, word_cap: int = WORD_LENGTH_CAP) -> frozenset[Perm]:
     return frozenset(reach)
 
 
-def bruhat_leq_oracle(u: Perm, w: Perm, word_cap: int = WORD_LENGTH_CAP) -> bool:
-    """Independent Bruhat test by subword enumeration (for cross-checks)."""
-    if len(u) != len(w):
-        raise ValueError(f"size mismatch: {len(u)} vs {len(w)}")
-    return u in lower_interval(w, word_cap)
-
-
 def pattern_positions(w: Perm, pattern: Perm) -> tuple[int, ...] | None:
     """Positions (1-based, increasing) of the first embedding of ``pattern``.
 

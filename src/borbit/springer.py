@@ -22,12 +22,6 @@ from .atlas import (
 from .perms import Perm
 
 
-class OrientedLinkPattern(NamedTuple):
-    """Arcs ``(source, target)``: the matrix sends e_source to e_target."""
-
-    arcs: tuple[tuple[int, int], ...]
-
-
 class TwoColumnTableau(NamedTuple):
     """Left column of length n-k, right column of length k, paired rows."""
 
@@ -35,13 +29,12 @@ class TwoColumnTableau(NamedTuple):
     right: tuple[int, ...]
 
 
-def link_pattern(ctx: Context, lbl: OrbitLabel) -> OrientedLinkPattern:
+def link_pattern(ctx: Context, lbl: OrbitLabel) -> tuple[tuple[int, int], ...]:
+    """The oriented link pattern's arcs ``(source, target)``: the matrix
+    sends e_source to e_target."""
     n, k = ctx.n, ctx.k
     tau = label_perm(lbl)
-    arcs = tuple(
-        (lbl.sigma[n - k + j - 1], tau[j - 1]) for j in range(1, k + 1)
-    )
-    return OrientedLinkPattern(arcs)
+    return tuple((lbl.sigma[n - k + j - 1], tau[j - 1]) for j in range(1, k + 1))
 
 
 def tableau(ctx: Context, lbl: OrbitLabel) -> TwoColumnTableau:
@@ -130,7 +123,7 @@ def label_rows(ctx: Context, cap: int) -> list[dict]:
                 "dim": dimension(ctx, lbl),
                 "upper": is_upper_label(ctx, lbl),
                 "tableau": [list(t.left), list(t.right)],
-                "arcs": [list(a) for a in link_pattern(ctx, lbl).arcs],
+                "arcs": [list(a) for a in link_pattern(ctx, lbl)],
             }
         )
     return rows

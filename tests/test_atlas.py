@@ -210,12 +210,12 @@ def test_link_pattern_matches_matrix():
     for n, k in [(4, 2), (5, 2)]:
         ctx = Context(n, k)
         for lbl in enumerate_labels(ctx):
-            pattern = link_pattern(ctx, lbl)
+            arcs = link_pattern(ctx, lbl)
             m = rep_matrix(ctx, lbl)
-            assert len(pattern.arcs) == k
-            endpoints = [v for arc in pattern.arcs for v in arc]
+            assert len(arcs) == k
+            endpoints = [v for arc in arcs for v in arc]
             assert len(set(endpoints)) == 2 * k
-            for source, target in pattern.arcs:
+            for source, target in arcs:
                 assert m.get((target, source)) == 1
 
 

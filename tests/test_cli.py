@@ -349,6 +349,21 @@ def test_exit_code_bad_input(capsys):
         "blueprint", "sigma=3,4,1,2 alpha=id", "s2.s2.s1.s3",
     )
     assert code == EXIT_BAD_INPUT
+    code, out, err = run(capsys, "--n", "4", "--k", "2", "blueprint", "sigma=3,4,1,2", "s2.s1.s4.s2")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == "error: letter out of range: s_4 in S_4\n"
+
+
+def test_an_internal_error_is_not_reported_as_bad_input(monkeypatch):
+    """No division in the library can meet a zero divisor on a validated
+    context, so a ZeroDivisionError is a bug: it propagates instead of
+    exiting 2 as bad input."""
+    def broken(*args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(poset, "leq_witness", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["--n", "4", "--k", "2", "order", "sigma=id", "sigma=s2"])
 
 
 @pytest.mark.parametrize(

@@ -155,7 +155,7 @@ def test_blueprint_rejects_bad_words():
 
 def test_blueprint_json():
     lbl = label(CTX42, (3, 4, 1, 2), ID4)
-    data = blueprint_json(resolution_blueprint(CTX42, lbl, (2, 1, 3, 2)))
+    data = blueprint_json(CTX42, resolution_blueprint(CTX42, lbl, (2, 1, 3, 2)))
     assert data["flags"] == 4
     assert data["moves"] == [2, 1, 3, 2]
     assert data["chain"][-1] == "W1 < W2 < W3 < K4"

@@ -178,7 +178,6 @@ def test_the_scan_sees_a_cache_off_context(tmp_path):
 #: Top-level library names that no library code references, each with the
 #: reader that keeps it.
 UNREFERENCED = {
-    "bruhat_leq_oracle": "a test oracle: the Bruhat order from subword enumeration",
     "leq_oracle": "a test oracle, and perfbench's reference for the closure order",
     "contains_pattern": "read by perfbench",
     "weak_edges": "read by perfbench",
@@ -300,28 +299,40 @@ def test_the_scan_sees_an_unread_method(tmp_path):
     assert unreferenced_definitions([source]) == ["sample.py:7 rows", "sample.py:12 main"]
 
 
+def named_tuple_fields(tree: ast.Module) -> list[tuple[ast.ClassDef, int, str]]:
+    """Each field that a top-level named tuple of ``tree`` declares: its
+    class, its line and its name."""
+    return [
+        (stmt, node.lineno, node.target.id)
+        for stmt in tree.body
+        if isinstance(stmt, ast.ClassDef)
+        and any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple" for base in stmt.bases)
+        for node in stmt.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+
+
 def unread_fields(paths: list[Path]) -> list[str]:
     """Fields of the named tuples of ``paths`` that no code of ``paths``
     reads as an attribute outside the tuple's own class.  The scan matches
     names, so a field that shares its name with an attribute read elsewhere
-    counts as read: a field ``n`` would pass unread, since ``ctx.n`` is
-    read everywhere."""
+    counts as read: a field ``n`` or ``k`` would pass unread, since
+    ``ctx.n`` and ``ctx.k`` are read everywhere, and ``context_copies``
+    covers those two."""
     fields, units = [], []  # unit: (its top-level statement, the attributes it reads)
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for stmt in tree.body:
-            if isinstance(stmt, ast.ClassDef) and any(
-                getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple" for base in stmt.bases
-            ):
-                fields += [
-                    (stmt, f"{path.name}:{node.lineno} {stmt.name}.{node.target.id}", node.target.id)
-                    for node in stmt.body
-                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
-                ]
-            units.append((stmt, {
+        fields += [
+            (stmt, f"{path.name}:{line} {stmt.name}.{field}", field)
+            for stmt, line, field in named_tuple_fields(tree)
+        ]
+        units += [
+            (stmt, {
                 sub.attr for sub in ast.walk(stmt)
                 if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
-            }))
+            })
+            for stmt in tree.body
+        ]
     return [
         hit for home, hit, field in fields
         if not any(field in reads for stmt, reads in units if stmt is not home)
@@ -346,3 +357,45 @@ def test_the_scan_sees_an_unread_field(tmp_path):
         encoding="utf-8",
     )
     assert unread_fields([source]) == ["sample.py:5 Shape.name"]
+
+
+def context_copies(paths: list[Path]) -> list[str]:
+    """Fields ``n`` and ``k`` of the named tuples of ``paths``, except those
+    of ``atlas._ContextFields``, the context itself."""
+    return [
+        f"{path.name}:{line} {stmt.name}.{field}"
+        for path in paths
+        for stmt, line, field in named_tuple_fields(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        )
+        if field in ("n", "k") and (path.name, stmt.name) != ("atlas.py", "_ContextFields")
+    ]
+
+
+def test_no_record_copies_the_context():
+    # a record holds its ``ctx``, never a copy of ``ctx.n`` or ``ctx.k``,
+    # which ``unread_fields`` would count as read
+    assert len(LIBRARY) > 5
+    assert context_copies(LIBRARY) == []
+
+
+def test_the_scan_sees_a_copy_of_the_context(tmp_path):
+    atlas = tmp_path / "atlas.py"
+    atlas.write_text(
+        "from typing import NamedTuple\n"
+        "class _ContextFields(NamedTuple):\n    n: int\n    k: int\n",
+        encoding="utf-8",
+    )
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "import typing\nfrom typing import NamedTuple\n"
+        "class Blueprint(NamedTuple):\n    n: int\n    k: int\n    moves: tuple\n"
+        "class Pair(typing.NamedTuple):\n    k: int\n"
+        "class Plain:\n    n: int\n"
+        "class _ContextFields(NamedTuple):\n    n: int\n",
+        encoding="utf-8",
+    )
+    assert context_copies([atlas, source]) == [
+        "sample.py:4 Blueprint.n", "sample.py:5 Blueprint.k", "sample.py:8 Pair.k",
+        "sample.py:12 _ContextFields.n",
+    ]
