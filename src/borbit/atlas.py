@@ -19,10 +19,7 @@ import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
-from .perms import CapExceeded, Perm, check_perm, compose, format_perm, length
-
-#: Largest ``n`` for which full enumerations run by default.
-ENUMERATION_CAP = 8
+from .perms import Perm, check_perm, compose, format_perm, length
 
 #: Largest ``n`` accepted for pointwise operations.
 POINTWISE_CAP = 64
@@ -152,10 +149,9 @@ def label_of(ctx: Context, w: Perm) -> OrbitLabel:
     return OrbitLabel(sigma, alpha)
 
 
-def enumerate_labels(ctx: Context, cap: int = ENUMERATION_CAP) -> tuple[OrbitLabel, ...]:
-    """All labels, sorted by (sigma, alpha); there are n!/(k!(n-2k)!)."""
-    if ctx.n > cap:
-        raise CapExceeded(f"enumeration needs n <= {cap}, got n={ctx.n}")
+def enumerate_labels(ctx: Context) -> tuple[OrbitLabel, ...]:
+    """All labels, sorted by (sigma, alpha); there are n!/(k!(n-2k)!), so
+    callers bound their own work."""
     n, k = ctx.n, ctx.k
     values = range(1, n + 1)
     sigmas = []

@@ -15,11 +15,11 @@ from .perms import Perm, all_perms, length, lower_interval, reduced_word, transp
 Suite = tuple[str, bool, str]
 
 
-def run_suites(ctx: Context, cap: int) -> tuple[list[Suite], list[OrbitLabel]]:
+def run_suites(ctx: Context) -> tuple[list[Suite], list[OrbitLabel]]:
     """The suites in their fixed order, and the orbital varieties whose
     verdict is singular."""
     suites: list[Suite] = []
-    table = poset.cover_table(ctx, cap)
+    table = poset.cover_table(ctx)
     labels = table.labels
 
     expected = math.factorial(ctx.n) // (
@@ -83,7 +83,7 @@ def run_suites(ctx: Context, cap: int) -> tuple[list[Suite], list[OrbitLabel]]:
         f"{len(orbital)} components, hook {hook}, direct {brute}",
     ))
 
-    g = poset.hasse(ctx, cap)
+    g = poset.hasse(ctx)
     generated = [1 << j for j in range(len(labels))]  # bit i of j: i <= j, as the covers generate
     for i, j in sorted(g.covers, key=lambda cover: g.dims[cover[1]]):
         generated[j] |= generated[i]
@@ -149,10 +149,10 @@ def run_suites(ctx: Context, cap: int) -> tuple[list[Suite], list[OrbitLabel]]:
     return suites, singular_orbital
 
 
-def report(ctx: Context, cap: int) -> tuple[bool, str]:
+def report(ctx: Context) -> tuple[bool, str]:
     """Whether every suite passed, and the ``verify`` text: one line per
     suite, then the tangent report of each singular orbital variety."""
-    suites, singular_orbital = run_suites(ctx, cap)
+    suites, singular_orbital = run_suites(ctx)
     lines = [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in suites]
     lines += [tangent.report(ctx, lbl).rstrip("\n") for lbl in singular_orbital]
     return all(ok for _, ok, _ in suites), "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ after the command; the last of repeated values wins:
   --k K           orbit rank (required)
   --format F      table, dot or json; each command writes its first by default
   --out FILE      write the output to FILE instead of stdout
-  --cap C         enumeration size cap
+  --cap C         largest n a sweep runs at (default 8)
 
 Subcommands:
   enumerate   list all labels with dimensions, tableaux and link patterns
@@ -20,7 +20,7 @@ Subcommands:
 
 Labels are written like "sigma=2,4,1,3 alpha=id" (quote the space) or with
 generator words, "sigma=s1.s3.s2".  Exit codes: 0 success, 1 verification
-failure, 2 bad input, 3 cap exceeded.
+failure, 2 bad input, 3 a sweep refused: n > --cap, or too many labels.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import os
 import sys
 from collections.abc import Iterable
 from contextlib import nullcontext
+from math import factorial
 from types import SimpleNamespace
 
 # Every command but ``order`` renders its text in the layer it runs
@@ -43,6 +44,11 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
+
+#: A sweep needs n <= --cap (default ENUMERATION_CAP), and its labels times n (a label
+#: costs more as n grows) at most SWEEP_BUDGET, the value at (12,5), known to finish.
+ENUMERATION_CAP = 8
+SWEEP_BUDGET = 1_995_840 * 12
 
 
 def _parse_perm_or_word(text: str, n: int):
@@ -80,7 +86,7 @@ def _json(data) -> str:
 def cmd_enumerate(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     from . import springer
 
-    rows = springer.label_rows(ctx, args.cap)
+    rows = springer.label_rows(ctx)
     if args.fmt == "json":
         return EXIT_OK, [_json({"n": ctx.n, "k": ctx.k, "labels": rows})]
     return EXIT_OK, [springer.label_table(ctx, rows)]
@@ -97,10 +103,10 @@ def cmd_order(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
 def cmd_hasse(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     from . import diagram, tangent
 
-    sweep = enumerate(tangent.verdicts(ctx, poset.cover_table(ctx, args.cap)))
+    sweep = enumerate(tangent.verdicts(ctx, poset.cover_table(ctx)))
     singular = frozenset(b for b, v in sweep if v.status == "singular")
     export = diagram.export_json if args.fmt == "json" else diagram.export_dot
-    return EXIT_OK, export(poset.hasse(ctx, args.cap), singular)
+    return EXIT_OK, export(poset.hasse(ctx), singular)
 
 
 def cmd_tangent(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
@@ -112,7 +118,7 @@ def cmd_tangent(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]
 def cmd_smooth(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     from . import tangent
 
-    table = poset.cover_table(ctx, args.cap)
+    table = poset.cover_table(ctx)
     if args.fmt == "json":
         sweep = zip(table.labels, tangent.verdicts(ctx, table))
         return EXIT_OK, [_json([tangent.verdict_json(ctx, lbl, v) for lbl, v in sweep])]
@@ -122,7 +128,7 @@ def cmd_smooth(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]
 def cmd_springer(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     from . import springer
 
-    return EXIT_OK, [springer.report(ctx, args.cap)]
+    return EXIT_OK, [springer.report(ctx)]
 
 
 def cmd_blueprint(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
@@ -139,12 +145,13 @@ def cmd_verify(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]
     """Self-check suites for one context; any failure exits nonzero."""
     from . import checks
 
-    ok, text = checks.report(ctx, args.cap)
+    ok, text = checks.report(ctx)
     return EXIT_OK if ok else EXIT_VERIFICATION, [text]
 
 
 #: Subcommand name -> (positional arguments, the formats it writes with the
-#: default first, handler of the context and the parsed arguments).
+#: default first, handler of the context and the parsed arguments).  One with
+#: no positionals sweeps every label, so ``main`` holds it to the sweep limits.
 COMMANDS = {
     "enumerate": ((), ("table", "json"), cmd_enumerate),
     "order": (("a", "b"), ("table",), cmd_order),
@@ -168,7 +175,7 @@ OPTIONS = {
     "--k": ("k", int, None),
     "--format": ("fmt", str, None),
     "--out": ("out", str, None),
-    "--cap": ("cap", int, atlas.ENUMERATION_CAP),
+    "--cap": ("cap", int, ENUMERATION_CAP),
 }
 
 
@@ -238,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         if args is None:
             sys.stdout.write(f"{USAGE}\n\n{__doc__}")
             return EXIT_OK
-        _, formats, handler = COMMANDS[args.command]
+        positionals, formats, handler = COMMANDS[args.command]
         if args.fmt is None:
             args.fmt = formats[0]
         elif args.fmt not in formats:
@@ -248,6 +255,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"cannot write {args.out}: it is a directory")
         if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ValueError(f"cannot write {args.out}: no such directory")
+        labels = factorial(ctx.n) // (factorial(ctx.k) * factorial(ctx.n - 2 * ctx.k))
+        if not positionals and ctx.n > args.cap:
+            raise CapExceeded(f"enumeration needs n <= {args.cap}, got n={ctx.n}")
+        if not positionals and labels * ctx.n > SWEEP_BUDGET:
+            raise CapExceeded(f"{labels} labels times n={ctx.n} exceed the budget {SWEEP_BUDGET}")
         code, chunks = handler(ctx, args)
         sink = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
         with sink as handle:

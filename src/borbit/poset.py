@@ -19,7 +19,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .atlas import (
-    Context, ENUMERATION_CAP, OrbitLabel, coset_of, dim_y0, enumerate_labels, label_perm,
+    Context, OrbitLabel, coset_of, dim_y0, enumerate_labels, label_perm,
 )
 from .perms import (
     WORD_LENGTH_CAP, Perm, Word, bruhat_leq, compose, evaluate_word, left_descents, length,
@@ -120,13 +120,13 @@ class CoverTable(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def cover_table(ctx: Context, cap: int = ENUMERATION_CAP) -> CoverTable:
+def cover_table(ctx: Context) -> CoverTable:
     """The table of ``ctx``: ``act`` by the value swap and the covers by
     the level step, both proved in ``hasse``.  The labels list every
     alpha, in one order, for each sigma in turn, so the swap runs once per
     sigma and letter on a block of ``k!`` indices, each index one shared
     int object."""
-    labels = enumerate_labels(ctx, cap)
+    labels = enumerate_labels(ctx)
     n, k, last = ctx.n, ctx.k, ctx.n - ctx.k
     size = factorial(k)
     alphas = {lbl.alpha: a for a, lbl in enumerate(labels[:size])}
@@ -163,7 +163,7 @@ def cover_table(ctx: Context, cap: int = ENUMERATION_CAP) -> CoverTable:
     return CoverTable(labels, dims, act, tuple(covers))
 
 
-def hasse(ctx: Context, cap: int = ENUMERATION_CAP) -> BruhatGraph:
+def hasse(ctx: Context) -> BruhatGraph:
     """Hasse diagram of the closure order, read off the left action of the
     simple transpositions: ``act[i][a]`` is the label of ``s_i w_a``,
     ``w_a = label_perm(a)``.  Left multiplication commutes with the right
@@ -214,7 +214,7 @@ def hasse(ctx: Context, cap: int = ENUMERATION_CAP) -> BruhatGraph:
     No member of the target coset is shorter than its minimum, so ``s_i``
     lifts every minimal member of ``a`` by exactly one step.
     """
-    table = cover_table(ctx, cap)
+    table = cover_table(ctx)
     labels, dims, act = table.labels, table.dims, table.act
     covers = sorted((a, b) for b, below in enumerate(table.covers) for a in below)
     prefix = [lbl.alpha[: ctx.k] for lbl in labels]
@@ -225,11 +225,9 @@ def hasse(ctx: Context, cap: int = ENUMERATION_CAP) -> BruhatGraph:
     return BruhatGraph(ctx, labels, dims, tuple(covers), descents, tuple(weak))
 
 
-def weak_edges(
-    ctx: Context, cap: int = ENUMERATION_CAP
-) -> tuple[tuple[OrbitLabel, OrbitLabel, int], ...]:
+def weak_edges(ctx: Context) -> tuple[tuple[OrbitLabel, OrbitLabel, int], ...]:
     """The weak edges of ``hasse`` as label triples."""
-    g = hasse(ctx, cap)
+    g = hasse(ctx)
     return tuple((g.labels[a], g.labels[b], s) for a, b, s in g.weak)
 
 

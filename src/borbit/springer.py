@@ -111,11 +111,11 @@ def count_standard_tableaux_bruteforce(ctx: Context) -> int:
     return count
 
 
-def label_rows(ctx: Context, cap: int) -> list[dict]:
+def label_rows(ctx: Context) -> list[dict]:
     """The ``enumerate`` rows: every label with its dimension, upper flag,
     tableau and link-pattern arcs."""
     rows = []
-    for lbl in enumerate_labels(ctx, cap):
+    for lbl in enumerate_labels(ctx):
         t = tableau(ctx, lbl)
         rows.append(
             {
@@ -141,12 +141,12 @@ def label_table(ctx: Context, rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report(ctx: Context, cap: int) -> str:
+def report(ctx: Context) -> str:
     """The ``springer`` listing: each orbital variety with its tableau and
     verdict, then the component counts."""
     from . import tangent  # for the verdicts; ``enumerate`` runs without it
 
-    orbital = [lbl for lbl in enumerate_labels(ctx, cap) if is_orbital_variety(ctx, lbl)]
+    orbital = [lbl for lbl in enumerate_labels(ctx) if is_orbital_variety(ctx, lbl)]
     lines = [f"# orbital varieties for n={ctx.n} k={ctx.k}"]
     for lbl in orbital:
         v = tangent.verdict(ctx, lbl)

@@ -21,7 +21,7 @@ from borbit.atlas import (
     paired_subgroup,
     rep_matrix,
 )
-from borbit.perms import CapExceeded, all_perms, compose, identity, length
+from borbit.perms import all_perms, compose, identity, length
 from borbit.springer import (
     TwoColumnTableau,
     count_involutions,
@@ -154,12 +154,6 @@ def test_labels_and_cosets_are_inverse_bijections():
             # the product sigma.alpha is a member of minimal length
             assert label_perm(lbl) in min_length_reps(coset)
             assert length(label_perm(lbl)) == length(lbl.sigma) + length(lbl.alpha)
-
-
-def test_enumeration_cap():
-    with pytest.raises(CapExceeded):
-        enumerate_labels(Context(9, 2))
-    assert len(enumerate_labels(Context(9, 2), cap=9)) > 0
 
 
 def test_dimensions():

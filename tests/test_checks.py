@@ -28,7 +28,7 @@ SUITE_NAMES = [
 
 
 def outcomes(ctx):
-    suites, _ = checks.run_suites(ctx, 8)
+    suites, _ = checks.run_suites(ctx)
     return {name: ok for name, ok, _ in suites}, [name for name, _, _ in suites]
 
 
@@ -40,7 +40,7 @@ def test_every_suite_runs_in_order_and_passes(n, k):
 
 
 def test_report_names_the_roots_whose_curves_it_checks():
-    passed, text = checks.report(Context(4, 2), 8)
+    passed, text = checks.report(Context(4, 2))
     assert passed
     assert "ok   curves: 5 roots, identities in Z[t]\n" in text
 
@@ -127,14 +127,14 @@ def test_a_dropped_cover_fails_the_pair_suite(monkeypatch, drop):
     which checks only the diagram's own shape, may still pass."""
     real = poset.hasse
 
-    def dropped(ctx, cap):
-        g = real(ctx, cap)
+    def dropped(ctx):
+        g = real(ctx)
         covers = list(g.covers)
         del covers[drop]
         return g._replace(covers=tuple(covers))
 
     monkeypatch.setattr(poset, "hasse", dropped)
-    passed, text = checks.report(Context(5, 2), 8)
+    passed, text = checks.report(Context(5, 2))
     assert not passed
     assert "FAIL closure-order-oracle: 60^2 ordered pairs\n" in text
     assert "ok   label-count" in text
@@ -147,7 +147,7 @@ def test_a_mask_missing_one_cover_fails_the_pair_suite(monkeypatch):
     from the whole table, still passes."""
     ctx = Context(5, 2)
     real = tangent.t_k_masks
-    table = poset.cover_table(ctx, 8)
+    table = poset.cover_table(ctx)
 
     def without(b, a):
         covers = list(table.covers)
@@ -162,7 +162,7 @@ def test_a_mask_missing_one_cover_fails_the_pair_suite(monkeypatch):
         if real(ctx, without(b, a)) != whole
     )
     monkeypatch.setattr(tangent, "t_k_masks", lambda ctx, t: real(ctx, without(b, a)))
-    passed, text = checks.report(ctx, 8)
+    passed, text = checks.report(ctx)
     assert not passed
     assert "FAIL closure-order-oracle: 60^2 ordered pairs\n" in text
     assert "ok   hasse: 190 covers, 120 weak edges\n" in text
@@ -174,12 +174,12 @@ def test_a_relation_that_skips_a_level_fails_the_hasse_suite(monkeypatch):
     edge is no cover."""
     real = poset.hasse
 
-    def padded(ctx, cap):
-        g = real(ctx, cap)
+    def padded(ctx):
+        g = real(ctx)
         return g._replace(covers=tuple(sorted(g.covers + ((poset.minimum(g), poset.maximum(g)),))))
 
     monkeypatch.setattr(poset, "hasse", padded)
-    passed, text = checks.report(Context(5, 2), 8)
+    passed, text = checks.report(Context(5, 2))
     assert not passed
     assert "FAIL hasse: 191 covers, 120 weak edges\n" in text
     assert "ok   closure-order-oracle: 60^2 ordered pairs\n" in text
@@ -193,12 +193,12 @@ def test_a_dimension_off_by_one_fails_the_verdicts_suite(monkeypatch, rule):
     fault sits on a label that R4-R6 reach.  ``hasse`` reads the same
     dimensions, and its suite fails too."""
     ctx = Context(5, 2)
-    table = poset.cover_table(ctx, 8)
+    table = poset.cover_table(ctx)
     b = next(b for b, lbl in enumerate(table.labels) if tangent.verdict(ctx, lbl).rule == rule)
     dims = list(table.dims)
     dims[b] += 1
-    monkeypatch.setattr(poset, "cover_table", lambda ctx, cap: table._replace(dims=tuple(dims)))
-    passed, text = checks.report(ctx, 8)
+    monkeypatch.setattr(poset, "cover_table", lambda ctx: table._replace(dims=tuple(dims)))
+    passed, text = checks.report(ctx)
     assert not passed
     assert "FAIL verdicts: " in text
 
@@ -208,7 +208,7 @@ def test_a_bracket_span_one_too_high_fails_the_verdicts_suite(monkeypatch):
     they agree; on an upper label the span must equal the exact count."""
     real = tangent.bracket_span
     monkeypatch.setattr(tangent, "bracket_span", lambda ctx, roots: real(ctx, roots) + 1)
-    passed, text = checks.report(Context(5, 2), 8)
+    passed, text = checks.report(Context(5, 2))
     assert not passed
     assert "FAIL verdicts: 0 singular orbital varieties\n" in text
     assert [line[:4] for line in text.splitlines()[:len(SUITE_NAMES)]].count("FAIL") == 1

@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +21,7 @@ from borbit.cli import (
     main,
     parse_label_arg,
 )
-from borbit import poset, tangent
+from borbit import atlas, poset, springer, tangent
 from borbit.atlas import Context, OrbitLabel, enumerate_labels, format_label, label
 from borbit.perms import identity, parse_perm
 
@@ -324,11 +328,92 @@ def test_verify_command(capsys):
     assert any("label-count: 12 labels" in line for line in lines)
 
 
-def test_exit_code_cap(capsys):
-    code, out, err = run(capsys, "--n", "9", "--k", "2", "enumerate")
-    assert code == EXIT_CAP
-    assert "error:" in err
-    assert out == ""
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: The commands without a label argument: each sweeps every label.
+SWEEPS = [name for name, (positionals, _, _) in COMMANDS.items() if not positionals]
+
+
+def no_sweep(monkeypatch):
+    """Make every binding of ``enumerate_labels`` raise, so a test sees
+    whether a sweep started."""
+    def never(*args):
+        raise AssertionError("the sweep ran")
+
+    for module in (atlas, poset, springer):
+        monkeypatch.setattr(module, "enumerate_labels", never)
+
+
+def test_sweeps_are_the_commands_without_a_label():
+    assert sorted(SWEEPS) == ["enumerate", "hasse", "smooth", "springer", "verify"]
+
+
+def test_exit_code_cap(capsys, monkeypatch):
+    """``n > --cap`` refuses each sweep before it starts; ``--cap 9`` lets
+    it start, and the commands with a label ignore ``--cap``."""
+    no_sweep(monkeypatch)
+    for command in SWEEPS:
+        refusal = (EXIT_CAP, "", "error: enumeration needs n <= 8, got n=9\n")
+        assert run(capsys, "--n", "9", "--k", "2", command) == refusal, command
+        with pytest.raises(AssertionError, match="the sweep ran"):
+            main(["--cap", "9", "--n", "9", "--k", "2", command])
+    pointwise = [
+        ("order", "sigma=id", "sigma=s2"),
+        ("tangent", "sigma=s2"),
+        ("blueprint", "sigma=s2", "s2"),
+    ]
+    for argv in pointwise:
+        for cap in ("8", "1"):
+            code, out, err = run(capsys, "--cap", cap, "--n", "9", "--k", "2", *argv)
+            assert (code, err) == (EXIT_OK, ""), argv
+            assert out
+
+
+def test_cap_nine_runs_the_sweep(capsys):
+    code, out, err = run(capsys, "--cap", "9", "--n", "9", "--k", "2", "enumerate")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("# 1512 labels for n=9 k=2\n")
+
+
+#: (n, k, labels): contexts whose labels times n exceed the sweep budget,
+#: 1,995,840 labels at (12,5) times 12.  (40,2) has fewer labels than
+#: (12,5), but each label costs more at larger n.
+OVER_BUDGET = [(16, 8, 518918400), (13, 4, 2162160), (40, 2, 1096680)]
+
+
+@pytest.mark.parametrize("command", SWEEPS)
+@pytest.mark.parametrize("n, k, labels", OVER_BUDGET)
+def test_a_sweep_over_the_budget_exits_at_once(command, n, k, labels):
+    """Refused from the closed-form count, before anything enumerates.  The
+    child runs under an address-space limit and a timeout, so a sweep
+    that starts fails the test instead of exhausting the machine."""
+    limit = 1 << 30
+
+    def bounded():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "borbit.cli", "--cap", str(n), "--n", str(n), "--k", str(k), command],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        preexec_fn=bounded,
+        timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    line = f"error: {labels} labels times n={n} exceed the budget 23950080\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_CAP, "", line)
+    assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("n, k", [(12, 5), (16, 3), (32, 2)])
+def test_the_measured_sweeps_pass_the_budget(monkeypatch, n, k):
+    """(12,5) is the budget's edge; (16,3) and (32,2) sit below it."""
+    no_sweep(monkeypatch)
+    for command in SWEEPS:
+        with pytest.raises(AssertionError, match="the sweep ran"):
+            main(["--cap", str(n), "--n", str(n), "--k", str(k), command])
 
 
 def test_exit_code_bad_input(capsys):

@@ -2,8 +2,8 @@
 no library module imports ``dataclasses`` or ``fractions``, no source or
 test file imports ``borbit.ratmat``, every library cache is a per-context
 table, every library function, class, method and property is read by the
-library or named in a short allow-list, and every named-tuple field is read
-by the library."""
+library or named in a short allow-list, every named-tuple field is read
+by the library, and no library function takes a size ``cap``."""
 
 import ast
 from pathlib import Path
@@ -398,4 +398,38 @@ def test_the_scan_sees_a_copy_of_the_context(tmp_path):
     assert context_copies([atlas, source]) == [
         "sample.py:4 Blueprint.n", "sample.py:5 Blueprint.k", "sample.py:8 Pair.k",
         "sample.py:12 _ContextFields.n",
+    ]
+
+
+def cap_parameters(path: Path) -> list[str]:
+    """Each function of ``path``, nested ones and methods included, that
+    has a parameter named ``cap``, of any kind."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno} {node.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for param in ast.walk(node.args)
+        if isinstance(param, ast.arg) and param.arg == "cap"
+    ]
+
+
+def test_no_library_function_takes_a_cap():
+    # how large a sweep may run is ``cli``'s policy alone: the library
+    # computes whatever context it is given
+    assert len(LIBRARY) > 5
+    assert [hit for path in LIBRARY for hit in cap_parameters(path)] == []
+
+
+def test_the_scan_sees_every_cap_parameter(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "def table(ctx, cap=8):\n    pass\n"
+        "def hasse(ctx, *, cap):\n    pass\n"
+        "class Sweep:\n    def rows(self, cap, /):\n        def inner(cap):\n            pass\n"
+        "def lower(w, word_cap=10, capped=True):\n    cap = 3\n    return cap\n",
+        encoding="utf-8",
+    )
+    assert cap_parameters(source) == [
+        "sample.py:1 table", "sample.py:3 hasse", "sample.py:6 rows", "sample.py:7 inner",
     ]

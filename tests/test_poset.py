@@ -292,7 +292,7 @@ def test_hasse_at_9_4_peaks_under_100_mb():
         "import os, re\n"
         "from borbit import diagram, poset\n"
         "from borbit.atlas import Context\n"
-        "g = poset.hasse(Context(9, 4), 9)\n"
+        "g = poset.hasse(Context(9, 4))\n"
         "singular = frozenset(range(0, len(g.labels), 2))\n"
         "with open(os.devnull, 'w') as sink:\n"
         "    sink.writelines(diagram.export_dot(g, singular))\n"
