@@ -12,7 +12,7 @@ and a public name imports its module on first use.
 _EXPORTS = {
     "atlas": (
         "Context", "OrbitCoset", "OrbitLabel", "coset_of", "dim_orbit", "dim_y0", "dimension",
-        "enumerate_labels", "is_upper_label", "label", "label_of", "label_perm",
+        "enumerate_labels", "is_upper_label", "label", "label_of", "label_perm", "leq",
         "min_length_reps", "rep_matrix",
     ),
     "diagram": ("export_dot", "export_json"),
@@ -22,7 +22,7 @@ _EXPORTS = {
         "reduced_word",
     ),
     "poset": (
-        "BruhatGraph", "CoverTable", "cover_table", "hasse", "leq", "leq_oracle", "weak_edges",
+        "BruhatGraph", "CoverTable", "cover_table", "hasse", "leq_oracle", "weak_edges",
     ),
     "springer": (
         "TwoColumnTableau", "involution_tau", "is_orbital_variety", "link_pattern", "tableau",

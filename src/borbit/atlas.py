@@ -11,6 +11,12 @@ the middle block and move the first and last blocks in parallel
 
 Each label owns a representative matrix ``sum_j E_{sigma alpha(j),
 sigma(n-k+j)}``; ``springer`` reads its tableau and link pattern.
+
+One orbit closure contains another exactly when some member of the smaller
+label's coset lies below the bigger label's product permutation in Bruhat
+order.  ``leq`` decides that for one pair by walking the coset down one
+reduced word (``descend``), with a witness from the walk; ``poset`` holds
+the order of a whole context and its independent oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
-from .perms import Perm, check_perm, compose, format_perm, length
+from .perms import Perm, Word, check_perm, compose, evaluate_word, format_perm, length, reduced_word
 
 #: Largest ``n`` accepted for pointwise operations.
 POINTWISE_CAP = 64
@@ -162,6 +168,66 @@ def enumerate_labels(ctx: Context) -> tuple[OrbitLabel, ...]:
             sigmas.append(first + tuple(mid) + last)
     alphas = sorted(a + tuple(range(k + 1, n + 1)) for a in itertools.permutations(range(1, k + 1)))
     return tuple(OrbitLabel(s, a) for s in sorted(sigmas) for a in alphas)
+
+
+def leq(ctx: Context, a: OrbitLabel, b: OrbitLabel) -> bool:
+    """Closure order: is the orbit of ``a`` contained in the closure of ``b``?"""
+    return leq_witness(ctx, a, b) is not None
+
+
+def leq_witness(ctx: Context, a: OrbitLabel, b: OrbitLabel) -> Perm | None:
+    """A member of ``a``'s coset below ``w_b = label_perm(b)``, or None: the
+    descent recursion of ``poset.hasse``, followed for one pair by ``descend``.
+
+    With ``s = s_i`` the first letter of a reduced word of ``w_b``,
+    ``poset.hasse`` proves ``a <= b`` iff ``a <= b'`` or ``s·a <= b'``, where
+    ``s w_b`` is the label product of ``b'``.  The label product ``u`` of
+    ``a`` is of minimal length in its coset, and ``s`` changes only the
+    comparison of the values ``i`` and ``i+1``, so ``s·a = a`` if both lie
+    in the middle block; else the minimal length moves by one, through
+    their inversion across blocks or the opposition of their pairs inside
+    one.  ``s·a`` is lower exactly when ``i+1`` precedes ``i`` in ``u``
+    (then ``s u < u`` is the label product of ``s·a``) or both lie in the
+    last block at pairs ``(x, i)``, ``(x', i+1)`` with ``x > x'`` (swapping
+    ``x`` and ``x'`` in ``u`` removes one inversion and gives that label
+    product).  So the lower coset ``c`` of ``a``, ``s·a`` has a member
+    below the label product of the higher (for ``c = a`` read the cases
+    from ``s·a``), hence ``c`` lies below both, and ``a <= b`` iff
+    ``c <= b'``.  At ``w_b = e`` only the base, of product ``e``, is below.
+    Witness: ``sw < w`` and ``m <= sw`` give ``s m <= w`` (lifting
+    property, Bjoerner-Brenti Prop. 2.2.7), so walking back from ``e``
+    multiplies by each ``s`` at which ``c`` moved, in order.
+
+    Any reduced word of ``w_b`` will do: each letter is a left descent of
+    what the letters before it leave, and ``s w`` is a label product
+    whenever ``s`` is a left descent of one, as ``poset.hasse`` shows.
+    """
+    return descend(ctx, label_perm(a), reduced_word(label_perm(b)))
+
+
+def descend(ctx: Context, u: Perm, word: Word) -> Perm | None:
+    """Walk the coset of label product ``u`` down ``word``, a reduced word
+    of some label product ``w``: a member of the coset below ``w``, or None
+    (the recursion of ``leq_witness``)."""
+    n, last = ctx.n, ctx.n - ctx.k
+    u = list(u)
+    upos = [0] * (n + 1)
+    for p, v in enumerate(u):
+        upos[v] = p
+    moved = []
+    for i in word:
+        p, q = upos[i], upos[i + 1]
+        if p >= last and q >= last:
+            x, y = u[p - last], u[q - last]
+            if x > y:
+                u[p - last], u[q - last] = y, x
+                upos[x], upos[y] = q - last, p - last
+                moved.append(i)
+        elif q < p:
+            u[p], u[q] = i + 1, i
+            upos[i], upos[i + 1] = q, p
+            moved.append(i)
+    return evaluate_word(n, moved) if u == list(range(1, n + 1)) else None
 
 
 def dim_y0(ctx: Context) -> int:

@@ -5,14 +5,21 @@ identities, and the ``verify`` command's text.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 
 from . import atlas, geometry, poset, springer, tangent
 from .atlas import Context, OrbitCoset, OrbitLabel
-from .perms import Perm, all_perms, length, lower_interval, reduced_word, transposition
+from .perms import Perm, length, reduced_word, transposition
 
 #: One suite's outcome: its name, whether it passed, and what it checked.
 Suite = tuple[str, bool, str]
+
+
+def all_perms(n: int) -> Iterator[Perm]:
+    """All of S_n in lexicographic one-line order."""
+    return itertools.permutations(range(1, n + 1))
 
 
 def run_suites(ctx: Context) -> tuple[list[Suite], list[OrbitLabel]]:
@@ -98,12 +105,12 @@ def run_suites(ctx: Context) -> tuple[list[Suite], list[OrbitLabel]]:
         # ``met``: the cosets meeting target ``j``'s subword interval (at most
         # n(n-1)/2 letters), ``poset.leq_oracle`` for every source at once;
         # ``below``: the roots whose reflection coset descends to ``j``
-        interval = lower_interval(w, ctx.n * (ctx.n - 1) // 2)
+        interval = poset.lower_interval(w, ctx.n * (ctx.n - 1) // 2)
         met = {owner[m] for m in interval}
         word = reduced_word(w)
         below = 0
         for i, u in enumerate(products):
-            witness, inside = poset.descend(ctx, u, word), generated[j] >> i & 1
+            witness, inside = atlas.descend(ctx, u, word), generated[j] >> i & 1
             if witness is None:
                 ok = ok and owner[u] not in met and not inside
             else:

@@ -20,7 +20,8 @@ Subcommands:
 
 Labels are written like "sigma=2,4,1,3 alpha=id" (quote the space) or with
 generator words, "sigma=s1.s3.s2".  Exit codes: 0 success, 1 verification
-failure, 2 bad input, 3 a sweep refused: n > --cap, or too many labels.
+failure, 2 bad input, 3 a sweep refused: n > --cap, too many labels, or a
+verify over its own budget.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from types import SimpleNamespace
 
 # Every command but ``order`` renders its text in the layer it runs
 # (``springer``, ``tangent``, ``diagram``, ``geometry``, ``checks``), imported
-# inside the command, so that a command starts without the layers it never
-# uses.
-from . import atlas, poset
+# inside the command, as is ``poset`` by the two sweeps that read its table,
+# so that a command starts without the layers it never uses.
+from . import atlas
 from .atlas import Context, OrbitLabel
 from .perms import CapExceeded, evaluate_word, format_perm, parse_perm, parse_word
 
@@ -49,6 +50,10 @@ EXIT_CAP = 3
 #: costs more as n grows) at most SWEEP_BUDGET, the value at (12,5), known to finish.
 ENUMERATION_CAP = 8
 SWEEP_BUDGET = 1_995_840 * 12
+#: ``verify`` also sweeps S_n and tests every ordered pair of labels: at most
+#: VERIFY_PERMS = 9! permutations and VERIFY_PAIRS, the pair count at (9,4).
+VERIFY_PERMS = factorial(9)
+VERIFY_PAIRS = 15_120**2
 
 
 def _parse_perm_or_word(text: str, n: int):
@@ -94,14 +99,14 @@ def cmd_enumerate(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[st
 
 def cmd_order(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     a, b = parse_label_arg(ctx, args.a), parse_label_arg(ctx, args.b)
-    witness = poset.leq_witness(ctx, a, b)
+    witness = atlas.leq_witness(ctx, a, b)
     if witness is None:
         return EXIT_OK, ["false\n"]
     return EXIT_OK, [f"true  witness={format_perm(witness)}\n"]
 
 
 def cmd_hasse(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    from . import diagram, tangent
+    from . import diagram, poset, tangent
 
     sweep = enumerate(tangent.verdicts(ctx, poset.cover_table(ctx)))
     singular = frozenset(b for b, v in sweep if v.status == "singular")
@@ -116,7 +121,7 @@ def cmd_tangent(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]
 
 
 def cmd_smooth(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    from . import tangent
+    from . import poset, tangent
 
     table = poset.cover_table(ctx)
     if args.fmt == "json":
@@ -260,6 +265,14 @@ def main(argv: list[str] | None = None) -> int:
             raise CapExceeded(f"enumeration needs n <= {args.cap}, got n={ctx.n}")
         if not positionals and labels * ctx.n > SWEEP_BUDGET:
             raise CapExceeded(f"{labels} labels times n={ctx.n} exceed the budget {SWEEP_BUDGET}")
+        if args.command == "verify" and factorial(ctx.n) > VERIFY_PERMS:
+            raise CapExceeded(
+                f"{factorial(ctx.n)} permutations for verify exceed the budget {VERIFY_PERMS}"
+            )
+        if args.command == "verify" and labels**2 > VERIFY_PAIRS:
+            raise CapExceeded(
+                f"{labels**2} label pairs for verify exceed the budget {VERIFY_PAIRS}"
+            )
         code, chunks = handler(ctx, args)
         sink = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
         with sink as handle:

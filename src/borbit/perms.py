@@ -14,14 +14,10 @@ rightmost letter acts first on points.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 Perm = tuple[int, ...]
 Word = tuple[int, ...]
-
-#: Longest reduced word accepted by the subword-enumeration routines.
-WORD_LENGTH_CAP = 20
 
 
 class CapExceeded(Exception):
@@ -168,26 +164,6 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
     return True
 
 
-def lower_interval(w: Perm, word_cap: int = WORD_LENGTH_CAP) -> frozenset[Perm]:
-    """All permutations below ``w``, by enumerating subwords of one reduced word.
-
-    The set of subword evaluations of any reduced word for ``w`` is exactly
-    the lower Bruhat interval of ``w``.  The running set of partial products
-    is extended one letter at a time, which keeps the enumeration polynomial
-    in the interval size instead of ``2**length``.  Nothing is cached: a
-    caller that asks about one target repeatedly keeps its interval.
-    """
-    word = reduced_word(w)
-    if len(word) > word_cap:
-        raise CapExceeded(
-            f"reduced word of length {len(word)} exceeds cap {word_cap}"
-        )
-    reach: set[Perm] = {identity(len(w))}
-    for i in word:  # right multiplication by s_i swaps positions i and i+1
-        reach |= {p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :] for p in reach}
-    return frozenset(reach)
-
-
 def pattern_positions(w: Perm, pattern: Perm) -> tuple[int, ...] | None:
     """Positions (1-based, increasing) of the first embedding of ``pattern``.
 
@@ -226,11 +202,6 @@ def pattern_positions(w: Perm, pattern: Perm) -> tuple[int, ...] | None:
 
 def contains_pattern(w: Perm, pattern: Perm) -> bool:
     return pattern_positions(w, pattern) is not None
-
-
-def all_perms(n: int) -> Iterator[Perm]:
-    """All of S_n in lexicographic one-line order."""
-    return itertools.permutations(range(1, n + 1))
 
 
 def format_perm(p: Perm) -> str:

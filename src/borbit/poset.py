@@ -1,10 +1,10 @@
-"""Closure order on labelled orbits, its cover table and Hasse diagram.
+"""The closure order of a whole context: its cover table, Hasse diagram
+and subword oracle.
 
-One orbit closure contains another exactly when some member of the smaller
-label's coset lies below the bigger label's product permutation in Bruhat
-order.  ``leq`` follows for one pair the left-descent recursion that
+``atlas.leq`` follows for one pair the left-descent recursion that
 ``hasse`` runs for all, with a witness from its chain; ``leq_oracle``
-recomputes it independently from subword enumeration.
+recomputes the order independently from the subword enumeration
+``lower_interval``.
 
 The Hasse graph takes all of its edges from the left action of the simple
 transpositions on cosets, held once per context by ``cover_table``: the
@@ -22,69 +22,31 @@ from .atlas import (
     Context, OrbitLabel, coset_of, dim_y0, enumerate_labels, label_perm,
 )
 from .perms import (
-    WORD_LENGTH_CAP, Perm, Word, bruhat_leq, compose, evaluate_word, left_descents, length,
-    lower_interval, reduced_word, simple,
+    CapExceeded, Perm, bruhat_leq, compose, identity, left_descents, length, reduced_word, simple,
 )
 
-
-def leq(ctx: Context, a: OrbitLabel, b: OrbitLabel) -> bool:
-    """Closure order: is the orbit of ``a`` contained in the closure of ``b``?"""
-    return leq_witness(ctx, a, b) is not None
+#: Longest reduced word accepted by the subword enumeration.
+WORD_LENGTH_CAP = 20
 
 
-def leq_witness(ctx: Context, a: OrbitLabel, b: OrbitLabel) -> Perm | None:
-    """A member of ``a``'s coset below ``w_b = label_perm(b)``, or None: the
-    descent recursion of ``hasse``, followed for one pair by ``descend``.
+def lower_interval(w: Perm, word_cap: int = WORD_LENGTH_CAP) -> frozenset[Perm]:
+    """All permutations below ``w``, by enumerating subwords of one reduced word.
 
-    With ``s = s_i`` the first letter of a reduced word of ``w_b``,
-    ``hasse`` proves ``a <= b`` iff ``a <= b'`` or ``s·a <= b'``, where
-    ``s w_b`` is the label product of ``b'``.  The label product ``u`` of
-    ``a`` is of minimal length in its coset, and ``s`` changes only the
-    comparison of the values ``i`` and ``i+1``, so ``s·a = a`` if both lie
-    in the middle block; else the minimal length moves by one, through
-    their inversion across blocks or the opposition of their pairs inside
-    one.  ``s·a`` is lower exactly when ``i+1`` precedes ``i`` in ``u``
-    (then ``s u < u`` is the label product of ``s·a``) or both lie in the
-    last block at pairs ``(x, i)``, ``(x', i+1)`` with ``x > x'`` (swapping
-    ``x`` and ``x'`` in ``u`` removes one inversion and gives that label
-    product).  So the lower coset ``c`` of ``a``, ``s·a`` has a member
-    below the label product of the higher (for ``c = a`` read the cases
-    from ``s·a``), hence ``c`` lies below both, and ``a <= b`` iff
-    ``c <= b'``.  At ``w_b = e`` only the base, of product ``e``, is below.
-    Witness: ``sw < w`` and ``m <= sw`` give ``s m <= w`` (lifting
-    property, Bjoerner-Brenti Prop. 2.2.7), so walking back from ``e``
-    multiplies by each ``s`` at which ``c`` moved, in order.
-
-    Any reduced word of ``w_b`` will do: each letter is a left descent of
-    what the letters before it leave, and ``s w`` is a label product
-    whenever ``s`` is a left descent of one, as ``hasse`` shows.
+    The set of subword evaluations of any reduced word for ``w`` is exactly
+    the lower Bruhat interval of ``w``.  The running set of partial products
+    is extended one letter at a time, which keeps the enumeration polynomial
+    in the interval size instead of ``2**length``.  Nothing is cached: a
+    caller that asks about one target repeatedly keeps its interval.
     """
-    return descend(ctx, label_perm(a), reduced_word(label_perm(b)))
-
-
-def descend(ctx: Context, u: Perm, word: Word) -> Perm | None:
-    """Walk the coset of label product ``u`` down ``word``, a reduced word
-    of some label product ``w``: a member of the coset below ``w``, or None
-    (the recursion of ``leq_witness``)."""
-    n, last = ctx.n, ctx.n - ctx.k
-    u = list(u)
-    upos = [0] * (n + 1)
-    for p, v in enumerate(u):
-        upos[v] = p
-    moved = []
-    for i in word:
-        p, q = upos[i], upos[i + 1]
-        if p >= last and q >= last:
-            x, y = u[p - last], u[q - last]
-            if x > y:
-                u[p - last], u[q - last] = y, x
-                upos[x], upos[y] = q - last, p - last
-                moved.append(i)
-        elif q < p:
-            u[p], u[q] = i + 1, i
-            upos[i], upos[i + 1] = q, p
-            moved.append(i)
-    return evaluate_word(n, moved) if u == list(range(1, n + 1)) else None
+    word = reduced_word(w)
+    if len(word) > word_cap:
+        raise CapExceeded(
+            f"reduced word of length {len(word)} exceeds cap {word_cap}"
+        )
+    reach: set[Perm] = {identity(len(w))}
+    for i in word:  # right multiplication by s_i swaps positions i and i+1
+        reach |= {p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :] for p in reach}
+    return frozenset(reach)
 
 
 def leq_oracle(

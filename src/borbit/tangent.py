@@ -30,17 +30,19 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator, Mapping
-from math import gcd
-from typing import Literal, NamedTuple, TypeVar
+from math import factorial, gcd
+from typing import TYPE_CHECKING, Literal, NamedTuple, TypeVar
 
 from .atlas import (
-    Context, OrbitLabel, dim_y0, dimension, format_label, is_upper_label, label_fields, label_of,
-    label_perm,
+    Context, OrbitLabel, descend, dim_y0, dimension, format_label, is_upper_label, label_fields,
+    label_of, label_perm,
 )
 from .perms import (
     Perm, compose, format_perm, identity, pattern_positions, reduced_word, transposition,
 )
-from .poset import CoverTable, descend
+
+if TYPE_CHECKING:  # an annotation only: the one-label commands load no ``poset``
+    from .poset import CoverTable
 
 INSIDE_GLK = "INSIDE_GLK"
 DELTA = "DELTA"
@@ -140,7 +142,7 @@ def root_coset_label(ctx: Context, rt: Root) -> OrbitLabel:
 def t_k_table(ctx: Context, lbl: OrbitLabel) -> tuple[tuple[Root, Perm | None], ...]:
     """Each root with a member of its reflection coset below the label
     product, or None: one reduced word of the product, walked down from
-    every root's coset (``poset.leq_witness``)."""
+    every root's coset (``atlas.leq_witness``)."""
     word = reduced_word(label_perm(lbl))
     return tuple(
         (rt, descend(ctx, label_perm(root_coset_label(ctx, rt)), word)) for rt in phi_plus(ctx)
@@ -425,12 +427,18 @@ def report(ctx: Context, lbl: OrbitLabel) -> str:
 
 def smooth_table(ctx: Context, table: CoverTable) -> Iterator[str]:
     """The ``smooth`` table, a line at a time: one verdict line per label,
-    then the totals."""
+    then the totals.  The labels run through every alpha, in one order, for
+    each sigma in turn (``enumerate_labels``), so each sigma is written once
+    per block of ``k!`` labels and each alpha once."""
     yield f"# verdicts for n={ctx.n} k={ctx.k}\n"
     counts = dict.fromkeys(("smooth", "singular", "unknown"), 0)
-    for lbl, dim, v in zip(table.labels, table.dims, verdicts(ctx, table)):
+    size = factorial(ctx.k)
+    alphas = [format_perm(lbl.alpha) for lbl in table.labels[:size]]
+    for b, (dim, v) in enumerate(zip(table.dims, verdicts(ctx, table))):
+        if b % size == 0:
+            sigma = format_perm(table.labels[b].sigma)
         yield (
-            f"  {format_label(lbl)}  dim={dim}  "
+            f"  sigma={sigma} alpha={alphas[b % size]}  dim={dim}  "
             f"verdict={v.status:<8} rule={v.rule or '-':<2} witness={v.witness}\n"
         )
         counts[v.status] += 1

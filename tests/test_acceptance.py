@@ -18,17 +18,17 @@ from borbit.atlas import (
     enumerate_labels,
     is_upper_label,
     label,
+    leq,
 )
+from borbit.checks import all_perms
 from borbit.geometry import tangent_stack_rank, verify_curve
 from borbit.perms import (
-    all_perms,
     bruhat_leq,
     evaluate_word,
     identity,
     length,
-    lower_interval,
 )
-from borbit.poset import hasse, leq, leq_oracle, maximum, minimum
+from borbit.poset import hasse, leq_oracle, lower_interval, maximum, minimum
 from borbit.springer import (
     count_involutions,
     count_standard_tableaux,

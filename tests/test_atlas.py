@@ -21,7 +21,8 @@ from borbit.atlas import (
     paired_subgroup,
     rep_matrix,
 )
-from borbit.perms import all_perms, compose, identity, length
+from borbit.checks import all_perms
+from borbit.perms import compose, identity, length
 from borbit.springer import (
     TwoColumnTableau,
     count_involutions,

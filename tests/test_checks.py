@@ -78,13 +78,13 @@ def test_a_planted_curve_fault_fails_the_curves_suite(monkeypatch, attr, fault):
 @pytest.mark.parametrize("position", [0, 37, 71, 143])
 def test_a_flipped_closure_answer_fails_the_pair_suite(monkeypatch, position):
     """Any one pair of the 12^2 at (4,2), the last one included; the suite
-    walks ``poset.descend`` from the label product of ``a`` down the
+    walks ``atlas.descend`` from the label product of ``a`` down the
     reduced word of the label product of ``b``."""
     ctx = Context(4, 2)
     labels = enumerate_labels(ctx)
     a, b = labels[position // len(labels)], labels[position % len(labels)]
     target = (label_perm(a), reduced_word(label_perm(b)))
-    real = poset.descend
+    real = atlas.descend
 
     def flipped(ctx, u, word):
         witness = real(ctx, u, word)
@@ -92,7 +92,7 @@ def test_a_flipped_closure_answer_fails_the_pair_suite(monkeypatch, position):
             return witness
         return u if witness is None else None
 
-    monkeypatch.setattr(poset, "descend", flipped)
+    monkeypatch.setattr(atlas, "descend", flipped)
     ok, _ = outcomes(ctx)
     assert not ok["closure-order-oracle"]
     assert ok["label-count"] and ok["minimal-representatives"]
@@ -103,7 +103,7 @@ def test_a_witness_above_the_target_fails_the_pair_suite(monkeypatch):
     ``a``, a coset member that is not always below the target."""
     ctx = Context(4, 2)
     labels = enumerate_labels(ctx)
-    real = poset.descend
+    real = atlas.descend
 
     def product_witness(ctx, u, word):
         return None if real(ctx, u, word) is None else u
@@ -114,7 +114,7 @@ def test_a_witness_above_the_target_fails_the_pair_suite(monkeypatch):
         for a in labels
         for b in labels
     )
-    monkeypatch.setattr(poset, "descend", product_witness)
+    monkeypatch.setattr(atlas, "descend", product_witness)
     ok, _ = outcomes(ctx)
     assert not ok["closure-order-oracle"]
     assert ok["label-count"] and ok["minimal-representatives"]

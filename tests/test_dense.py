@@ -6,8 +6,9 @@ import random
 from fractions import Fraction
 from math import lcm
 
+from borbit.checks import all_perms
 from borbit.geometry import _add, _at, _mul
-from borbit.perms import all_perms, compose
+from borbit.perms import compose
 from borbit.tangent import _insert, bracket
 from dense import add, dense, gauss_rank, mul, permutation
 

@@ -3,13 +3,14 @@
 import pytest
 
 from borbit.atlas import Context, dim_orbit, enumerate_labels, label, label_perm, rep_matrix
+from borbit.checks import all_perms
 from borbit.geometry import (
     blueprint_json,
     resolution_blueprint,
     tangent_stack_rank,
     verify_curve,
 )
-from borbit.perms import all_perms, bruhat_leq, identity, reduced_word
+from borbit.perms import bruhat_leq, identity, reduced_word
 from borbit.tangent import Root, phi_plus
 from dense import dense, flat, gauss_rank, mul, permutation
 

@@ -8,9 +8,10 @@ from bisect import insort
 import pytest
 
 from borbit import perms
+from borbit.checks import all_perms
+from borbit.poset import lower_interval
 from borbit.perms import (
     CapExceeded,
-    all_perms,
     bruhat_leq,
     compose,
     contains_pattern,
@@ -21,7 +22,6 @@ from borbit.perms import (
     inverse,
     left_descents,
     length,
-    lower_interval,
     parse_perm,
     parse_word,
     pattern_positions,

@@ -14,27 +14,20 @@ import pytest
 from borbit.atlas import (
     Context,
     coset_of,
+    descend,
     dimension,
     enumerate_labels,
     label,
     label_fields,
     label_of,
     label_perm,
+    leq,
+    leq_witness,
     min_length_reps,
 )
 from borbit.diagram import export_dot, export_json
 from borbit.perms import bruhat_leq, compose, format_perm, identity, left_descents, length, simple
-from borbit.poset import (
-    cover_table,
-    descend,
-    hasse,
-    leq,
-    leq_oracle,
-    leq_witness,
-    maximum,
-    minimum,
-    weak_edges,
-)
+from borbit.poset import cover_table, hasse, leq_oracle, maximum, minimum, weak_edges
 from borbit.tangent import verdict
 
 CTX42 = Context(4, 2)

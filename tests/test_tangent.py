@@ -14,10 +14,12 @@ from borbit.atlas import (
     label,
     label_of,
     label_perm,
+    leq,
+    leq_witness,
     rep_matrix,
 )
 from borbit.perms import bruhat_leq, identity
-from borbit.poset import cover_table, leq, leq_witness
+from borbit.poset import cover_table
 from borbit.tangent import (
     CROSS_FAR,
     DELTA,
