@@ -275,4 +275,10 @@ def label_fields(lbl: OrbitLabel) -> dict[str, str]:
 def format_label(lbl: OrbitLabel) -> str:
     """One-line ``sigma=... alpha=...`` text that ``cli.parse_label_arg``
     reads back."""
-    return " ".join(f"{key}={value}" for key, value in label_fields(lbl).items())
+    return join_fields(**label_fields(lbl))
+
+
+def join_fields(sigma: str, alpha: str) -> str:
+    """The one-line text of a label from its written fields, for a writer
+    that formats each sigma and each alpha once."""
+    return f"sigma={sigma} alpha={alpha}"

@@ -7,19 +7,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 
 from . import atlas, geometry, poset, springer, tangent
 from .atlas import Context, OrbitCoset, OrbitLabel
-from .perms import Perm, length, reduced_word, transposition
+from .perms import Perm, length, lower_interval, reduced_word, transposition
 
 #: One suite's outcome: its name, whether it passed, and what it checked.
 Suite = tuple[str, bool, str]
-
-
-def all_perms(n: int) -> Iterator[Perm]:
-    """All of S_n in lexicographic one-line order."""
-    return itertools.permutations(range(1, n + 1))
 
 
 def run_suites(ctx: Context) -> tuple[list[Suite], list[OrbitLabel]]:
@@ -35,7 +29,7 @@ def run_suites(ctx: Context) -> tuple[list[Suite], list[OrbitLabel]]:
     # one sweep of S_n: ``owner`` maps each permutation, swept ``p`` too, to its coset
     cosets: list[OrbitCoset] = []
     owner: dict[Perm, int] = {}
-    for p in all_perms(ctx.n):
+    for p in itertools.permutations(range(1, ctx.n + 1)):
         if p not in owner:
             cosets.append(atlas.coset_of(ctx, p))
             owner.update(dict.fromkeys((p, *cosets[-1].members), len(cosets) - 1))
@@ -105,7 +99,7 @@ def run_suites(ctx: Context) -> tuple[list[Suite], list[OrbitLabel]]:
         # ``met``: the cosets meeting target ``j``'s subword interval (at most
         # n(n-1)/2 letters), ``poset.leq_oracle`` for every source at once;
         # ``below``: the roots whose reflection coset descends to ``j``
-        interval = poset.lower_interval(w, ctx.n * (ctx.n - 1) // 2)
+        interval = lower_interval(w, ctx.n * (ctx.n - 1) // 2)
         met = {owner[m] for m in interval}
         word = reduced_word(w)
         below = 0

@@ -19,6 +19,9 @@ from typing import Sequence
 Perm = tuple[int, ...]
 Word = tuple[int, ...]
 
+#: Longest reduced word accepted by the subword-enumeration routines.
+WORD_LENGTH_CAP = 20
+
 
 class CapExceeded(Exception):
     """An enumeration would exceed its configured size cap."""
@@ -162,6 +165,26 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
                     return False
                 diff[j] -= 1
     return True
+
+
+def lower_interval(w: Perm, word_cap: int = WORD_LENGTH_CAP) -> frozenset[Perm]:
+    """All permutations below ``w``, by enumerating subwords of one reduced word.
+
+    The set of subword evaluations of any reduced word for ``w`` is exactly
+    the lower Bruhat interval of ``w``.  The running set of partial products
+    is extended one letter at a time, which keeps the enumeration polynomial
+    in the interval size instead of ``2**length``.  Nothing is cached: a
+    caller that asks about one target repeatedly keeps its interval.
+    """
+    word = reduced_word(w)
+    if len(word) > word_cap:
+        raise CapExceeded(
+            f"reduced word of length {len(word)} exceeds cap {word_cap}"
+        )
+    reach: set[Perm] = {identity(len(w))}
+    for i in word:  # right multiplication by s_i swaps positions i and i+1
+        reach |= {p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :] for p in reach}
+    return frozenset(reach)
 
 
 def pattern_positions(w: Perm, pattern: Perm) -> tuple[int, ...] | None:

@@ -4,7 +4,7 @@ and subword oracle.
 ``atlas.leq`` follows for one pair the left-descent recursion that
 ``hasse`` runs for all, with a witness from its chain; ``leq_oracle``
 recomputes the order independently from the subword enumeration
-``lower_interval``.
+``perms.lower_interval``.
 
 The Hasse graph takes all of its edges from the left action of the simple
 transpositions on cosets, held once per context by ``cover_table``: the
@@ -22,31 +22,8 @@ from .atlas import (
     Context, OrbitLabel, coset_of, dim_y0, enumerate_labels, label_perm,
 )
 from .perms import (
-    CapExceeded, Perm, bruhat_leq, compose, identity, left_descents, length, reduced_word, simple,
+    WORD_LENGTH_CAP, bruhat_leq, compose, left_descents, length, lower_interval, simple,
 )
-
-#: Longest reduced word accepted by the subword enumeration.
-WORD_LENGTH_CAP = 20
-
-
-def lower_interval(w: Perm, word_cap: int = WORD_LENGTH_CAP) -> frozenset[Perm]:
-    """All permutations below ``w``, by enumerating subwords of one reduced word.
-
-    The set of subword evaluations of any reduced word for ``w`` is exactly
-    the lower Bruhat interval of ``w``.  The running set of partial products
-    is extended one letter at a time, which keeps the enumeration polynomial
-    in the interval size instead of ``2**length``.  Nothing is cached: a
-    caller that asks about one target repeatedly keeps its interval.
-    """
-    word = reduced_word(w)
-    if len(word) > word_cap:
-        raise CapExceeded(
-            f"reduced word of length {len(word)} exceeds cap {word_cap}"
-        )
-    reach: set[Perm] = {identity(len(w))}
-    for i in word:  # right multiplication by s_i swaps positions i and i+1
-        reach |= {p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :] for p in reach}
-    return frozenset(reach)
 
 
 def leq_oracle(

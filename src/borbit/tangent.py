@@ -34,8 +34,8 @@ from math import factorial, gcd
 from typing import TYPE_CHECKING, Literal, NamedTuple, TypeVar
 
 from .atlas import (
-    Context, OrbitLabel, descend, dim_y0, dimension, format_label, is_upper_label, label_fields,
-    label_of, label_perm,
+    Context, OrbitLabel, descend, dim_y0, dimension, format_label, is_upper_label, join_fields,
+    label_fields, label_of, label_perm,
 )
 from .perms import (
     Perm, compose, format_perm, identity, pattern_positions, reduced_word, transposition,
@@ -433,12 +433,12 @@ def smooth_table(ctx: Context, table: CoverTable) -> Iterator[str]:
     yield f"# verdicts for n={ctx.n} k={ctx.k}\n"
     counts = dict.fromkeys(("smooth", "singular", "unknown"), 0)
     size = factorial(ctx.k)
-    alphas = [format_perm(lbl.alpha) for lbl in table.labels[:size]]
+    alphas = [label_fields(lbl)["alpha"] for lbl in table.labels[:size]]
     for b, (dim, v) in enumerate(zip(table.dims, verdicts(ctx, table))):
         if b % size == 0:
-            sigma = format_perm(table.labels[b].sigma)
+            sigma = label_fields(table.labels[b])["sigma"]
         yield (
-            f"  sigma={sigma} alpha={alphas[b % size]}  dim={dim}  "
+            f"  {join_fields(sigma, alphas[b % size])}  dim={dim}  "
             f"verdict={v.status:<8} rule={v.rule or '-':<2} witness={v.witness}\n"
         )
         counts[v.status] += 1

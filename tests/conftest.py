@@ -4,7 +4,7 @@ import functools
 
 import pytest
 
-from borbit import poset
+from borbit import perms, poset
 
 
 @pytest.fixture
@@ -12,4 +12,6 @@ def cached_intervals(monkeypatch):
     """Keep each subword interval for the test that asks for it: the library
     enumerates one per call, and an oracle test asks about one target
     thousands of times."""
-    monkeypatch.setattr(poset, "lower_interval", functools.cache(poset.lower_interval))
+    cached = functools.cache(perms.lower_interval)
+    monkeypatch.setattr(perms, "lower_interval", cached)
+    monkeypatch.setattr(poset, "lower_interval", cached)

@@ -1,10 +1,16 @@
-"""Dense reference matrices for the tests: lists of rows of ``int`` or
-``Fraction`` entries, built from sparse dicts keyed by 1-indexed ``(row,
-column)``, with a product, a sum and a rank by plain Fraction Gaussian
-elimination.  The rank shares no code with ``tangent._insert``, so the
+"""The permutations of S_n, and dense reference matrices for the tests:
+lists of rows of ``int`` or ``Fraction`` entries, built from sparse dicts
+keyed by 1-indexed ``(row, column)``, with a product, a sum and a rank by
+plain Fraction Gaussian elimination.  The rank shares no code with ``tangent._insert``, so the
 references it ranks are independent of the integer echelon they check."""
 
+import itertools
 from fractions import Fraction
+
+
+def all_perms(n):
+    """All of S_n in lexicographic one-line order."""
+    return itertools.permutations(range(1, n + 1))
 
 
 def dense(m, n):

@@ -20,15 +20,15 @@ from borbit.atlas import (
     label,
     leq,
 )
-from borbit.checks import all_perms
 from borbit.geometry import tangent_stack_rank, verify_curve
 from borbit.perms import (
     bruhat_leq,
     evaluate_word,
     identity,
     length,
+    lower_interval,
 )
-from borbit.poset import hasse, leq_oracle, lower_interval, maximum, minimum
+from borbit.poset import hasse, leq_oracle, maximum, minimum
 from borbit.springer import (
     count_involutions,
     count_standard_tableaux,
@@ -46,7 +46,7 @@ from borbit.tangent import (
     tangent_lower_bound,
     verdict,
 )
-from dense import columns, mul, permutation, span_rank
+from dense import all_perms, columns, mul, permutation, span_rank
 
 ID4 = identity(4)
 ID6 = identity(6)

@@ -21,7 +21,6 @@ from borbit.atlas import (
     paired_subgroup,
     rep_matrix,
 )
-from borbit.checks import all_perms
 from borbit.perms import compose, identity, length
 from borbit.springer import (
     TwoColumnTableau,
@@ -34,7 +33,7 @@ from borbit.springer import (
     springer_component_dim,
     tableau,
 )
-from dense import dense, flat, gauss_rank, mul
+from dense import all_perms, dense, flat, gauss_rank, mul
 
 
 def is_row_standard(t: TwoColumnTableau) -> bool:

@@ -2,7 +2,6 @@
 
 import io
 import json
-import math
 import os
 import resource
 import subprocess
@@ -22,7 +21,7 @@ from borbit.cli import (
     main,
     parse_label_arg,
 )
-from borbit import atlas, checks, cli, poset, springer, tangent
+from borbit import atlas, checks, poset, springer, tangent
 from borbit.atlas import Context, OrbitLabel, enumerate_labels, format_label, label
 from borbit.perms import identity, parse_perm
 
@@ -411,15 +410,14 @@ def test_a_sweep_over_the_budget_exits_at_once(command, n, k, labels):
 @pytest.mark.parametrize("n, k", [(12, 5), (16, 3), (32, 2)])
 def test_the_measured_sweeps_pass_the_budget(capsys, monkeypatch, n, k):
     """(12,5) is the budget's edge; (16,3) and (32,2) sit below it.  Each
-    sweeps more than 9! permutations, so ``verify`` is refused by its own
-    budget."""
+    has n > 9, so ``verify`` is refused by its own budget."""
     no_sweep(monkeypatch)
     for command in SWEEPS:
         argv = ["--cap", str(n), "--n", str(n), "--k", str(k), command]
         if command == "verify":
             code, out, err = run(capsys, *argv)
             assert (code, out) == (EXIT_CAP, "")
-            assert err.endswith(" permutations for verify exceed the budget 362880\n"), err
+            assert err == f"error: verify needs n <= 9, got n={n}\n", err
             continue
         with pytest.raises(AssertionError, match="the sweep ran"):
             main(argv)
@@ -428,7 +426,7 @@ def test_the_measured_sweeps_pass_the_budget(capsys, monkeypatch, n, k):
 def test_verify_over_its_budget_exits_at_once():
     """``verify`` sweeps S_n and tests every ordered pair of labels, so
     (10,1), 90 labels and far inside the sweep budget, is refused before
-    anything runs."""
+    anything runs (before the budget, it took 34 s and 665 MB)."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "borbit.cli", "--cap", "10", "--n", "10", "--k", "1", "verify"],
@@ -438,28 +436,17 @@ def test_verify_over_its_budget_exits_at_once():
         timeout=30,
     )
     elapsed = time.perf_counter() - start
-    line = "error: 3628800 permutations for verify exceed the budget 362880\n"
+    line = "error: verify needs n <= 9, got n=10\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_CAP, "", line)
     assert elapsed < 1.0, elapsed
 
 
 def test_verify_at_the_edge_of_its_budget_runs(capsys, monkeypatch):
-    """(9,4) has the most label pairs at n = 9; ``checks.report`` is
-    replaced, so nothing runs."""
+    """(9,4) has the most label pairs at n = 9 (run, it took 30 minutes and
+    204 MB); ``checks.report`` is replaced, so nothing runs."""
     monkeypatch.setattr(checks, "report", lambda ctx: (True, f"checked {ctx}\n"))
     code, out, err = run(capsys, "--cap", "9", "--n", "9", "--k", "4", "verify")
     assert (code, out, err) == (EXIT_OK, "checked Context(n=9, k=4)\n", "")
-
-
-def test_verify_refuses_more_label_pairs_than_at_9_4(capsys, monkeypatch):
-    """Under a larger permutation budget the pair budget still binds: (10,4)
-    has 75,600 labels."""
-    monkeypatch.setattr(cli, "VERIFY_PERMS", math.factorial(10))
-    monkeypatch.setattr(checks, "report", lambda ctx: (True, "ran\n"))
-    code, out, err = run(capsys, "--cap", "10", "--n", "10", "--k", "4", "verify")
-    assert (code, out) == (EXIT_CAP, "")
-    assert err == "error: 5715360000 label pairs for verify exceed the budget 228614400\n"
-    assert run(capsys, "--cap", "10", "--n", "10", "--k", "1", "verify") == (EXIT_OK, "ran\n", "")
 
 
 def test_exit_code_bad_input(capsys):

@@ -6,11 +6,10 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from borbit.checks import all_perms
 from borbit.geometry import _add, _at, _mul
 from borbit.perms import compose
 from borbit.tangent import _insert, bracket
-from dense import add, dense, gauss_rank, mul, permutation
+from dense import add, all_perms, dense, gauss_rank, mul, permutation
 
 
 def insert_rank(rows):

@@ -3,7 +3,6 @@
 import pytest
 
 from borbit.atlas import Context, dim_orbit, enumerate_labels, label, label_perm, rep_matrix
-from borbit.checks import all_perms
 from borbit.geometry import (
     blueprint_json,
     resolution_blueprint,
@@ -12,7 +11,7 @@ from borbit.geometry import (
 )
 from borbit.perms import bruhat_leq, identity, reduced_word
 from borbit.tangent import Root, phi_plus
-from dense import dense, flat, gauss_rank, mul, permutation
+from dense import all_perms, dense, flat, gauss_rank, mul, permutation
 
 CTX42 = Context(4, 2)
 ID4 = identity(4)

@@ -94,10 +94,10 @@ def compiled_lines(mods: set[str]) -> int:
     return sum(len(path.read_text(encoding="utf-8").splitlines()) for path in files)
 
 
-#: ``borbit`` source lines that ``order`` compiles: 875 since the one-pair
+#: ``borbit`` source lines that ``order`` compiles: 897 since the one-pair
 #: closure order moved from ``poset`` to ``atlas``, so that ``order`` loads no
-#: ``poset``, ``lower_interval`` from ``perms`` to ``poset`` and ``all_perms``
-#: to ``checks``, and ``cli`` took on ``verify``'s budget, 1070 since
+#: ``poset``, ``perms`` lost ``all_perms`` and ``cli`` took on ``verify``'s
+#: budget, 1070 since
 #: ``cli`` holds the sweep limits, ``--cap`` and the closed-form label
 #: budget, and the library lost its ``cap`` parameters, 1064 since ``perms``
 #: lost ``bruhat_leq_oracle`` and ``borbit`` its exports of it and of
@@ -109,11 +109,11 @@ def compiled_lines(mods: set[str]) -> int:
 #: ``--samples`` option, 1089 after ``cli`` took over argv parsing from
 #: ``argparse`` (1035 before), and 1296 while ``atlas`` held the Springer
 #: combinatorics and ``cli`` every command's text.
-ORDER_LINE_BUDGET = 875
+ORDER_LINE_BUDGET = 897
 
-#: ``borbit`` source lines that ``tangent`` compiles: 1320 since it walks
+#: ``borbit`` source lines that ``tangent`` compiles: 1342 since it walks
 #: ``atlas.descend`` and loads no ``poset`` (1507 before).
-TANGENT_LINE_BUDGET = 1320
+TANGENT_LINE_BUDGET = 1342
 
 
 def test_order_compiles_within_its_line_budget(loaded):

@@ -8,8 +8,6 @@ from bisect import insort
 import pytest
 
 from borbit import perms
-from borbit.checks import all_perms
-from borbit.poset import lower_interval
 from borbit.perms import (
     CapExceeded,
     bruhat_leq,
@@ -22,12 +20,14 @@ from borbit.perms import (
     inverse,
     left_descents,
     length,
+    lower_interval,
     parse_perm,
     parse_word,
     pattern_positions,
     reduced_word,
     simple,
 )
+from dense import all_perms
 
 
 def longest_element(n: int) -> tuple[int, ...]:
