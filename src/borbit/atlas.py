@@ -179,8 +179,8 @@ def leq_witness(ctx: Context, a: OrbitLabel, b: OrbitLabel) -> Perm | None:
     """A member of ``a``'s coset below ``w_b = label_perm(b)``, or None: the
     descent recursion of ``poset.hasse``, followed for one pair by ``descend``.
 
-    With ``s = s_i`` the first letter of a reduced word of ``w_b``,
-    ``poset.hasse`` proves ``a <= b`` iff ``a <= b'`` or ``s·a <= b'``, where
+    With ``s = s_i`` a left descent of ``w_b``, the first letter of a
+    reduced word of it, ``poset.hasse`` proves ``a <= b`` iff ``a <= b'`` or ``s·a <= b'``, where
     ``s w_b`` is the label product of ``b'``.  The label product ``u`` of
     ``a`` is of minimal length in its coset, and ``s`` changes only the
     comparison of the values ``i`` and ``i+1``, so ``s·a = a`` if both lie

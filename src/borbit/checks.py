@@ -88,7 +88,6 @@ def run_suites(ctx: Context) -> tuple[list[Suite], list[OrbitLabel]]:
     generated = [1 << j for j in range(len(labels))]  # bit i of j: i <= j, as the covers generate
     for i, j in sorted(g.covers, key=lambda cover: g.dims[cover[1]]):
         generated[j] |= generated[i]
-    masks = tangent.t_k_masks(ctx, table)
     roots = tangent.phi_plus(ctx)
     root_bits: dict[int, int] = {}  # a reflection's coset in ``cosets`` -> the bits of its roots
     for bit, rt in enumerate(roots):
@@ -110,7 +109,7 @@ def run_suites(ctx: Context) -> tuple[list[Suite], list[OrbitLabel]]:
             else:
                 ok = ok and witness in interval and owner[witness] == owner[u] and inside == 1
                 below |= root_bits.get(owner[u], 0)
-        ok = ok and masks[j] == below
+        ok = ok and table.masks[j] == below
     suites.append(("closure-order-oracle", ok, f"{len(labels)}^2 ordered pairs"))
 
     suites.append((
@@ -139,7 +138,7 @@ def run_suites(ctx: Context) -> tuple[list[Suite], list[OrbitLabel]]:
     # label R4 makes |t_k| exact, so the bracket span, a lower bound that
     # contains the counted tangents, must equal the count
     statuses, ok = {}, True
-    for lbl, v in zip(labels, tangent.verdicts(ctx, table)):
+    for lbl, v in zip(labels, poset.verdicts(ctx, table)):
         statuses[lbl] = v.status
         ok = ok and v == tangent.verdict(ctx, lbl)
         if atlas.is_upper_label(ctx, lbl):

@@ -34,9 +34,9 @@ from math import factorial
 from types import SimpleNamespace
 
 # Every command but ``order`` renders its text in the layer it runs
-# (``springer``, ``tangent``, ``diagram``, ``geometry``, ``checks``), imported
-# inside the command, as is ``poset`` by the two sweeps that read its table,
-# so that a command starts without the layers it never uses.
+# (``springer``, ``tangent``, ``poset``, ``diagram``, ``geometry``, ``checks``),
+# imported inside the command, so that a command starts without the layers it
+# never uses.
 from . import atlas
 from .atlas import Context, OrbitLabel
 from .perms import CapExceeded, evaluate_word, format_perm, parse_perm, parse_word
@@ -105,9 +105,9 @@ def cmd_order(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
 
 
 def cmd_hasse(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    from . import diagram, poset, tangent
+    from . import diagram, poset
 
-    sweep = enumerate(tangent.verdicts(ctx, poset.cover_table(ctx)))
+    sweep = enumerate(poset.verdicts(ctx, poset.cover_table(ctx)))
     singular = frozenset(b for b, v in sweep if v.status == "singular")
     export = diagram.export_json if args.fmt == "json" else diagram.export_dot
     return EXIT_OK, export(poset.hasse(ctx), singular)
@@ -124,9 +124,9 @@ def cmd_smooth(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]
 
     table = poset.cover_table(ctx)
     if args.fmt == "json":
-        sweep = zip(table.labels, tangent.verdicts(ctx, table))
+        sweep = zip(table.labels, poset.verdicts(ctx, table))
         return EXIT_OK, [_json([tangent.verdict_json(ctx, lbl, v) for lbl, v in sweep])]
-    return EXIT_OK, tangent.smooth_table(ctx, table)
+    return EXIT_OK, poset.smooth_table(ctx, table)
 
 
 def cmd_springer(ctx: Context, args: SimpleNamespace) -> tuple[int, Iterable[str]]:

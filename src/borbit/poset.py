@@ -1,29 +1,33 @@
-"""The closure order of a whole context: its cover table, Hasse diagram
-and subword oracle.
+"""The closure order of a whole context: its cover table, Hasse diagram,
+verdict sweep and subword oracle.
 
 ``atlas.leq`` follows for one pair the left-descent recursion that
 ``hasse`` runs for all, with a witness from its chain; ``leq_oracle``
 recomputes the order independently from the subword enumeration
 ``perms.lower_interval``.
 
-The Hasse graph takes all of its edges from the left action of the simple
-transpositions on cosets, held once per context by ``cover_table``: the
-covers of the closure order, each flagged if the ``alpha`` part fails to be
-Bruhat-monotone along it, and the weak edges.  ``diagram`` writes it out.
+``cover_table`` holds once per context what every sweep reads: the left
+action of the simple transpositions on cosets, the covers of the closure
+order and each label's ``t_k``.  ``hasse`` takes all of its edges from it,
+and ``diagram`` writes them out; ``verdicts`` decides every label from it,
+and ``smooth_table`` writes the verdicts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterator
 from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
 from .atlas import (
-    Context, OrbitLabel, coset_of, dim_y0, enumerate_labels, label_perm,
+    Context, OrbitLabel, coset_of, dim_y0, enumerate_labels, join_fields, label_fields, label_perm,
 )
 from .perms import (
     WORD_LENGTH_CAP, bruhat_leq, compose, left_descents, length, lower_interval, simple,
 )
+from .tangent import Root, Verdict, phi_plus, root_coset_label, verdict
 
 
 def leq_oracle(
@@ -50,12 +54,14 @@ class BruhatGraph(NamedTuple):
 class CoverTable(NamedTuple):
     """What every sweep of one context reads, by index into ``labels``
     (``enumerate_labels``): the dimensions, ``act[i][a]``, the label of
-    ``s_i w_a``, and ``covers[b]``, the labels that ``b`` covers."""
+    ``s_i w_a``, ``covers[b]``, the labels that ``b`` covers, and
+    ``masks[b]``, bit ``r`` set iff root ``r`` of ``phi_plus`` is in ``t_k(b)``."""
 
     labels: tuple[OrbitLabel, ...]
     dims: tuple[int, ...]
     act: dict[int, tuple[int, ...]]
     covers: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -64,7 +70,16 @@ def cover_table(ctx: Context) -> CoverTable:
     the level step, both proved in ``hasse``.  The labels list every
     alpha, in one order, for each sigma in turn, so the swap runs once per
     sigma and letter on a block of ``k!`` indices, each index one shared
-    int object."""
+    int object.  The level step lowers ``w_b = sigma alpha`` by a left
+    descent of ``sigma``, else of ``alpha`` (``w_b = alpha`` if ``sigma =
+    e``): one of ``sigma`` puts ``i+1`` before ``i`` in two blocks, as each
+    block of ``sigma`` increases, and ``alpha`` keeps the blocks in order.
+
+    Bit ``r`` of the masks starts on the label ``c`` of root ``r``'s
+    reflection coset; by increasing dimension each label ORs in its
+    covers' masks.  The covers generate the order, so ``masks[b]`` holds
+    the bits of exactly the ``c <= b``: root ``r`` is in ``t_k(b)`` iff
+    ``c <= b``."""
     labels = enumerate_labels(ctx)
     n, k, last = ctx.n, ctx.k, ctx.n - ctx.k
     size = factorial(k)
@@ -94,12 +109,51 @@ def cover_table(ctx: Context) -> CoverTable:
     lengths = [length(alpha) for alpha in alphas]
     dims = tuple(d + e for d in [dim_y0(ctx) + length(sigma) for sigma in sigmas] for e in lengths)
 
+    sigma_descents = [left_descents(sigma) for sigma in sigmas]
+    alpha_descents = [left_descents(alpha) for alpha in alphas]
+    masks = [0] * len(labels)
+    for bit, rt in enumerate(phi_plus(ctx)):  # ``labels`` is sorted: ``enumerate_labels``
+        masks[bisect_left(labels, root_coset_label(ctx, rt))] |= 1 << bit
     covers: list[tuple[int, ...]] = [()] * len(labels)
     for b in sorted(range(len(labels)), key=dims.__getitem__)[1:]:  # all but the base
-        step = act[left_descents(label_perm(labels[b]))[0]]
+        step = act[(sigma_descents[b // size] or alpha_descents[b % size])[0]]
         low = step[b]
         covers[b] = (low, *(step[c] for c in covers[low] if dims[step[c]] == dims[c] + 1))
-    return CoverTable(labels, dims, act, tuple(covers))
+        for a in covers[b]:
+            masks[b] |= masks[a]
+    return CoverTable(labels, dims, act, tuple(covers), tuple(masks))
+
+
+def verdicts(ctx: Context, table: CoverTable) -> Iterator[Verdict]:
+    """Each label's ``tangent.verdict``, in ``table.labels`` order, off the
+    table's dims and masks; labels with one mask share one tuple of roots."""
+    phi = phi_plus(ctx)
+    seen: dict[int, tuple[Root, ...]] = {}
+    for lbl, dim, mask in zip(table.labels, table.dims, table.masks):
+        roots = seen.get(mask)
+        if roots is None:
+            roots = seen[mask] = tuple(rt for bit, rt in enumerate(phi) if mask >> bit & 1)
+        yield verdict(ctx, lbl, roots, dim)
+
+
+def smooth_table(ctx: Context, table: CoverTable) -> Iterator[str]:
+    """The ``smooth`` table, a line at a time: one verdict line per label,
+    then the totals.  The labels run through every alpha, in one order, for
+    each sigma in turn (``enumerate_labels``), so each sigma is written once
+    per block of ``k!`` labels and each alpha once."""
+    yield f"# verdicts for n={ctx.n} k={ctx.k}\n"
+    counts = dict.fromkeys(("smooth", "singular", "unknown"), 0)
+    size = factorial(ctx.k)
+    alphas = [label_fields(lbl)["alpha"] for lbl in table.labels[:size]]
+    for b, (dim, v) in enumerate(zip(table.dims, verdicts(ctx, table))):
+        if b % size == 0:
+            sigma = label_fields(table.labels[b])["sigma"]
+        yield (
+            f"  {join_fields(sigma, alphas[b % size])}  dim={dim}  "
+            f"verdict={v.status:<8} rule={v.rule or '-':<2} witness={v.witness}\n"
+        )
+        counts[v.status] += 1
+    yield "# totals: " + " ".join(f"{status}={count}" for status, count in counts.items()) + "\n"
 
 
 def hasse(ctx: Context) -> BruhatGraph:
@@ -121,7 +175,7 @@ def hasse(ctx: Context) -> BruhatGraph:
     same ``alpha``.
 
     Closure: ``a <= b`` iff the coset of ``a`` meets ``[e, w_b]``; only the
-    base has ``w_b = e``.  Else let ``s = s_i`` be the first left descent of
+    base has ``w_b = e``.  Else let ``s = s_i`` be a left descent of
     ``w = w_b``, ``b' = act[s][b]``: the down-sets obey ``D_b = D_b' u s·D_b'``.
     For the subword property on a reduced word starting with ``s`` gives
     ``[e, w] = [e, sw] u s[e, sw]``, the coset of ``a`` meets ``s[e, sw]``

@@ -8,8 +8,8 @@ inside a given labelled closure is controlled by the closure order on the
 reflections' cosets; counting them gives exact tangent dimensions for
 upper labels and lower bounds in general.  One label walks that order down
 once per root (``t_k_table``); a sweep reads every label's roots off the
-covers of ``poset.cover_table`` (``t_k_masks``).  A Lie-bracket closure
-under the base-point Borel stabiliser sharpens the lower bound.
+masks of its context's cover table.  A Lie-bracket closure under the
+base-point Borel stabiliser sharpens the lower bound.
 
 All of this is integer data: roots, the pairs ``(i, j)``; ``t_k``
 counts; and sparse integer matrices with entries 0 and +-1 for the curve
@@ -20,29 +20,24 @@ their tangents, live in ``geometry``.
 The verdict engine applies six rules in order: a pattern criterion for
 rank one, fibration criteria when ``alpha`` is longest or ``sigma`` is
 trivial, the exact tangent count for upper labels, and the two
-tangent-versus-dimension bounds.  ``verdict`` decides one label;
-``verdicts`` sweeps a cover table, reading each label's dimension and
-``t_k`` off it.  The ``tangent`` report and the ``smooth`` table are
-rendered here.
+tangent-versus-dimension bounds.  ``verdict`` decides one label, given
+its dimension and ``t_k`` by a sweep or computing them itself.  The
+``tangent`` report is rendered here.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Iterator, Mapping
-from math import factorial, gcd
-from typing import TYPE_CHECKING, Literal, NamedTuple, TypeVar
+from collections.abc import Mapping
+from math import gcd
+from typing import Literal, NamedTuple, TypeVar
 
 from .atlas import (
-    Context, OrbitLabel, descend, dim_y0, dimension, format_label, is_upper_label, join_fields,
-    label_fields, label_of, label_perm,
+    Context, OrbitLabel, descend, dim_y0, dimension, format_label, is_upper_label, label_fields,
+    label_of, label_perm,
 )
 from .perms import (
     Perm, compose, format_perm, identity, pattern_positions, reduced_word, transposition,
 )
-
-if TYPE_CHECKING:  # an annotation only: the one-label commands load no ``poset``
-    from .poset import CoverTable
 
 INSIDE_GLK = "INSIDE_GLK"
 DELTA = "DELTA"
@@ -152,27 +147,6 @@ def t_k_table(ctx: Context, lbl: OrbitLabel) -> tuple[tuple[Root, Perm | None], 
 def t_k_set(ctx: Context, lbl: OrbitLabel) -> tuple[Root, ...]:
     """Roots whose reflection coset lies below the label in closure order."""
     return tuple(rt for rt, witness in t_k_table(ctx, lbl) if witness is not None)
-
-
-def t_k_masks(ctx: Context, table: CoverTable) -> list[int]:
-    """Every label's ``t_k`` at once: bit ``r`` of ``masks[b]`` is set iff
-    root ``r`` of ``phi_plus`` lies in ``t_k_set`` of label ``b``.
-
-    Each root's bit starts on the label ``c`` of its reflection coset;
-    then, by increasing dimension, each label ORs in the masks of its
-    covers.  The root is in ``t_k(b)`` iff ``c <= b``, and the covers
-    generate the closure order, as in any finite poset: ``c < b`` iff
-    ``c <= a`` for some cover ``a`` of ``b``.  So ``masks[b]`` collects the
-    bits of exactly the labels ``c <= b``.
-    """
-    labels, covers = table.labels, table.covers
-    masks = [0] * len(labels)
-    for bit, rt in enumerate(phi_plus(ctx)):  # ``labels`` is sorted: ``enumerate_labels``
-        masks[bisect_left(labels, root_coset_label(ctx, rt))] |= 1 << bit
-    for b in sorted(range(len(labels)), key=table.dims.__getitem__):
-        for a in covers[b]:
-            masks[b] |= masks[a]
-    return masks
 
 
 def tangent_lower_bound(
@@ -342,8 +316,8 @@ def verdict(
     ctx: Context, lbl: OrbitLabel, roots: tuple[Root, ...] | None = None, dim: int | None = None
 ) -> Verdict:
     """First matching rule decides; falls through to ``unknown``.  A sweep
-    (``verdicts``) passes the label's ``t_k_set`` as ``roots`` and its
-    ``dimension`` as ``dim``; without them R4-R6 compute them.
+    passes the label's ``t_k_set`` as ``roots`` and its ``dimension`` as
+    ``dim``; without them R4-R6 compute them.
 
     R1: rank one - singular exactly on one pattern in sigma.
     R2: alpha longest - smoothness of a Grassmannian Schubert variety.
@@ -380,19 +354,6 @@ def verdict(
     return Verdict("unknown", None, {"tangent_lower_bound": bound, "bk_span": span, "dimension": dim})
 
 
-def verdicts(ctx: Context, table: CoverTable) -> Iterator[Verdict]:
-    """Each label's ``verdict``, in ``table.labels`` order: the dimension
-    comes from ``table.dims`` and ``t_k`` from ``t_k_masks``, and labels
-    with one mask share one tuple of roots."""
-    phi = phi_plus(ctx)
-    seen: dict[int, tuple[Root, ...]] = {}
-    for lbl, dim, mask in zip(table.labels, table.dims, t_k_masks(ctx, table)):
-        roots = seen.get(mask)
-        if roots is None:
-            roots = seen[mask] = tuple(rt for bit, rt in enumerate(phi) if mask >> bit & 1)
-        yield verdict(ctx, lbl, roots, dim)
-
-
 def verdict_json(ctx: Context, lbl: OrbitLabel, v: Verdict) -> dict:
     """The JSON record of label ``lbl`` with its verdict ``v``."""
     return {
@@ -423,23 +384,3 @@ def report(ctx: Context, lbl: OrbitLabel) -> str:
         lines.append(f"  tangent dimension (upper label) = {bound}")
     lines.append(f"  bracket-closure span = {bracket_span(ctx, roots)}")
     return "\n".join(lines) + "\n"
-
-
-def smooth_table(ctx: Context, table: CoverTable) -> Iterator[str]:
-    """The ``smooth`` table, a line at a time: one verdict line per label,
-    then the totals.  The labels run through every alpha, in one order, for
-    each sigma in turn (``enumerate_labels``), so each sigma is written once
-    per block of ``k!`` labels and each alpha once."""
-    yield f"# verdicts for n={ctx.n} k={ctx.k}\n"
-    counts = dict.fromkeys(("smooth", "singular", "unknown"), 0)
-    size = factorial(ctx.k)
-    alphas = [label_fields(lbl)["alpha"] for lbl in table.labels[:size]]
-    for b, (dim, v) in enumerate(zip(table.dims, verdicts(ctx, table))):
-        if b % size == 0:
-            sigma = label_fields(table.labels[b])["sigma"]
-        yield (
-            f"  {join_fields(sigma, alphas[b % size])}  dim={dim}  "
-            f"verdict={v.status:<8} rule={v.rule or '-':<2} witness={v.witness}\n"
-        )
-        counts[v.status] += 1
-    yield "# totals: " + " ".join(f"{status}={count}" for status, count in counts.items()) + "\n"

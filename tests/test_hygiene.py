@@ -125,6 +125,22 @@ def test_the_scan_sees_every_ratmat_import(tmp_path):
     assert "borbit.ratmat" not in imported_names(source)
 
 
+def test_tangent_imports_nothing_from_poset():
+    # ``poset`` reads ``tangent`` for its sweeps, so the one-label layer
+    # never reads the sweep layer back, not even for an annotation
+    assert "borbit.poset" not in imported_names(ROOT / "src" / "borbit" / "tangent.py")
+
+
+def test_the_scan_sees_an_import_for_annotations_only(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    from .poset import CoverTable\n",
+        encoding="utf-8",
+    )
+    assert "borbit.poset" in imported_names(source)
+
+
 CACHES = {"cache", "lru_cache"}
 
 

@@ -275,6 +275,23 @@ def test_the_value_swap_is_left_multiplication(n):
             assert [table.labels[c] for c in row] == expected, (ctx, i)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_descent_of_sigma_or_else_of_alpha_lowers_the_label_product(n):
+    """``cover_table`` steps each label down by the first left descent of
+    its ``sigma``, else of its ``alpha``: that letter lowers the length of
+    the label product, and the label it reaches is the first cover."""
+    for k in range(n // 2 + 1):
+        ctx = Context(n, k)
+        table = cover_table(ctx)
+        for b, lbl in enumerate(table.labels):
+            w = label_perm(lbl)
+            if w == identity(n):
+                continue
+            i = (left_descents(lbl.sigma) or left_descents(lbl.alpha))[0]
+            assert length(compose(simple(n, i), w)) == length(w) - 1, (ctx, lbl)
+            assert table.covers[b][0] == table.act[i][b], (ctx, lbl)
+
+
 def test_hasse_at_9_4_peaks_under_100_mb():
     """15,120 labels, 9!/(4!·1!): one tuple of covers per label, no
     down-sets, and writers that stream a line at a time keep a fresh

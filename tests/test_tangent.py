@@ -19,7 +19,7 @@ from borbit.atlas import (
     rep_matrix,
 )
 from borbit.perms import bruhat_leq, identity
-from borbit.poset import cover_table
+from borbit.poset import cover_table, verdicts
 from borbit.tangent import (
     CROSS_FAR,
     DELTA,
@@ -40,13 +40,11 @@ from borbit.tangent import (
     phi_plus_restricted,
     root_coset_label,
     root_tangent,
-    t_k_masks,
     t_k_set,
     t_k_table,
     tangent_lower_bound,
     verdict,
     verdict_json,
-    verdicts,
 )
 from dense import add, dense, flat, gauss_rank, mul, permutation
 
@@ -267,7 +265,7 @@ def test_the_cover_masks_give_t_k_set(n):
         phi = phi_plus(ctx)
         decoded = [
             tuple(rt for bit, rt in enumerate(phi) if mask >> bit & 1)
-            for mask in t_k_masks(ctx, table)
+            for mask in table.masks
         ]
         assert decoded == [t_k_set(ctx, lbl) for lbl in table.labels], ctx
         assert list(verdicts(ctx, table)) == [verdict(ctx, lbl) for lbl in table.labels], ctx
