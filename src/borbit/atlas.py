@@ -147,11 +147,11 @@ def label_of(ctx: Context, w: Perm) -> OrbitLabel:
     if len(w) != ctx.n:
         raise ValueError(f"size mismatch: got {len(w)}, context has n={ctx.n}")
     n, k = ctx.n, ctx.k
-    pairs = sorted(((w[j], w[n - k + j]) for j in range(k)), key=lambda pair: pair[1])
-    first = [a for a, _ in pairs]
-    low = sorted(first)
-    sigma = tuple(low) + tuple(sorted(w[k : n - k])) + tuple(b for _, b in pairs)
-    alpha = tuple(low.index(a) + 1 for a in first) + tuple(range(k + 1, n + 1))
+    pairs = sorted(zip(w[n - k :], w[:k]))  # (last-block value, its partner); no two tie
+    low = sorted(a for _, a in pairs)
+    rank = {a: r for r, a in enumerate(low, 1)}
+    sigma = tuple(low) + tuple(sorted(w[k : n - k])) + tuple([b for b, _ in pairs])
+    alpha = tuple([rank[a] for _, a in pairs]) + tuple(range(k + 1, n + 1))
     return OrbitLabel(sigma, alpha)
 
 

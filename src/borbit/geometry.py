@@ -13,9 +13,7 @@ from typing import NamedTuple
 
 from .atlas import Context, OrbitLabel, format_label, label_perm
 from .perms import evaluate_word, format_word, length, transposition
-from .tangent import (
-    DELTA, Root, SparseMatrix, _insert, classify_root, full_corner_positions, phi_plus, root_tangent,
-)
+from .tangent import DELTA, Root, SparseMatrix, _insert, classify_root, phi_plus, root_tangent
 
 #: A matrix over ``Z[t]``: 1-indexed ``(row, column, degree)`` to a nonzero
 #: integer coefficient.
@@ -88,6 +86,14 @@ def verify_curve(ctx: Context, rt: Root) -> tuple[str, ...]:
         "factorisation": _mul(_mul(borel, _at(refl, 0)), right) == _mul(_at(one, 2), g),
     }
     return tuple(name for name, holds in identities.items() if not holds)
+
+
+def full_corner_positions(ctx: Context) -> tuple[tuple[int, int], ...]:
+    """All k^2 positions of the corner block {1..k} x {n-k+1..n}."""
+    n, k = ctx.n, ctx.k
+    return tuple(
+        (r, s) for r in range(1, k + 1) for s in range(n - k + 1, n + 1)
+    )
 
 
 def tangent_stack_rank(ctx: Context) -> int:

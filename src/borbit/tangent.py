@@ -9,7 +9,8 @@ reflections' cosets; counting them gives exact tangent dimensions for
 upper labels and lower bounds in general.  One label walks that order down
 once per root (``t_k_table``); a sweep reads every label's roots off the
 masks of its context's cover table.  A Lie-bracket closure under the
-base-point Borel stabiliser sharpens the lower bound.
+base-point Borel stabiliser, run on its Lie generators, sharpens the
+lower bound.
 
 All of this is integer data: roots, the pairs ``(i, j)``; ``t_k``
 counts; and sparse integer matrices with entries 0 and +-1 for the curve
@@ -28,6 +29,7 @@ its dimension and ``t_k`` by a sweep or computing them itself.  The
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import lru_cache
 from math import gcd
 from typing import Literal, NamedTuple, TypeVar
 
@@ -53,7 +55,7 @@ RANK_ONE_PATTERN: Perm = (3, 1, 4, 2)
 
 #: A sparse exact integer n x n matrix: 1-indexed ``(row, column)`` to a
 #: nonzero entry.  The tangent algebra lives here: its generators (matrix
-#: units, curve tangents, the stabiliser basis) have entries 0 and +-1.
+#: units, curve tangents, the stabiliser's Lie generators) have entries 0 and +-1.
 SparseMatrix = dict[tuple[int, int], int]
 Key = TypeVar("Key")  # an ordered key of ``_insert``: a position, or a column of a matrix row
 
@@ -99,12 +101,8 @@ def phi_plus(ctx: Context) -> tuple[Root, ...]:
 def phi_plus_restricted(ctx: Context) -> tuple[Root, ...]:
     """Roots kept by the upper-label theory: drop pairings of the first block
     with the last block unless ``j > i + n - k``."""
-    n, k = ctx.n, ctx.k
-    return tuple(
-        r
-        for r in phi_plus(ctx)
-        if not (r.i <= k and r.j > n - k and r.i + n - k >= r.j)
-    )
+    m = ctx.n - ctx.k
+    return tuple(r for r in phi_plus(ctx) if not (r.i <= ctx.k and m < r.j <= r.i + m))
 
 
 def root_tangent(ctx: Context, rt: Root) -> SparseMatrix:
@@ -134,14 +132,18 @@ def root_coset_label(ctx: Context, rt: Root) -> OrbitLabel:
     return label_of(ctx, transposition(ctx.n, rt.i, rt.j))
 
 
+@lru_cache(maxsize=None)
+def root_cosets(ctx: Context) -> tuple[tuple[Root, Perm], ...]:
+    """Each root of ``phi_plus`` with the label product of its reflection
+    coset: context data, so every one-label query of a process reads it."""
+    return tuple((rt, label_perm(root_coset_label(ctx, rt))) for rt in phi_plus(ctx))
+
+
 def t_k_table(ctx: Context, lbl: OrbitLabel) -> tuple[tuple[Root, Perm | None], ...]:
-    """Each root with a member of its reflection coset below the label
-    product, or None: one reduced word of the product, walked down from
-    every root's coset (``atlas.leq_witness``)."""
+    """Each root with a member of its reflection coset below the label product, or None: one
+    reduced word of the product, walked down from every root's coset (``atlas.leq_witness``)."""
     word = reduced_word(label_perm(lbl))
-    return tuple(
-        (rt, descend(ctx, label_perm(root_coset_label(ctx, rt)), word)) for rt in phi_plus(ctx)
-    )
+    return tuple((rt, descend(ctx, product, word)) for rt, product in root_cosets(ctx))
 
 
 def t_k_set(ctx: Context, lbl: OrbitLabel) -> tuple[Root, ...]:
@@ -162,37 +164,20 @@ def base_orbit_tangent_positions(ctx: Context) -> tuple[tuple[int, int], ...]:
     """Positions E_{r,s} spanning the base orbit's tangent space: the
     upper-triangular part of the corner block (r <= s - (n-k))."""
     n, k = ctx.n, ctx.k
-    return tuple(
-        (r, s)
-        for r in range(1, k + 1)
-        for s in range(n - k + 1, n + 1)
-        if r <= s - (n - k)
-    )
+    return tuple((r, s) for r in range(1, k + 1) for s in range(r + n - k, n + 1))
 
 
-def full_corner_positions(ctx: Context) -> tuple[tuple[int, int], ...]:
-    """All k^2 positions of the corner block {1..k} x {n-k+1..n}."""
-    n, k = ctx.n, ctx.k
-    return tuple(
-        (r, s) for r in range(1, k + 1) for s in range(n - k + 1, n + 1)
-    )
-
-
-def borel_stabiliser_basis(ctx: Context) -> tuple[SparseMatrix, ...]:
-    """Basis of the upper-triangular part of the base point's stabiliser
-    algebra: paired corner blocks plus every block strictly above the
-    diagonal of the (k, n-2k, k) block structure."""
+def nilradical_generators(ctx: Context) -> tuple[SparseMatrix, ...]:
+    """Lie generators of the strictly upper part ``n_x`` of the base point's Borel stabiliser,
+    ``m = n - k``: ``E_{a,a+1} + E_{a+m,a+1+m}`` for ``a < k``; then ``E_{a,a+1}`` for
+    ``max(k,1) <= a <= min(m, n-1)`` if ``n > 2k``, else ``E_{k,k+1}`` and ``E_{1,k+1}``.
+    ``bracket_span`` proves that they generate."""
     n, k = ctx.n, ctx.k
     m = n - k
-    out = [
-        {(a, b): 1, (a + m, b + m): 1}
-        for a in range(1, k + 1)
-        for b in range(a, k + 1)
-    ]
-    out += [{(a, b): 1} for a in range(k + 1, m + 1) for b in range(a, m + 1)]
-    out += [{(a, b): 1} for a in range(1, k + 1) for b in range(k + 1, n + 1)]
-    out += [{(a, b): 1} for a in range(k + 1, m + 1) for b in range(m + 1, n + 1)]
-    return tuple(out)
+    out = [{(a, a + 1): 1, (a + m, a + 1 + m): 1} for a in range(1, k)]
+    if n > 2 * k:
+        return tuple(out + [{(a, a + 1): 1} for a in range(max(k, 1), min(m, n - 1) + 1)])
+    return tuple(out + [{(k, k + 1): 1}] + [{(1, k + 1): 1}] * (k > 1))
 
 
 def bracket(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
@@ -248,25 +233,53 @@ def bk_span(ctx: Context, lbl: OrbitLabel) -> int:
 
 
 def bracket_span(ctx: Context, roots: tuple[Root, ...]) -> int:
-    """``bk_span`` of the label whose ``t_k_set`` is ``roots``, for callers
-    that already hold those roots."""
+    """``bk_span`` of the label whose ``t_k_set`` is ``roots``, for callers that hold them.
+
+    The base point's Borel stabiliser is ``b_x = t + n_x``: ``t`` is the diagonal torus whose
+    entries at ``a`` and ``a + m`` agree for ``a <= k`` (``m = n - k``), ``n_x`` the strictly
+    upper part.  Each queued vector is bracketed with the generators ``S`` of
+    ``nilradical_generators`` alone.  Each vector that enters the echelon independent is queued,
+    and its brackets with ``S`` enter, so the span ``W`` is spanned by the queued vectors and is
+    the least subspace holding the seeds that each ``ad s`` (``s`` in ``S``) maps into itself.
+    So it lies in the closure under ``b_x``, and equals it, as it is stable under ``b_x`` too:
+
+    (a) ``t`` adds nothing.  ``ad t`` scales ``E_rs`` by ``t_r - t_s``.  The seeds are weight
+    vectors: a base-orbit unit is a matrix unit, and the units ``E_{j,i+m}``, ``-E_{j-m,i}`` of
+    a curve tangent share the weight ``t_j - t_i``, as ``t_{i+m} = t_i`` for ``i <= k`` and
+    ``t_{j-m} = t_j`` for ``j > m``.  So is each generator, and ``ad t`` is a derivation, so a
+    bracket of weight vectors is one: each queued ``v`` is, and ``[t, v]`` is a multiple of it.
+
+    (b) A subspace stable under a set is stable under the Lie algebra it generates: the ``y``
+    with ``[y, W]`` in ``W`` form a subspace closed under brackets, by the Jacobi identity.
+
+    (c) ``S`` generates ``n_x``.  With ``P_ab = E_ab + E_{a+m,b+m}``, each basis family of
+    ``n_x`` comes from ``S`` by brackets of elements reached before it:
+      * paired, ``a < b <= k``: ``P_ab = [P_{a,b-1}, P_{b-1,b}]``;
+      * middle, ``k < a < b <= m`` (all of ``n_x`` if ``k = 0``): ``E_ab = [E_{a,b-1}, E_{b-1,b}]``;
+      * if ``n > 2k``, middle rows, last columns, ``k < a <= m < b``: ``E_{m,m+1}`` is in
+        ``S``, ``E_{m,m+j} = [E_{m,m+1}, P_{1j}]``, and ``E_ab = [E_am, E_mb]`` for ``a < m``;
+      * if ``n > 2k``, first-block rows, ``a <= k < b``: ``E_{k,k+1}`` is in ``S``,
+        ``E_{a,k+1} = [P_ak, E_{k,k+1}]``, and ``E_ab = [E_{a,k+1}, E_{k+1,b}]`` for ``b > k+1``;
+      * if ``n = 2k``, the corner ``E_{a,k+j}``, ``a, j <= k``, column by column.  Column 1:
+        ``E_{k,k+1}``, ``E_{1,k+1}`` are in ``S``, and ``E_{a,k+1} = [P_ak, E_{k,k+1}]`` for
+        ``1 < a < k``.  Column ``j > 1``: ``E_{a,k+j} = [E_{a,k+j-1}, P_{j-1,j}]`` for ``a != j``,
+        and ``E_{j,k+j} = [E_{j,k+j-1}, P_{j-1,j}] + E_{j-1,k+j-1}``."""
     seeds = [{pos: 1} for pos in base_orbit_tangent_positions(ctx)]
     seeds += [root_tangent(ctx, rt) for rt in roots]
     pivots: dict[tuple[int, int], SparseMatrix] = {}
     queue = [m for m in seeds if _insert(pivots, m)]
-    borel = borel_stabiliser_basis(ctx)
-    # [E_ab, E_cd] = 0 unless b = c or d = a: only the basis elements with a
+    gens = nilradical_generators(ctx)
+    # [E_ab, E_cd] = 0 unless b = c or d = a: only the generators with a
     # column among v's rows or a row among v's columns bracket v to nonzero
-    in_row = [set() for _ in range(ctx.n + 1)]
-    in_col = [set() for _ in range(ctx.n + 1)]
-    for pos, b in enumerate(borel):
-        for r, c in b:
+    in_row, in_col = [set() for _ in range(ctx.n + 1)], [set() for _ in range(ctx.n + 1)]
+    for pos, g in enumerate(gens):
+        for r, c in g:
             in_row[r].add(pos)
             in_col[c].add(pos)
     while queue:
         v = queue.pop()
         for pos in sorted(set().union(*(in_col[r] | in_row[c] for r, c in v))):
-            w = bracket(borel[pos], v)
+            w = bracket(gens[pos], v)
             if _insert(pivots, w):
                 queue.append(w)
     return len(pivots)
@@ -280,11 +293,7 @@ def omega_k(ctx: Context) -> Perm:
 def o_k(ctx: Context) -> Perm:
     """Longest element of the block-diagonal Levi: each block reversed."""
     n, k = ctx.n, ctx.k
-    return (
-        tuple(range(k, 0, -1))
-        + tuple(range(n - k, k, -1))
-        + tuple(range(n, n - k, -1))
-    )
+    return tuple(range(k, 0, -1)) + tuple(range(n - k, k, -1)) + tuple(range(n, n - k, -1))
 
 
 Status = Literal["smooth", "singular", "unknown"]
@@ -300,16 +309,9 @@ def _pattern_verdict(rule: str, w: Perm, patterns: tuple[Perm, ...]) -> Verdict:
     for pattern in patterns:
         positions = pattern_positions(w, pattern)
         if positions is not None:
-            return Verdict(
-                "singular",
-                rule,
-                {"pattern": list(pattern), "positions": list(positions)},
-            )
-    return Verdict(
-        "smooth",
-        rule,
-        {"avoids": [list(p) for p in patterns], "tested": list(w)},
-    )
+            witness = {"pattern": list(pattern), "positions": list(positions)}
+            return Verdict("singular", rule, witness)
+    return Verdict("smooth", rule, {"avoids": [list(p) for p in patterns], "tested": list(w)})
 
 
 def verdict(
@@ -329,9 +331,7 @@ def verdict(
     if ctx.k == 1:
         return _pattern_verdict("R1", lbl.sigma, (RANK_ONE_PATTERN,))
     if lbl.alpha == omega_k(ctx):
-        return _pattern_verdict(
-            "R2", compose(lbl.sigma, o_k(ctx)), SINGULAR_PATTERNS
-        )
+        return _pattern_verdict("R2", compose(lbl.sigma, o_k(ctx)), SINGULAR_PATTERNS)
     if lbl.sigma == identity(ctx.n):
         return _pattern_verdict("R3", lbl.alpha[: ctx.k], SINGULAR_PATTERNS)
     if dim is None:
@@ -345,9 +345,7 @@ def verdict(
         return Verdict(status, "R4", {"t_k": count, "length": moved})
     bound = tangent_lower_bound(ctx, lbl, roots)
     if bound > dim:
-        return Verdict(
-            "singular", "R5", {"tangent_lower_bound": bound, "dimension": dim}
-        )
+        return Verdict("singular", "R5", {"tangent_lower_bound": bound, "dimension": dim})
     span = bracket_span(ctx, roots)
     if span > dim:
         return Verdict("singular", "R6", {"bk_span": span, "dimension": dim})

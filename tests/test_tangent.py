@@ -18,6 +18,7 @@ from borbit.atlas import (
     leq_witness,
     rep_matrix,
 )
+from borbit.geometry import full_corner_positions
 from borbit.perms import bruhat_leq, identity
 from borbit.poset import cover_table, verdicts
 from borbit.tangent import (
@@ -30,15 +31,16 @@ from borbit.tangent import (
     _insert,
     base_orbit_tangent_positions,
     bk_span,
-    borel_stabiliser_basis,
     bracket,
+    bracket_span,
     classify_root,
-    full_corner_positions,
+    nilradical_generators,
     o_k,
     omega_k,
     phi_plus,
     phi_plus_restricted,
     root_coset_label,
+    root_cosets,
     root_tangent,
     t_k_set,
     t_k_table,
@@ -254,6 +256,24 @@ def test_t_k_table_matches_the_pairwise_query_at_64(n, k):
                 assert bruhat_leq(witness, label_perm(lbl))
 
 
+def test_t_k_table_computes_each_root_coset_once_per_context(monkeypatch):
+    # the roots' coset labels are context data: a second label of the same
+    # context reads them back instead of calling ``label_of`` again
+    calls = []
+
+    def counting(ctx, w):
+        calls.append(w)
+        return label_of(ctx, w)
+
+    monkeypatch.setattr(tangent, "label_of", counting)
+    root_cosets.cache_clear()
+    ctx = Context(6, 2)
+    first, second = enumerate_labels(ctx)[7], enumerate_labels(ctx)[-1]
+    assert t_k_table(ctx, first) != t_k_table(ctx, second)
+    assert len(calls) == len(phi_plus(ctx)) == 13
+    root_cosets.cache_clear()
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_the_cover_masks_give_t_k_set(n):
     """Each root's bit, ORed up the covers, gives ``t_k_set`` on every label,
@@ -338,6 +358,23 @@ def test_sparse_bracket_matches_dense_commutators():
             sparse = bracket({(a, b): 1}, {(c, d): 1})
             assert dense(sparse, 4) == add(mul(x, y), mul(y, x), -1)
             assert 0 not in sparse.values()
+
+
+def borel_stabiliser_basis(ctx):
+    """Reference basis of the upper-triangular part of the base point's
+    stabiliser algebra: paired corner blocks plus every block strictly
+    above the diagonal of the (k, n-2k, k) block structure."""
+    n, k = ctx.n, ctx.k
+    m = n - k
+    out = [
+        {(a, b): 1, (a + m, b + m): 1}
+        for a in range(1, k + 1)
+        for b in range(a, k + 1)
+    ]
+    out += [{(a, b): 1} for a in range(k + 1, m + 1) for b in range(a, m + 1)]
+    out += [{(a, b): 1} for a in range(1, k + 1) for b in range(k + 1, n + 1)]
+    out += [{(a, b): 1} for a in range(k + 1, m + 1) for b in range(m + 1, n + 1)]
+    return tuple(out)
 
 
 def test_borel_stabiliser_basis_spans_the_upper_centraliser():
@@ -429,18 +466,18 @@ def test_a_dependent_vector_taken_as_independent_misses_the_dense_references(mon
 
 
 def unindexed_bracket_span(ctx, lbl):
-    """Reference for the basis index of ``bk_span``: the same integer
-    closure, bracketing each queued vector with every basis element; the
-    span and the nonzero brackets in the order they arose."""
+    """Reference for the generator index of ``bk_span``: the same integer
+    closure, bracketing each queued vector with every generator; the span
+    and the nonzero brackets in the order they arose."""
     seeds = [{pos: 1} for pos in base_orbit_tangent_positions(ctx)]
     seeds += [root_tangent(ctx, rt) for rt in t_k_set(ctx, lbl)]
     pivots, nonzero = {}, []
     queue = [m for m in seeds if _insert(pivots, m)]
-    borel = borel_stabiliser_basis(ctx)
+    gens = nilradical_generators(ctx)
     while queue:
         v = queue.pop()
-        for b in borel:
-            w = bracket(b, v)
+        for g in gens:
+            w = bracket(g, v)
             nonzero += [w] if w else []
             if _insert(pivots, w):
                 queue.append(w)
@@ -471,6 +508,76 @@ def test_indexed_bk_span_matches_the_unindexed_closure(monkeypatch):
     for _ in range(4):
         lbl = label_of(ctx, tuple(rng.sample(range(1, 17), 16)))
         assert agrees(ctx, lbl), lbl
+
+
+def full_basis_bracket_span(ctx, roots):
+    """Reference for the generating set of ``bracket_span``: the integer
+    closure under every element of ``borel_stabiliser_basis``, each queued
+    vector bracketed with the basis elements that share a row or a column
+    with it (the others bracket it to zero)."""
+    seeds = [{pos: 1} for pos in base_orbit_tangent_positions(ctx)]
+    seeds += [root_tangent(ctx, rt) for rt in roots]
+    pivots = {}
+    queue = [m for m in seeds if _insert(pivots, m)]
+    basis = borel_stabiliser_basis(ctx)
+    meets = [[] for _ in range(ctx.n + 1)], [[] for _ in range(ctx.n + 1)]
+    for pos, b in enumerate(basis):
+        for r, c in b:
+            meets[0][c].append(pos)
+            meets[1][r].append(pos)
+    while queue:
+        v = queue.pop()
+        for pos in sorted({pos for r, c in v for pos in meets[0][r] + meets[1][c]}):
+            w = bracket(basis[pos], v)
+            if _insert(pivots, w):
+                queue.append(w)
+    return len(pivots)
+
+
+def test_bk_span_matches_the_full_basis_closure():
+    for n in range(1, 8):
+        for k in range(n // 2 + 1):
+            ctx = Context(n, k)
+            for lbl in enumerate_labels(ctx):
+                roots = t_k_set(ctx, lbl)
+                assert bracket_span(ctx, roots) == full_basis_bracket_span(ctx, roots), lbl
+    for k in (16, 32):
+        ctx, rng = Context(64, k), random.Random(64 + k)
+        for _ in range(2):
+            roots = t_k_set(ctx, label_of(ctx, tuple(rng.sample(range(1, 65), 64))))
+            assert bracket_span(ctx, roots) == full_basis_bracket_span(ctx, roots)
+
+
+def lie_closure(gens):
+    """The echelon of the Lie algebra that ``gens`` generate: the smallest
+    subspace holding ``gens`` that each ``ad g`` maps into itself, spanned
+    by the left-normed brackets ``[g_1, [g_2, ... g_r]]``."""
+    pivots = {}
+    queue = [g for g in gens if _insert(pivots, g)]
+    while queue:
+        v = queue.pop()
+        for g in gens:
+            w = bracket(g, v)
+            if _insert(pivots, w):
+                queue.append(w)
+    return pivots
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_generators_generate_the_nilradical_and_each_is_needed(n):
+    for k in range(n // 2 + 1):
+        ctx = Context(n, k)
+        gens = nilradical_generators(ctx)
+        assert all(1 <= r < c <= n for g in gens for r, c in g), ctx  # no E_{n,n+1} at k = 0
+        nilradical = [b for b in borel_stabiliser_basis(ctx) if any(r != c for r, c in b)]
+        span = {}
+        assert all(_insert(span, b) for b in nilradical)
+        generated = lie_closure(gens)
+        assert len(generated) == len(nilradical), ctx
+        assert not any(_insert(span, v) for v in generated.values()), ctx
+        for drop in range(len(gens)):
+            fewer = gens[:drop] + gens[drop + 1:]
+            assert len(lie_closure(fewer)) < len(nilradical), (ctx, gens[drop])
 
 
 def test_bk_span_frozen_values():
