@@ -12,9 +12,9 @@ and a public name imports its module on first use.
 _EXPORTS = {
     "atlas": (
         "Context", "OrbitCoset", "OrbitLabel", "coset_of", "dim_orbit", "dim_y0", "dimension",
-        "enumerate_labels", "is_upper_label", "label", "label_of", "label_perm", "leq",
-        "min_length_reps", "rep_matrix",
+        "enumerate_labels", "is_upper_label", "label", "label_of", "label_perm", "leq", "rep_matrix",
     ),
+    "checks": ("min_length_reps",),
     "diagram": ("export_dot", "export_json"),
     "geometry": ("resolution_blueprint", "verify_curve"),
     "perms": (

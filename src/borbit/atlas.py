@@ -65,20 +65,11 @@ class OrbitCoset(NamedTuple):
     members: tuple[Perm, ...]
 
 
-def blocks(ctx: Context) -> tuple[range, range, range]:
-    n, k = ctx.n, ctx.k
-    return range(1, k + 1), range(k + 1, n - k + 1), range(n - k + 1, n + 1)
-
-
 def in_Zk(ctx: Context, p: Perm) -> bool:
     """Is ``p`` increasing on each of the three blocks?"""
     if len(p) != ctx.n:
         raise ValueError(f"size mismatch: got {len(p)}, context has n={ctx.n}")
-    return all(
-        p[i - 2] < p[i - 1]
-        for block in blocks(ctx)
-        for i in list(block)[1:]
-    )
+    return all(p[i - 1] < p[i] for i in range(1, ctx.n) if i not in (ctx.k, ctx.n - ctx.k))
 
 
 def in_Wk(ctx: Context, p: Perm) -> bool:
@@ -126,12 +117,6 @@ def coset_of(ctx: Context, w: Perm) -> OrbitCoset:
     if len(w) != ctx.n:
         raise ValueError(f"size mismatch: got {len(w)}, context has n={ctx.n}")
     return OrbitCoset(tuple(sorted(compose(w, h) for h in paired_subgroup(ctx))))
-
-
-def min_length_reps(coset: OrbitCoset) -> tuple[Perm, ...]:
-    lengths = [length(m) for m in coset.members]
-    shortest = min(lengths)
-    return tuple(m for m, ell in zip(coset.members, lengths) if ell == shortest)
 
 
 def label_of(ctx: Context, w: Perm) -> OrbitLabel:

@@ -16,6 +16,13 @@ from .perms import Perm, length, lower_interval, reduced_word, transposition
 Suite = tuple[str, bool, str]
 
 
+def min_length_reps(coset: OrbitCoset) -> tuple[Perm, ...]:
+    """The members of ``coset`` of minimal length: each label product is one of them."""
+    lengths = [length(m) for m in coset.members]
+    shortest = min(lengths)
+    return tuple(m for m, ell in zip(coset.members, lengths) if ell == shortest)
+
+
 def run_suites(ctx: Context) -> tuple[list[Suite], list[OrbitLabel]]:
     """The suites in their fixed order, and the orbital varieties whose
     verdict is singular."""
@@ -43,7 +50,7 @@ def run_suites(ctx: Context) -> tuple[list[Suite], list[OrbitLabel]]:
     ok = True
     for lbl, w in zip(labels, products):
         coset = cosets[owner[w]]
-        if w not in atlas.min_length_reps(coset):
+        if w not in min_length_reps(coset):
             ok = False
         if length(w) != length(lbl.sigma) + length(lbl.alpha):
             ok = False

@@ -26,6 +26,8 @@ verify over its own budget.
 
 from __future__ import annotations
 
+import atexit
+import gc
 import os
 import sys
 from collections.abc import Iterable
@@ -53,6 +55,9 @@ SWEEP_BUDGET = 1_995_840 * 12
 #: ``verify`` also sweeps S_n and tests every ordered pair of labels: it needs
 #: n <= VERIFY_MAX_N, the largest n at which it was run to the end for every k.
 VERIFY_MAX_N = 9
+#: What ``main`` registers with ``atexit``, at its first call (not at import) and so once per
+#: process: ``gc.freeze`` spares the final collection the heap, which holds no cycles.
+_EXIT_HOOKS = [gc.freeze]
 
 
 def _parse_perm_or_word(text: str, n: int):
@@ -244,6 +249,12 @@ def write(handle, chunks: Iterable[str]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # borbit's data holds no reference cycles, so a collection frees nothing: the command runs
+    # with the collector off, and the heap is frozen at exit (before earlier exit callbacks).
+    enabled = gc.isenabled()
+    gc.disable()
+    while _EXIT_HOOKS:
+        atexit.register(_EXIT_HOOKS.pop())
     try:
         args = parse_argv(sys.argv[1:] if argv is None else argv)
         if args is None:
@@ -278,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
             print(USAGE, file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    finally:
+        if enabled:
+            gc.enable()
     return code
 
 

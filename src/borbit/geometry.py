@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .atlas import Context, OrbitLabel, format_label, label_perm
-from .perms import evaluate_word, format_word, length, transposition
+from .perms import Word, evaluate_word, length, transposition
 from .tangent import DELTA, Root, SparseMatrix, _insert, classify_root, phi_plus, root_tangent
 
 #: A matrix over ``Z[t]``: 1-indexed ``(row, column, degree)`` to a nonzero
@@ -155,6 +155,14 @@ def resolution_blueprint(
         relations.append(f"u({current[i - 1]}) <= {current[i - (n - k) - 1]}")
 
     return ResolutionBlueprint(tuple(word), tuple(rows), tuple(relations))
+
+
+def format_word(word: Word) -> str:
+    """Generator-word serialisation: ``(1, 3, 2)`` -> ``"s1.s3.s2"``; ``perms.parse_word``
+    reads it back."""
+    if not word:
+        return "id"
+    return ".".join(f"s{i}" for i in word)
 
 
 def blueprint_text(ctx: Context, lbl: OrbitLabel, bp: ResolutionBlueprint) -> str:

@@ -248,15 +248,8 @@ def parse_perm(text: str, n: int | None = None) -> Perm:
     return p
 
 
-def format_word(word: Word) -> str:
-    """Generator-word serialisation: ``(1, 3, 2)`` -> ``"s1.s3.s2"``."""
-    if not word:
-        return "id"
-    return ".".join(f"s{i}" for i in word)
-
-
 def parse_word(text: str) -> Word:
-    """Inverse of :func:`format_word`; bare indices like ``"1.3.2"`` also work."""
+    """Inverse of ``geometry.format_word``; bare indices like ``"1.3.2"`` also work."""
     text = text.strip()
     if text in ("", "id"):
         return ()

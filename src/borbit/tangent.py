@@ -296,6 +296,12 @@ def o_k(ctx: Context) -> Perm:
     return tuple(range(k, 0, -1)) + tuple(range(n - k, k, -1)) + tuple(range(n, n - k, -1))
 
 
+@lru_cache(maxsize=None)
+def rule_perms(ctx: Context) -> tuple[Perm, Perm, Perm]:
+    """R2's ``omega_k`` and ``o_k`` and R3's identity: context data, built once per context."""
+    return omega_k(ctx), o_k(ctx), identity(ctx.n)
+
+
 Status = Literal["smooth", "singular", "unknown"]
 
 
@@ -330,9 +336,10 @@ def verdict(
     """
     if ctx.k == 1:
         return _pattern_verdict("R1", lbl.sigma, (RANK_ONE_PATTERN,))
-    if lbl.alpha == omega_k(ctx):
-        return _pattern_verdict("R2", compose(lbl.sigma, o_k(ctx)), SINGULAR_PATTERNS)
-    if lbl.sigma == identity(ctx.n):
+    omega, levi, e = rule_perms(ctx)
+    if lbl.alpha == omega:
+        return _pattern_verdict("R2", compose(lbl.sigma, levi), SINGULAR_PATTERNS)
+    if lbl.sigma == e:
         return _pattern_verdict("R3", lbl.alpha[: ctx.k], SINGULAR_PATTERNS)
     if dim is None:
         dim = dimension(ctx, lbl)

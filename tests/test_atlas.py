@@ -17,10 +17,10 @@ from borbit.atlas import (
     label,
     label_of,
     label_perm,
-    min_length_reps,
     paired_subgroup,
     rep_matrix,
 )
+from borbit.checks import min_length_reps
 from borbit.perms import compose, identity, length
 from borbit.springer import (
     TwoColumnTableau,

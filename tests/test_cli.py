@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import gc
 import io
 import json
 import os
@@ -24,6 +25,7 @@ from borbit.cli import (
 from borbit import atlas, checks, poset, springer, tangent
 from borbit.atlas import Context, OrbitLabel, enumerate_labels, format_label, label
 from borbit.perms import identity, parse_perm
+from test_imports import COMMANDS as PROBED
 
 
 def run(capsys, *argv):
@@ -642,3 +644,89 @@ def test_samples_is_an_unknown_option(capsys):
         code, out, err = run(capsys, "--n", "4", "--k", "2", *argv)
         assert (code, out) == (EXIT_BAD_INPUT, "")
         assert err.splitlines() == [USAGE, "error: unknown option --samples"]
+
+
+def unreachable_after(action) -> int:
+    """The objects that a collection finds unreachable after ``action`` ran
+    with the collector off: the cycles it left behind."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        action()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+#: The commands whose JSON goes through one ``json.dumps(indent=2)``: its
+#: pure-Python encoder is a set of closures that refer to each other.
+ONE_JSON_DUMP = {"smooth-json", "blueprint-json"}
+
+
+def test_commands_leave_no_cycles_for_the_collector(capsys):
+    """``main`` turns the collector off because a command builds no reference
+    cycles: every probed command leaves none but the encoder's fixed set,
+    which does not grow with the sweep."""
+    encoder = unreachable_after(lambda: json.dumps({"a": [1]}, indent=2))
+    assert encoder > 0
+    for name, argv in PROBED.items():
+        found = unreachable_after(lambda: main(argv))
+        assert found == (encoder if name in ONE_JSON_DUMP else 0), name
+    bigger = ["--n", "7", "--k", "3", "--format", "json", "smooth"]
+    assert unreachable_after(lambda: main(bigger)) == encoder
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_callers_collector_setting(capsys, monkeypatch, enabled):
+    """On exit 0, 2 and 3 and on an internal error that propagates, the
+    caller gets back the collector setting it had."""
+    def broken(*args):
+        raise ZeroDivisionError("division by zero")
+
+    order = ["--n", "4", "--k", "2", "order", "sigma=id", "sigma=s2"]
+    calls = [
+        (["-h"], EXIT_OK),
+        (order, EXIT_OK),
+        (["--n", "4", "--k", "3", "enumerate"], EXIT_BAD_INPUT),
+        (["--n", "9", "--k", "2", "enumerate"], EXIT_CAP),
+    ]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in calls:
+            assert main(argv) == code, argv
+            assert gc.isenabled() is enabled, argv
+        monkeypatch.setattr(atlas, "leq_witness", broken)
+        with pytest.raises(ZeroDivisionError):
+            main(order)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_the_freeze_runs_before_earlier_exit_callbacks_and_once():
+    """``main`` registers ``gc.freeze`` with ``atexit`` once however often it
+    runs; callbacks run last-in first-out, so one registered before ``main``
+    sees the heap frozen.  A bare import registers nothing."""
+    probe = (
+        "import atexit, gc\n"
+        "before = atexit._ncallbacks()\n"
+        "import borbit.cli\n"
+        "assert atexit._ncallbacks() == before and gc.isenabled()\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "argv = ['--n', '4', '--k', '2', 'order', 'sigma=id', 'sigma=s2']\n"
+        "assert borbit.cli.main(argv) == borbit.cli.main(argv) == 0\n"
+        "assert atexit._ncallbacks() == before + 2 and gc.isenabled()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["true  witness=1,2,3,4"] * 2 + ["frozen True"]

@@ -97,11 +97,11 @@ def compiled_lines(mods: set[str]) -> int:
 #: ``borbit`` source lines that ``order`` compiles: ``borbit``, ``cli``,
 #: ``atlas`` and ``perms``, which hold the argv grammar and the one-pair
 #: closure order; a budget, so that no sweep layer creeps back in.
-ORDER_LINE_BUDGET = 897
+ORDER_LINE_BUDGET = 889
 
 #: ``borbit`` source lines that ``tangent`` compiles: those of ``order`` and
 #: ``tangent``, which holds no sweep over the cover table.
-TANGENT_LINE_BUDGET = 1281
+TANGENT_LINE_BUDGET = 1280
 
 
 def test_order_compiles_within_its_line_budget(loaded):

@@ -15,7 +15,6 @@ from borbit.perms import (
     contains_pattern,
     evaluate_word,
     format_perm,
-    format_word,
     identity,
     inverse,
     left_descents,
@@ -27,6 +26,7 @@ from borbit.perms import (
     reduced_word,
     simple,
 )
+from borbit.geometry import format_word
 from dense import all_perms
 
 

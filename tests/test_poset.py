@@ -23,8 +23,8 @@ from borbit.atlas import (
     label_perm,
     leq,
     leq_witness,
-    min_length_reps,
 )
+from borbit.checks import min_length_reps
 from borbit.diagram import export_dot, export_json
 from borbit.perms import bruhat_leq, compose, format_perm, identity, left_descents, length, simple
 from borbit.poset import cover_table, hasse, leq_oracle, maximum, minimum, weak_edges

@@ -274,6 +274,24 @@ def test_t_k_table_computes_each_root_coset_once_per_context(monkeypatch):
     root_cosets.cache_clear()
 
 
+def test_the_sweep_builds_the_rule_permutations_once_per_context(monkeypatch):
+    # R2's ``omega_k`` and ``o_k`` and R3's identity are context data: a
+    # sweep past R1 builds each once, not once per label
+    calls = []
+    for name in ("omega_k", "o_k", "identity"):
+        def counting(*args, name=name, real=getattr(tangent, name)):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(tangent, name, counting)
+    tangent.rule_perms.cache_clear()
+    ctx = Context(6, 2)
+    table = cover_table(ctx)
+    assert len(list(verdicts(ctx, table))) == len(table.labels) == 180
+    assert sorted(calls) == ["identity", "o_k", "omega_k"]
+    tangent.rule_perms.cache_clear()
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_the_cover_masks_give_t_k_set(n):
     """Each root's bit, ORed up the covers, gives ``t_k_set`` on every label,
